@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -30,8 +31,27 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _parse_eta(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")])
+def _parse_eta(text: str, dim: int) -> np.ndarray:
+    try:
+        eta = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        eta = np.array([])
+    if eta.size != dim or not np.all(np.isfinite(eta)):
+        raise ConfigError(f"--eta needs {dim} finite comma-separated numbers")
+    return eta
+
+
+def _load_observation(path) -> np.ndarray:
+    """One finite observed strategy per line, at least one line."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty: caught below
+            values = np.loadtxt(path, dtype=float, ndmin=1)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)):
+        raise ConfigError(f"{path}: need one finite value per line")
+    return values
 
 
 def _config_pi(config):
@@ -59,7 +79,8 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     config = _load_valid_config(args.config)
-    eta = _parse_eta(args.eta) if args.eta else np.asarray(config.eta_true, float)
+    eta = (_parse_eta(args.eta, config.game.xi.dim) if args.eta
+           else np.asarray(config.eta_true, float))
     fn = model_equilibrium_fn(config.graphon, config.game, eta)
     if args.samples:
         grid = (np.arange(args.samples) + 0.5) / args.samples
@@ -96,8 +117,7 @@ def cmd_sample(args) -> int:
 def cmd_estimate(args) -> int:
     config = _load_valid_config(args.config)
     if args.observation:
-        values = np.atleast_1d(np.loadtxt(args.observation, dtype=float))
-        obs = interpolate_equilibrium(values)
+        obs = interpolate_equilibrium(_load_observation(args.observation))
     else:
         n = args.n or config.n_list[0]
         seed = args.seed if args.seed is not None else config.master_seed

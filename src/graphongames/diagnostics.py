@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAggregate, NotInterior, SpectralConditionViolated
+from .errors import DegenerateAggregate, NotInterior
 from .game import GameSpec, StrategySet
 from .graphon import Graphon
 from .equilibrium import (
     BlockEquilibrium,
     GraphonEquilibrium,
     second_derivative_values,
+    solve_lq_homogeneous,
     solve_lq_sbm,
     solve_values,
 )
@@ -82,7 +83,7 @@ def homogeneous_identifiability(g: Graphon, eta_bar,
     """
     eta_bar = np.asarray(eta_bar, dtype=float)
     weights = g.cell_weights()
-    _, z = solve_values_homogeneous(g, eta_bar)
+    z = solve_lq_homogeneous(g, eta_bar).aggregate.values
     gamma = float(np.dot(weights, z))
     z_perp = z - gamma
     z_perp_norm = float(np.sqrt(np.dot(weights, z_perp**2)))
@@ -107,20 +108,6 @@ def homogeneous_identifiability(g: Graphon, eta_bar,
             "z_perp_norm": z_perp_norm,
         },
     )
-
-
-def solve_values_homogeneous(g: Graphon, eta):
-    """Interior homogeneous equilibrium and aggregate values on the
-    kernel's natural partition."""
-    eta = np.asarray(eta, dtype=float)
-    if abs(eta[1]) * g.lambda_max() >= 1.0:
-        raise SpectralConditionViolated(
-            f"aggregate coefficient {eta[1]} is spectrally infeasible"
-        )
-    a = g.operator_matrix()
-    n = a.shape[0]
-    s = np.linalg.solve(np.eye(n) - eta[1] * a, np.full(n, eta[0]))
-    return s, a @ s
 
 
 def sbm_identifiability_constant(q, pi, theta1: float, eta_bar) -> IdentifiabilityReport:

@@ -6,9 +6,12 @@ its gradient and its Hessian are all exact integrals of step functions; the
 Hessian splits into a gradient outer-product term and a residual-weighted
 curvature term and is exposed for diagnostics only.
 
-Optimization is projected gradient descent with monotone Armijo
-backtracking, run from a deterministic multistart set (the box center plus
-a Halton grid), so the estimate is a pure function of the observation.
+On the kernel's natural partition (cell weights w) J is a sum of squared
+residuals plus a constant, J = ||r||^2 + c with r = sqrt(w) s_eta - a/sqrt(w),
+a_i the observation's integral over cell i and c = int obs^2 - sum a_i^2/w_i.
+Each start minimizes ||r||^2 by trust-region reflective bounded least
+squares with the exact Jacobian sqrt(w) ds/deta. Starts are the box center
+plus a Halton grid, so the estimate is a pure function of the observation.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import least_squares
 from scipy.stats import qmc
 
 from .errors import InfeasibleParameterSet, NoStart, NotInterior
@@ -34,21 +38,22 @@ from .equilibrium import (
     solve_values,
 )
 
+# scipy's xtol, ftol and gtol: a start runs to the rounding floor or to
+# max_iter; EstimateOptions.gtol alone decides whether it converged.
+LSQ_TOL = 1e-15
+
 
 @dataclass
 class EstimateOptions:
     """Optimizer knobs. Defaults keep estimation deterministic and well
-    inside the resolvent's domain."""
+    inside the resolvent's domain. ``max_iter`` caps the residual
+    evaluations of each start's trust-region reflective solve."""
 
     starts: int = 8              # Halton points, in addition to the box center
-    initial_step: float = 1.0
-    shrink: float = 0.5
-    armijo_c: float = 1e-4
     gtol: float = 1e-9
     max_iter: int = 5000
     margin_buffer: float = 1e-6  # keep the contraction margin at least this
     tie_tol: float = 1e-12
-    backtrack_cap: int = 60
 
 
 @dataclass
@@ -112,103 +117,6 @@ def hessian(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
     return HessianInfo(matrix=h, min_eigenvalue=float(np.linalg.eigvalsh(h).min()))
 
 
-class _MomentObjective:
-    """Exact J, its gradient, and cancellation-safe J differences via
-    per-cell moments of the observation.
-
-    Since both the observation and the model equilibrium are step functions
-    and the model lives on the kernel's natural partition with weights w,
-    J(eta) = int obs^2 - 2 sum_i a_i s_i + sum_i w_i s_i^2 with
-    a_i = int_{cell i} obs. Algebraically identical to the merged-partition
-    integral, but one O(n_obs) pass up front instead of per evaluation.
-
-    Line searches compare J at nearby points, where the closed form above
-    loses everything to cancellation; :meth:`delta` evaluates the difference
-    in the factored form (s' - s) . (-2 a + w (s' + s)), whose rounding
-    error shrinks with the step.
-    """
-
-    def __init__(self, observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec):
-        self.g = g
-        self.spec = spec
-        bounds = g.cell_boundaries()
-        self.weights = g.cell_weights()
-        self.obs_cell = cell_integrals(observed, bounds)
-        self.obs_sq = integrate_product(observed, observed)
-
-    def solve(self, eta) -> np.ndarray:
-        s, _ = solve_values(self.g, self.spec, eta)
-        return s
-
-    def value_of(self, s: np.ndarray) -> float:
-        # J is a squared distance; cancellation noise near the optimum can
-        # round the closed form below zero, so clamp.
-        return max(
-            float(
-                self.obs_sq - 2.0 * np.dot(self.obs_cell, s)
-                + np.dot(self.weights, s * s)
-            ),
-            0.0,
-        )
-
-    def solve_with_grad(self, eta):
-        s, _, grad = gradient_values(self.g, self.spec, eta)
-        cell_residual = self.obs_cell - self.weights * s
-        return s, -2.0 * (grad.T @ cell_residual)
-
-    def delta(self, s_new: np.ndarray, s_old: np.ndarray) -> float:
-        """J at s_new minus J at s_old, exact up to rounding of the step."""
-        ds = s_new - s_old
-        return float(
-            np.dot(ds, self.weights * (s_new + s_old) - 2.0 * self.obs_cell)
-        )
-
-
-def _projected_descent(problem: _MomentObjective, x0, lo, hi,
-                       opts: EstimateOptions):
-    """Monotone projected gradient descent with Armijo backtracking.
-
-    The trial step is seeded with a Barzilai-Borwein length from the
-    previous accepted step (first iteration uses ``initial_step``), then
-    shrunk until the Armijo condition J(proj(x - t g)) - J(x) <= c g.(y - x)
-    holds, with the left side evaluated by the cancellation-safe difference.
-    Accepted steps never increase J.
-    """
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    s, grad = problem.solve_with_grad(x)
-    step = opts.initial_step
-    iters = 0
-    for iters in range(1, opts.max_iter + 1):
-        pg = x - np.clip(x - grad, lo, hi)
-        pgnorm = float(np.linalg.norm(pg))
-        if pgnorm <= opts.gtol:
-            return x, problem.value_of(s), pgnorm, iters - 1
-        t = step
-        accepted = False
-        for _ in range(opts.backtrack_cap):
-            y = np.clip(x - t * grad, lo, hi)
-            d = y - x
-            gdot = float(grad @ d)
-            if gdot >= 0.0:  # projection left no descent direction
-                return x, problem.value_of(s), pgnorm, iters - 1
-            s_y = problem.solve(y)
-            if problem.delta(s_y, s) <= opts.armijo_c * gdot:
-                accepted = True
-                break
-            t *= opts.shrink
-        if not accepted:
-            return x, problem.value_of(s), pgnorm, iters - 1
-        _, grad_new = problem.solve_with_grad(y)
-        sk = y - x
-        yk = grad_new - grad
-        sy = float(sk @ yk)
-        step = float(sk @ sk) / sy if sy > 1e-300 else opts.initial_step
-        step = min(max(step, 1e-10), 1e10)
-        x, s, grad = y, s_y, grad_new
-    pg = x - np.clip(x - grad, lo, hi)
-    return x, problem.value_of(s), float(np.linalg.norm(pg)), iters
-
-
 def _start_points(lo, hi, count: int) -> np.ndarray:
     """Deterministic multistart set: box center plus an unscrambled Halton
     grid scaled into the box."""
@@ -225,13 +133,15 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
 
     Every corner of the box must satisfy the spectral condition. Candidate
     parameters are additionally capped so the contraction margin stays at
-    least ``margin_buffer``; line search therefore never requests an
-    equilibrium outside the resolvent's domain. Runs are ranked by final J.
-    Runs within ``tie_tol`` of the best J are tied (their J values differ by
-    rounding only); among them a converged run (projected-gradient norm at
-    most ``gtol``) wins, then the smallest projected-gradient norm, then the
-    lexicographically smallest parameter. ``converged`` describes the run
-    reported, so it is false only when no tied run converged.
+    least ``margin_buffer``, so no solve leaves the resolvent's domain.
+    Each start is a trust-region reflective least-squares solve of the
+    residual form of J with at most ``max_iter`` residual evaluations; it
+    moves starts on the box boundary strictly inside. Runs are ranked by
+    final J. Runs within ``tie_tol`` of the best J are tied (their J values
+    differ by rounding only); among them a converged run (projected-gradient
+    norm at most ``gtol``) wins, then the smallest projected-gradient norm,
+    then the lexicographically smallest parameter. ``converged`` describes
+    the run reported, so it is false only when no tied run converged.
     """
     opts = options if options is not None else EstimateOptions()
     margin = contraction_margin(spec, g)
@@ -246,14 +156,34 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
         cap = (1.0 - opts.margin_buffer) / lam
         mask = spec.aggregate_mask()
         hi[mask] = np.minimum(hi[mask], cap)
-    if np.any(hi < lo):
-        raise NoStart("margin cap empties the parameter box")
+    if np.any(hi <= lo):
+        raise NoStart("margin cap leaves no interior in the parameter box")
 
-    problem = _MomentObjective(observed, g, spec)
+    root_w = np.sqrt(g.cell_weights())
+    target = cell_integrals(observed, g.cell_boundaries()) / root_w
+    offset = integrate_product(observed, observed) - float(target @ target)
+
+    def residual(eta):
+        s, _ = solve_values(g, spec, eta)
+        return root_w * s - target
+
+    def jacobian(eta):
+        _, _, grad = gradient_values(g, spec, eta)
+        return root_w[:, None] * grad
+
     starts = _start_points(lo, hi, opts.starts)
-    # each run is (eta, J, projected-gradient norm, iterations)
-    runs = [_projected_descent(problem, x0, lo, hi, opts) for x0 in starts]
-    total_iters = sum(run[3] for run in runs)
+    # each run is (eta, J, projected-gradient norm, residual evaluations)
+    runs = []
+    for x0 in starts:
+        fit = least_squares(
+            residual, x0, jac=jacobian, bounds=(lo, hi), method="trf",
+            xtol=LSQ_TOL, ftol=LSQ_TOL, gtol=LSQ_TOL, max_nfev=opts.max_iter,
+        )
+        grad_j = 2.0 * (fit.jac.T @ fit.fun)
+        pgnorm = float(np.linalg.norm(fit.x - np.clip(fit.x - grad_j, lo, hi)))
+        j = max(float(fit.fun @ fit.fun) + offset, 0.0)
+        runs.append((fit.x, j, pgnorm, fit.nfev))
+    total_evals = sum(run[3] for run in runs)
     best_j = min(run[1] for run in runs)
     eta_hat, fx, pgnorm, _ = min(
         (run for run in runs if run[1] <= best_j + opts.tie_tol),
@@ -269,6 +199,6 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
         gradient_norm=pgnorm,
         hessian_min_eig=min_eig,
         starts=len(starts),
-        iterations_total=total_iters,
+        iterations_total=total_evals,
         converged=pgnorm <= opts.gtol,
     )

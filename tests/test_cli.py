@@ -118,6 +118,37 @@ class TestEstimate:
         assert "numerical failure" in capsys.readouterr().err
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "command, observation",
+        [
+            (["solve", "--eta", "abc"], None),
+            (["solve", "--eta", "0.5,0.5"], None),
+            (["estimate"], "0.5\nabc\n0.7\n"),
+            (["estimate"], ""),
+            (["estimate"], "0.5\nnan\n0.7\n"),
+        ],
+        ids=[
+            "eta-not-a-number",
+            "eta-wrong-length",
+            "observation-not-a-number",
+            "observation-empty",
+            "observation-nan",
+        ],
+    )
+    def test_exits_1_without_traceback(self, tmp_path, capsys, command,
+                                       observation):
+        argv = command + ["--config", SHIPPED]
+        if observation is not None:
+            path = tmp_path / "obs.txt"
+            path.write_text(observation)
+            argv += ["--observation", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestSampleAndExperiment:
     def test_sample_writes_files(self, tmp_path, capsys):
         path = write_config(tmp_path)
