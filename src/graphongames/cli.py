@@ -58,8 +58,16 @@ def _config_pi(config):
     return config.graphon.pi if isinstance(config.game, LQSBM) else None
 
 
-def _load_valid_config(path):
-    config = load_config(path)
+def _load_config(args):
+    """The config at ``--config`` with ``--seed`` applied."""
+    config = load_config(args.config)
+    if args.seed is not None:
+        config.master_seed = args.seed
+    return config
+
+
+def _load_valid_config(args):
+    config = _load_config(args)
     problems = config.validate()
     if problems:
         raise ConfigError("; ".join(problems))
@@ -67,7 +75,7 @@ def _load_valid_config(path):
 
 
 def cmd_validate(args) -> int:
-    config = load_config(args.config)
+    config = _load_config(args)
     problems = config.validate()
     if problems:
         for p in problems:
@@ -77,8 +85,17 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _network_size(args, config) -> int:
+    n = args.n if args.n is not None else config.n_list[0]
+    if n < 1:
+        raise ConfigError("--n must be at least 1")
+    return n
+
+
 def cmd_solve(args) -> int:
-    config = _load_valid_config(args.config)
+    if args.samples < 0:
+        raise ConfigError("--samples must be nonnegative")
+    config = _load_valid_config(args)
     eta = (_parse_eta(args.eta, config.game.xi.dim) if args.eta
            else np.asarray(config.eta_true, float))
     fn = model_equilibrium_fn(config.graphon, config.game, eta)
@@ -102,9 +119,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    config = _load_valid_config(args.config)
-    n = args.n or config.n_list[0]
-    seed = args.seed if args.seed is not None else config.master_seed
+    config = _load_valid_config(args)
+    n = _network_size(args, config)
+    seed = config.master_seed
     net = sample_network(config.graphon, n, seed)
     prefix = args.out or "network"
     edges_path = f"{prefix}_edges.txt"
@@ -115,13 +132,12 @@ def cmd_sample(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    config = _load_valid_config(args.config)
+    config = _load_valid_config(args)
     if args.observation:
         obs = interpolate_equilibrium(_load_observation(args.observation))
     else:
-        n = args.n or config.n_list[0]
-        seed = args.seed if args.seed is not None else config.master_seed
-        net = sample_network(config.graphon, n, seed)
+        n = _network_size(args, config)
+        net = sample_network(config.graphon, n, config.master_seed)
         neq = solve_network_game(
             net, config.game, config.eta_true,
             tol=config.solver.tol, max_iter=config.solver.max_iter,
@@ -138,9 +154,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.master_seed = args.seed
+    config = _load_valid_config(args)
     out = args.out or config.output
     records = run_experiment(config)
     n_params = config.game.xi.dim
@@ -156,7 +170,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    config = _load_valid_config(args.config)
+    config = _load_valid_config(args)
     eta = np.asarray(config.eta_true, dtype=float)
     if isinstance(config.game, LQSBM):
         g = config.graphon

@@ -4,12 +4,18 @@ Two routes are provided for every linear-quadratic instance and must agree:
 
 * a generic projected best-response fixed-point iteration, valid whenever
   the best-response map is a contraction, and
-* direct resolvent solves on the kernel's natural partition, valid in the
-  interior regime where no strategy bound binds.
+* the interior resolvent solve on the kernel's natural partition, valid in
+  the regime where no strategy bound binds.
 
-First and second derivatives of the equilibrium with respect to the unknown
-parameters come from resolvent identities (one extra linear solve per
-coordinate), not truncated series, so they are exact at machine precision.
+Every interior closed form (``solve_values``, ``gradient_values``,
+``second_derivative_values``, ``solve_lq_sbm``, ``solve_lq_homogeneous``)
+is a thin call to one private core, ``_resolvent``. It reads the game's
+affine maps theta1 = b1 + D1 eta, theta2 = b2 + D2 eta
+(:meth:`GameSpec.affine_maps`) and solves the Bonacich-type system
+s = (I - diag(theta2) A)^{-1} theta1. First and second derivatives in the
+unknown parameters come from resolvent identities on the same system (one
+multi-right-hand-side solve per order), not truncated series, so they are
+exact at machine precision.
 """
 
 from __future__ import annotations
@@ -26,7 +32,14 @@ from .errors import (
     SpectralConditionViolated,
 )
 from .functionspace import PiecewiseConstantFn
-from .game import GameSpec, LQHomogeneous, LQSBM, StrategySet, contraction_margin
+from .game import (
+    GameSpec,
+    LQHomogeneous,
+    LQSBM,
+    ParameterBox,
+    StrategySet,
+    contraction_margin,
+)
 from .graphon import Graphon, SBMGraphon
 
 DEFAULT_TOL = 1e-10
@@ -64,43 +77,59 @@ class BlockEquilibrium:
         return PiecewiseConstantFn(bounds, self.values)
 
 
-def _check_spectral(coef: float, lam: float):
+def _resolvent(g: Graphon, spec: GameSpec, eta, order: int):
+    """The one interior solve behind every closed form.
+
+    On ``g``'s natural partition (operator matrix A) with the game's affine
+    maps theta1 = b1 + D1 eta and theta2 = b2 + D2 eta, the equilibrium is
+    s = V^{-1} theta1 with V = I - diag(theta2) A, and z = A s. Returns
+    (s, z) for ``order`` 0, adds the gradient (n_cells, n_params) for order
+    1 and the hessian (n_params, n_params, n_cells) for order 2:
+
+        V ds/deta_i = D1_i + D2_i * z,
+        V d2s/deta_i deta_j = D2_i * (A ds/deta_j) + D2_j * (A ds/deta_i),
+
+    each order one multi-right-hand-side solve. Hessian pairs are solved
+    once for i <= j and mirrored, so it is exactly symmetric. Raises
+    :class:`SpectralConditionViolated` when max |theta2| * lambda_max >= 1.
+    """
+    eta = np.asarray(eta, dtype=float)
+    b1, d1, b2, d2 = spec.affine_maps(g)
+    theta2 = b2 + d2 @ eta
+    coef, lam = float(np.max(np.abs(theta2))), g.lambda_max()
     if coef * lam >= 1.0:
         raise SpectralConditionViolated(
             f"aggregate coefficient {coef} times lambda_max {lam} is >= 1"
         )
-
-
-def _require_sbm(g: Graphon) -> SBMGraphon:
-    if not isinstance(g, SBMGraphon):
-        raise TypeError(
-            "a community game needs a block kernel carrying the communities"
-        )
-    return g
+    a = g.operator_matrix()
+    v = np.eye(a.shape[0]) - theta2[:, None] * a
+    try:
+        s = np.linalg.solve(v, b1 + d1 @ eta)
+        z = a @ s
+        if order == 0:
+            return s, z
+        grad = np.linalg.solve(v, d1 + d2 * z[:, None])
+        if order == 1:
+            return s, z, grad
+        ag = a @ grad
+        i, j = np.triu_indices(eta.size)
+        pairs = np.linalg.solve(v, d2[:, i] * ag[:, j] + d2[:, j] * ag[:, i])
+    except np.linalg.LinAlgError as exc:  # unreachable under the spectral check
+        raise SingularSystem(str(exc)) from exc
+    hess = np.empty((eta.size, eta.size, a.shape[0]))
+    hess[i, j] = hess[j, i] = pairs.T
+    return s, z, grad, hess
 
 
 def solve_lq_sbm(q, pi, theta1: float, eta) -> BlockEquilibrium:
     """Interior equilibrium of the community game by a dense K x K solve:
-    values = theta1 * (I - diag(eta) Q diag(pi))^{-1} 1."""
-    q = np.asarray(q, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    m = q * pi[None, :]
-    root = np.sqrt(pi)
-    lam = float(np.linalg.eigvalsh(q * np.outer(root, root)).max())
-    _check_spectral(float(np.max(np.abs(eta))), lam)
-    v = np.eye(q.shape[0]) - eta[:, None] * m
-    try:
-        values = np.linalg.solve(v, np.full(q.shape[0], float(theta1)))
-    except np.linalg.LinAlgError as exc:  # unreachable under the spectral check
-        raise SingularSystem(str(exc)) from exc
-    return BlockEquilibrium(values=values, aggregates=m @ values)
-
-
-def _homogeneous_resolvent(g: Graphon, eta2: float):
-    """LU-ready system matrix I - eta2 * A on the natural partition."""
-    a = g.operator_matrix()
-    return np.eye(a.shape[0]) - eta2 * a, a
+    values = theta1 * (I - diag(eta) Q diag(pi))^{-1} 1. The strategy set
+    and parameter box play no part in the interior solve."""
+    k = np.asarray(pi).size
+    spec = LQSBM(theta1, StrategySet(0.0, 1.0),
+                 ParameterBox(np.zeros(k), np.ones(k)))
+    values, aggregates = solve_values(SBMGraphon(q, pi), spec, eta)
+    return BlockEquilibrium(values=values, aggregates=aggregates)
 
 
 def solve_lq_homogeneous(g: Graphon, eta,
@@ -114,11 +143,9 @@ def solve_lq_homogeneous(g: Graphon, eta,
     checked against actual bounds.
     """
     eta = np.asarray(eta, dtype=float)
-    _check_spectral(abs(float(eta[1])), g.lambda_max())
-    system, a = _homogeneous_resolvent(g, float(eta[1]))
-    n = a.shape[0]
-    s = np.linalg.solve(system, np.full(n, float(eta[0])))
-    z = a @ s
+    spec = LQHomogeneous(StrategySet(0.0, 1.0),
+                         ParameterBox(np.zeros(2), np.ones(2)))
+    s, z = solve_values(g, spec, eta)
     bounds = g.cell_boundaries()
     target = eta[0] + eta[1] * z
     if strategy_set is not None:
@@ -188,7 +215,9 @@ def solve_fixed_point(g: Graphon, spec: GameSpec, eta,
         raise NotAContraction(
             f"contraction margin {margin} is not positive at eta={np.asarray(eta).tolist()}"
         )
-    pi = _require_sbm(g).pi if isinstance(spec, LQSBM) else None
+    # contraction_margin has already refused a community game on a kernel
+    # that is not a block kernel
+    pi = g.pi if isinstance(spec, LQSBM) else None
     bounds = g.cell_boundaries()
     mids = 0.5 * (bounds[:-1] + bounds[1:])
     th1, th2 = spec.theta_profile(eta, mids, pi=pi)
@@ -203,90 +232,28 @@ def solve_fixed_point(g: Graphon, spec: GameSpec, eta,
     return eq
 
 
-# Array-level closed forms on the natural partition. These are the
-# workhorses behind the estimator and the finite-difference checks: they
-# solve the unconstrained (interior) system without box or interiority
-# checks, which the public wrappers add.
+# Array-level closed forms on the natural partition, all thin calls to
+# _resolvent. These are the workhorses behind the estimator and the
+# finite-difference checks: they solve the unconstrained (interior) system
+# without box or interiority checks, which the public wrappers add.
 
 def solve_values(g: Graphon, spec: GameSpec, eta):
     """(strategy values, aggregate values) of the interior equilibrium on
     the kernel's natural partition."""
-    eta = np.asarray(eta, dtype=float)
-    if isinstance(spec, LQHomogeneous):
-        _check_spectral(abs(float(eta[1])), g.lambda_max())
-        system, a = _homogeneous_resolvent(g, float(eta[1]))
-        s = np.linalg.solve(system, np.full(a.shape[0], float(eta[0])))
-        return s, a @ s
-    if not isinstance(spec, LQSBM):
-        raise TypeError(f"unsupported game spec {type(spec).__name__}")
-    sbm = _require_sbm(g)
-    block = solve_lq_sbm(sbm.q, sbm.pi, spec.theta1, eta)
-    return block.values, block.aggregates
+    return _resolvent(g, spec, eta, 0)
 
 
 def gradient_values(g: Graphon, spec: GameSpec, eta):
     """(strategy, aggregate, gradient) arrays; gradient has one column per
     parameter coordinate."""
-    eta = np.asarray(eta, dtype=float)
-    if isinstance(spec, LQHomogeneous):
-        _check_spectral(abs(float(eta[1])), g.lambda_max())
-        system, a = _homogeneous_resolvent(g, float(eta[1]))
-        n = a.shape[0]
-        s = np.linalg.solve(system, np.full(n, float(eta[0])))
-        z = a @ s
-        rhs = np.column_stack([np.ones(n), z])
-        grad = np.linalg.solve(system, rhs)
-        return s, z, grad
-    if not isinstance(spec, LQSBM):
-        raise TypeError(f"unsupported game spec {type(spec).__name__}")
-    sbm = _require_sbm(g)
-    m = sbm.q * sbm.pi[None, :]
-    _check_spectral(float(np.max(np.abs(eta))), sbm.lambda_max())
-    v = np.eye(m.shape[0]) - eta[:, None] * m
-    c = np.linalg.inv(v)
-    s = spec.theta1 * c.sum(axis=1)
-    z = m @ s
-    # d s / d eta_i = z_i * column i of V^{-1}
-    grad = c * z[None, :]
-    return s, z, grad
+    return _resolvent(g, spec, eta, 1)
 
 
 def second_derivative_values(g: Graphon, spec: GameSpec, eta):
     """(strategy, aggregate, gradient, hessian) arrays; hessian has shape
     (n_params, n_params, n_cells) and is exactly symmetric in its first two
     axes."""
-    eta = np.asarray(eta, dtype=float)
-    if isinstance(spec, LQHomogeneous):
-        _check_spectral(abs(float(eta[1])), g.lambda_max())
-        system, a = _homogeneous_resolvent(g, float(eta[1]))
-        n = a.shape[0]
-        s = np.linalg.solve(system, np.full(n, float(eta[0])))
-        z = a @ s
-        grad = np.linalg.solve(system, np.column_stack([np.ones(n), z]))
-        second = np.linalg.solve(system, a @ grad)
-        hess = np.zeros((2, 2, n))
-        hess[0, 1] = hess[1, 0] = second[:, 0]
-        hess[1, 1] = 2.0 * second[:, 1]
-        return s, z, grad, hess
-    if not isinstance(spec, LQSBM):
-        raise TypeError(f"unsupported game spec {type(spec).__name__}")
-    sbm = _require_sbm(g)
-    m = sbm.q * sbm.pi[None, :]
-    _check_spectral(float(np.max(np.abs(eta))), sbm.lambda_max())
-    k = m.shape[0]
-    v = np.eye(k) - eta[:, None] * m
-    c = np.linalg.inv(v)
-    s = spec.theta1 * c.sum(axis=1)
-    z = m @ s
-    grad = c * z[None, :]
-    mc = m @ c
-    hess = np.zeros((k, k, k))
-    for i in range(k):
-        for j in range(i, k):
-            entry = z[j] * mc[i, j] * c[:, i] + z[i] * mc[j, i] * c[:, j]
-            hess[i, j] = entry
-            hess[j, i] = entry
-    return s, z, grad, hess
+    return _resolvent(g, spec, eta, 2)
 
 
 def _interior_or_raise(spec: GameSpec, s: np.ndarray):
@@ -301,10 +268,9 @@ def equilibrium_gradient(g: Graphon, spec: GameSpec, eta) -> list[PiecewiseConst
     """Per-coordinate derivative of the equilibrium profile in the unknown
     parameters, one step function per coordinate.
 
-    Homogeneous game: d/d eta1 = (I - eta2 W)^{-1} 1 and d/d eta2 =
-    (I - eta2 W)^{-1} W s. Community game: d/d eta_i = V^{-1} B_i s with
-    V = I - diag(eta) Q diag(pi) and B_i the i-th row selector of
-    Q diag(pi). Refuses at non-interior equilibria.
+    d/d eta_i = V^{-1} (D1_i + D2_i * W s) with V = I - diag(theta2) W: for
+    the homogeneous game d/d eta1 = (I - eta2 W)^{-1} 1 and d/d eta2 =
+    (I - eta2 W)^{-1} W s. Refuses at non-interior equilibria.
     """
     s, _, grad = gradient_values(g, spec, eta)
     _interior_or_raise(spec, s)

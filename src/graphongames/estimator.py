@@ -154,7 +154,7 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
     lam = g.lambda_max()
     if lam > 0.0:
         cap = (1.0 - opts.margin_buffer) / lam
-        mask = spec.aggregate_mask()
+        mask = spec.aggregate_mask(g)
         hi[mask] = np.minimum(hi[mask], cap)
     if np.any(hi <= lo):
         raise NoStart("margin cap leaves no interior in the parameter box")

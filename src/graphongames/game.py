@@ -2,7 +2,10 @@
 
 A game couples a compact interval strategy set, a box of admissible
 parameter vectors, and a map from the parameter vector to the per-agent
-heterogeneity pair (standalone marginal return, aggregate effect).
+heterogeneity pair (standalone marginal return, aggregate effect). On a
+kernel's natural partition that map is affine, theta1 = b1 + D1 eta and
+theta2 = b2 + D2 eta; :meth:`GameSpec.affine_maps` describes it once for
+every solver.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterOutOfBox
-from .graphon import Graphon
+from .graphon import Graphon, SBMGraphon
 
 # Relative width of the band near each strategy bound inside which an
 # equilibrium value counts as touching the bound.
@@ -110,15 +113,24 @@ class GameSpec:
     def n_params(self) -> int:
         return self.xi.dim
 
-    def aggregate_coefficient(self, eta) -> float:
-        """Largest magnitude of the coefficient multiplying the local
-        aggregate, for this particular parameter vector."""
+    def affine_maps(self, g: Graphon):
+        """(b1, D1, b2, D2) on the cells of ``g``'s partition: the per-cell
+        heterogeneity is theta1 = b1 + D1 eta and theta2 = b2 + D2 eta, with
+        b1, b2 of length n_cells and D1, D2 of shape (n_cells, n_params)."""
         raise NotImplementedError
 
-    def aggregate_mask(self) -> np.ndarray:
+    def aggregate_coefficient(self, g: Graphon, eta) -> float:
+        """Largest magnitude max |theta2| of the coefficient multiplying the
+        local aggregate, at one parameter vector or over a stack of them
+        (one per row)."""
+        _, _, b2, d2 = self.affine_maps(g)
+        return float(np.max(np.abs(b2 + np.asarray(eta, dtype=float) @ d2.T)))
+
+    def aggregate_mask(self, g: Graphon) -> np.ndarray:
         """Boolean mask of the parameter coordinates that multiply the
         local aggregate (and hence enter the spectral condition)."""
-        raise NotImplementedError
+        _, _, _, d2 = self.affine_maps(g)
+        return np.any(d2 != 0.0, axis=0)
 
     def theta_profile(self, eta, points, pi=None):
         """Heterogeneity arrays (theta1, theta2) at given agent positions."""
@@ -137,11 +149,12 @@ class LQHomogeneous(GameSpec):
         if self.xi.dim != 2:
             raise ValueError("homogeneous game takes a 2-d parameter box")
 
-    def aggregate_coefficient(self, eta) -> float:
-        return abs(float(np.asarray(eta, dtype=float)[1]))
-
-    def aggregate_mask(self) -> np.ndarray:
-        return np.array([False, True])
+    def affine_maps(self, g: Graphon):
+        # theta1 = eta1 * 1, theta2 = eta2 * 1
+        n = g.cell_weights().size
+        ones, zeros = np.ones((n, 1)), np.zeros((n, 1))
+        return (np.zeros(n), np.hstack([ones, zeros]),
+                np.zeros(n), np.hstack([zeros, ones]))
 
     def theta_profile(self, eta, points, pi=None):
         e = _check_in_box(self.xi, eta)
@@ -165,11 +178,14 @@ class LQSBM(GameSpec):
         if self.strategy_set.lower < 0.0:
             raise ValueError("community game requires a nonnegative strategy set")
 
-    def aggregate_coefficient(self, eta) -> float:
-        return float(np.max(np.abs(np.asarray(eta, dtype=float))))
-
-    def aggregate_mask(self) -> np.ndarray:
-        return np.ones(self.xi.dim, dtype=bool)
+    def affine_maps(self, g: Graphon):
+        # theta1 = theta1 * 1, theta2 = eta, one cell per community
+        if not isinstance(g, SBMGraphon):
+            raise TypeError(
+                "a community game needs a block kernel carrying the communities"
+            )
+        k = g.n_communities
+        return np.full(k, self.theta1), np.zeros((k, k)), np.zeros(k), np.eye(k)
 
     def theta_profile(self, eta, points, pi=None):
         if pi is None:
@@ -222,9 +238,5 @@ def contraction_margin(spec: GameSpec, g: Graphon, eta=None) -> float:
     and uniqueness of the equilibrium for every admissible parameter. May
     be negative; callers decide what to do with a nonpositive margin.
     """
-    lam = g.lambda_max()
-    if eta is not None:
-        coef = spec.aggregate_coefficient(eta)
-    else:
-        coef = max(spec.aggregate_coefficient(c) for c in spec.xi.corners())
-    return 1.0 - lam * coef
+    points = spec.xi.corners() if eta is None else eta
+    return 1.0 - g.lambda_max() * spec.aggregate_coefficient(g, points)

@@ -107,12 +107,15 @@ class Graphon:
     def lambda_max(self) -> float:
         """Largest eigenvalue of the integral operator.
 
-        Computed on the symmetrized cell matrix sqrt(w_i) K_ij sqrt(w_j),
-        which shares the operator's spectrum.
+        A dense symmetric eigensolve of the symmetrized cell matrix
+        sqrt(w_i) K_ij sqrt(w_j), which shares the operator's spectrum.
+        Computed once per instance and cached.
         """
-        root_w = np.sqrt(self.cell_weights())
-        sym = self.kernel_matrix() * np.outer(root_w, root_w)
-        return power_iteration_max_eig(sym)
+        if "_lambda_max" not in self.__dict__:
+            root_w = np.sqrt(self.cell_weights())
+            sym = self.kernel_matrix() * np.outer(root_w, root_w)
+            self._lambda_max = float(np.linalg.eigvalsh(sym).max())
+        return self._lambda_max
 
     def sup_degree(self) -> float:
         """Essential supremum over x of the degree integral of W(x, y) dy."""
@@ -144,9 +147,6 @@ class ConstantGraphon(Graphon):
 
     def kernel_matrix(self) -> np.ndarray:
         return np.array([[self.value]])
-
-    def lambda_max(self) -> float:
-        return self.value
 
     def sup_degree(self) -> float:
         return self.value
@@ -187,12 +187,6 @@ class SBMGraphon(Graphon):
 
     def kernel_matrix(self) -> np.ndarray:
         return self.q
-
-    def lambda_max(self) -> float:
-        # The operator spectrum equals that of Q diag(pi); use the similar
-        # symmetric matrix sqrt(pi) Q sqrt(pi) and a dense eigensolve.
-        root = np.sqrt(self.pi)
-        return float(np.linalg.eigvalsh(self.q * np.outer(root, root)).max())
 
     def validate(self) -> list[str]:
         problems = super().validate()

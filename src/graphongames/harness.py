@@ -89,6 +89,8 @@ class ExperimentConfig:
             problems.append("n_list contains duplicates")
         if self.runs_per_n < 0:
             problems.append("runs_per_n must be nonnegative")
+        if self.master_seed < 0:
+            problems.append("master_seed must be nonnegative")
         return problems
 
 

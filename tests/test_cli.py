@@ -38,6 +38,10 @@ class TestValidate:
         assert main(["validate", "--config", path]) == 1
         assert "invalid" in capsys.readouterr().err
 
+    def test_negative_seed_override_exits_1(self, capsys):
+        assert main(["validate", "--config", SHIPPED, "--seed", "-1"]) == 1
+        assert "master_seed" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self):
         assert main(["validate", "--config", "no/such/file.yaml"]) == 1
 
@@ -120,13 +124,20 @@ class TestEstimate:
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
-        "command, observation",
+        "command, observation, overrides",
         [
-            (["solve", "--eta", "abc"], None),
-            (["solve", "--eta", "0.5,0.5"], None),
-            (["estimate"], "0.5\nabc\n0.7\n"),
-            (["estimate"], ""),
-            (["estimate"], "0.5\nnan\n0.7\n"),
+            (["solve", "--eta", "abc"], None, None),
+            (["solve", "--eta", "0.5,0.5"], None, None),
+            (["estimate"], "0.5\nabc\n0.7\n", None),
+            (["estimate"], "", None),
+            (["estimate"], "0.5\nnan\n0.7\n", None),
+            (["experiment", "--seed", "-1"], None, None),
+            (["sample", "--seed", "-1"], None, None),
+            (["estimate", "--seed", "-1"], None, None),
+            (["experiment"], None, {"master_seed": -1}),
+            (["sample", "--n", "0"], None, None),
+            (["estimate", "--n", "0"], None, None),
+            (["solve", "--samples", "-3"], None, None),
         ],
         ids=[
             "eta-not-a-number",
@@ -134,11 +145,19 @@ class TestMalformedInput:
             "observation-not-a-number",
             "observation-empty",
             "observation-nan",
+            "experiment-negative-seed",
+            "sample-negative-seed",
+            "estimate-negative-seed",
+            "config-negative-master-seed",
+            "sample-zero-n",
+            "estimate-zero-n",
+            "solve-negative-samples",
         ],
     )
     def test_exits_1_without_traceback(self, tmp_path, capsys, command,
-                                       observation):
-        argv = command + ["--config", SHIPPED]
+                                       observation, overrides):
+        config = SHIPPED if overrides is None else write_config(tmp_path, overrides)
+        argv = command + ["--config", config, "--out", str(tmp_path / "out")]
         if observation is not None:
             path = tmp_path / "obs.txt"
             path.write_text(observation)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphongames import (
     ConstantGraphon,
@@ -15,13 +17,14 @@ from graphongames import (
     StrategySet,
     equilibrium_gradient,
     equilibrium_second_derivatives,
+    fd_check,
     solve_best_response,
     solve_fixed_point,
     solve_lq_homogeneous,
     solve_lq_sbm,
     sup_distance,
 )
-from graphongames.equilibrium import solve_values
+from graphongames.equilibrium import second_derivative_values, solve_values
 from conftest import ETA4, PI2, PI4, Q2, Q4
 
 # Frozen from the hand 2x2 solve: (I - M) s = 1 with M = [[0.2, 0.05],
@@ -328,3 +331,66 @@ class TestSecondDerivatives:
         assert grads[1].values == pytest.approx(eta[0] * f1, rel=1e-12)
         assert hess[0][1].values == pytest.approx(f1, rel=1e-12)
         assert hess[1][1].values == pytest.approx(eta[0] * f2, rel=1e-12)
+
+
+def random_block_kernel(k, seed):
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.0, 1.0, size=(k, k))
+    return SBMGraphon((q + q.T) / 2, rng.dirichlet(np.ones(k))), rng
+
+
+def smooth_grid_kernel(m=100):
+    """W(x, y) = 0.8 exp(-3 |x - y|) (0.4 + 0.6 sqrt(x y)) at cell centres."""
+    c = (np.arange(m) + 0.5) / m
+    return GridGraphon(0.8 * np.exp(-3.0 * np.abs(c[:, None] - c[None, :]))
+                       * (0.4 + 0.6 * np.sqrt(np.outer(c, c))))
+
+
+def unbounded(spec_cls, eta, **kwargs):
+    """A game whose strategy bounds and box never bind near eta."""
+    return spec_cls(strategy_set=StrategySet(0.0, 1e6),
+                    xi=ParameterBox(np.zeros(eta.size), eta + 1.0), **kwargs)
+
+
+class TestResolventCoreProperties:
+    """fd_check at both orders, an exactly symmetric Hessian, and agreement
+    with the best-response fixed point, for both games on random block
+    kernels and on a smooth 100-cell grid kernel."""
+
+    @staticmethod
+    def check(g, spec, eta):
+        assert fd_check(g, spec, eta, order=1) <= 1e-5
+        assert fd_check(g, spec, eta, order=2) <= 1e-4
+        s, _, _, hess = second_derivative_values(g, spec, eta)
+        assert np.array_equal(hess, hess.transpose(1, 0, 2))
+        iterated = solve_fixed_point(g, spec, eta, tol=1e-12).strategy.values
+        assert np.max(np.abs(iterated - s)) <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        ratio=st.floats(0.05, 0.75),
+        eta1=st.floats(0.1, 2.0),
+        community=st.booleans(),
+    )
+    def test_random_block_kernels(self, k, seed, ratio, eta1, community):
+        g, rng = random_block_kernel(k, seed)
+        if community:
+            eta = rng.uniform(0.05, 1.0, size=k) * ratio / g.lambda_max()
+            spec = unbounded(LQSBM, eta, theta1=1.0)
+        else:
+            eta = np.array([eta1, ratio / g.lambda_max()])
+            spec = unbounded(LQHomogeneous, eta)
+        self.check(g, spec, eta)
+
+    @settings(max_examples=10, deadline=None)
+    @given(eta1=st.floats(0.1, 2.0), ratio=st.floats(0.0, 0.75))
+    def test_grid_kernel_homogeneous(self, eta1, ratio):
+        g = smooth_grid_kernel()
+        eta = np.array([eta1, ratio / g.lambda_max()])
+        self.check(g, unbounded(LQHomogeneous, eta), eta)
+
+    def test_community_game_refuses_a_grid_kernel(self, sbm4_game):
+        with pytest.raises(TypeError):
+            solve_values(smooth_grid_kernel(4), sbm4_game, ETA4)

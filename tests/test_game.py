@@ -123,6 +123,27 @@ class TestThetaOfEta:
         assert np.array_equal(t2, ETA4)
 
 
+class TestAffineMaps:
+    def test_homogeneous_shares_both_parameters(self, homogeneous_game, sbm4):
+        b1, d1, b2, d2 = homogeneous_game.affine_maps(sbm4)
+        eta = np.array([0.8, 0.6])
+        assert np.array_equal(b1 + d1 @ eta, np.full(4, 0.8))
+        assert np.array_equal(b2 + d2 @ eta, np.full(4, 0.6))
+        assert homogeneous_game.aggregate_mask(sbm4).tolist() == [False, True]
+        assert homogeneous_game.aggregate_coefficient(sbm4, eta) == 0.6
+
+    def test_community_game_one_effect_per_community(self, sbm4_game, sbm4):
+        b1, d1, b2, d2 = sbm4_game.affine_maps(sbm4)
+        assert np.array_equal(b1 + d1 @ ETA4, np.ones(4))
+        assert np.array_equal(b2 + d2 @ ETA4, ETA4)
+        assert sbm4_game.aggregate_mask(sbm4).tolist() == [True] * 4
+        assert sbm4_game.aggregate_coefficient(sbm4, ETA4) == np.max(ETA4)
+
+    def test_coefficient_over_a_stack_is_the_largest(self, sbm4_game, sbm4):
+        stack = np.array([ETA4, 0.5 * ETA4, [0.1, 1.1, 0.2, 0.3]])
+        assert sbm4_game.aggregate_coefficient(sbm4, stack) == 1.1
+
+
 class TestContractionMargin:
     def test_constant_half(self):
         spec = LQHomogeneous(

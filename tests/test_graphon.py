@@ -115,6 +115,16 @@ class TestLambdaMax:
             grid = GridGraphon.from_kernel(g, res)
             assert grid.lambda_max() == pytest.approx(g.lambda_max(), abs=1e-9)
 
+    def test_one_eigensolve_per_instance(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m)
+        )
+        g = SBMGraphon(Q4, PI4)
+        assert g.lambda_max() == g.lambda_max()
+        assert len(calls) == 1
+
     def test_zero_kernel(self):
         assert ConstantGraphon(0.0).lambda_max() == 0.0
         assert GridGraphon(np.zeros((3, 3))).lambda_max() == 0.0
