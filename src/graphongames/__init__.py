@@ -33,7 +33,6 @@ from .graphon import (
     Graphon,
     GridGraphon,
     SBMGraphon,
-    power_iteration_max_eig,
 )
 from .game import (
     GameSpec,

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from .diagnostics import homogeneous_identifiability, sbm_identifiability_constant
-from .errors import ConfigError, GraphonGameError
+from .errors import ConfigError, GraphonGameError, NotInterior
 from .estimator import estimate, model_equilibrium_fn
 from .functionspace import interpolate_equilibrium
 from .game import LQSBM
@@ -99,6 +99,14 @@ def cmd_solve(args) -> int:
     eta = (_parse_eta(args.eta, config.game.xi.dim) if args.eta
            else np.asarray(config.eta_true, float))
     fn = model_equilibrium_fn(config.graphon, config.game, eta)
+    bounds = config.game.strategy_set
+    if not bounds.is_interior(fn.values):
+        # the resolvent ignores the strategy bounds, so it is the
+        # equilibrium only when no bound binds
+        raise NotInterior(
+            f"equilibrium profile leaves the strategy set "
+            f"[{bounds.lower:g}, {bounds.upper:g}]"
+        )
     if args.samples:
         grid = (np.arange(args.samples) + 0.5) / args.samples
         lines = [_fmt(v) for v in fn(grid)]

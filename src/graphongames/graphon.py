@@ -13,43 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, OutOfDomain
+from .errors import OutOfDomain
 from .functionspace import PiecewiseConstantFn, cell_integrals
-
-
-def power_iteration_max_eig(matrix, rtol: float = 1e-10,
-                            max_iter: int = 100_000) -> float:
-    """Largest eigenvalue of a symmetric nonnegative matrix.
-
-    Power iteration starting from the constant vector, which always overlaps
-    the leading eigenvector of a nonnegative kernel. The Rayleigh quotient is
-    the eigenvalue estimate; iteration stops when its relative change drops
-    below ``rtol``. If the iteration stalls (only plausible when the extreme
-    eigenvalues tie in magnitude) the matrix is shifted once by trace/n,
-    which keeps eigenvectors and breaks the tie upward; the shift is removed
-    from the returned value.
-    """
-    a = np.asarray(matrix, dtype=float)
-    n = a.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = float(v @ (a @ v))
-    shift = 0.0
-    stall_iter = max_iter // 2
-    for it in range(1, max_iter + 1):
-        w = a @ v + shift * v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam_new = float(v @ (a @ v))
-        if abs(lam_new - lam) <= rtol * max(abs(lam_new), 1e-30):
-            return lam_new
-        lam = lam_new
-        if it == stall_iter and shift == 0.0:
-            shift = float(np.trace(a)) / n
-    raise NoConvergence(
-        f"power iteration did not converge within {max_iter} iterations"
-    )
 
 
 class Graphon:

@@ -6,26 +6,34 @@ All draws come from numpy's counter-based Philox generator keyed by a
 ``SeedSequence``. For a given seed the draw order is fixed:
 
 1. the N agent labels, as one uniform block, then sorted ascending;
-2. the N(N-1)/2 edge uniforms, as one block, consumed in row-major
-   upper-triangle order (pairs (0,1), (0,2), ..., (N-2,N-1)).
+2. the N(N-1)/2 edge uniforms, consumed in row-major upper-triangle order
+   (pairs (0,1), (0,2), ..., (N-2,N-1)). They are drawn in blocks of whole
+   rows, at most ``EDGE_BLOCK_PAIRS`` pairs' worth of probabilities at a
+   time. Successive draws continue the same stream, so each pair gets the
+   same uniform as if all of them were drawn as one block.
 
 This makes a sampled network a pure function of (kernel, N, seed),
-bit-identical across platforms and thread counts.
+bit-identical across platforms, thread counts and block sizes.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import NoConvergence, NotAContraction
 from .functionspace import PiecewiseConstantFn, interpolate_equilibrium
 from .game import GameSpec, LQSBM
-from .graphon import Graphon, power_iteration_max_eig
+from .graphon import Graphon
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
+# Pair budget of one row block of the edge sampler: bounds its
+# probability matrix at 2 MiB whatever the network size.
+EDGE_BLOCK_PAIRS = 1 << 18
 
 
 @dataclass
@@ -48,13 +56,20 @@ class SampledNetwork:
 
 @dataclass
 class NetworkEquilibrium:
-    """Equilibrium of a finite network game."""
+    """Equilibrium of a finite network game.
+
+    ``certificate`` names the contraction check that admitted the network
+    (``"row_sum"`` or ``"spectral"``) and ``contraction_margin`` is the
+    margin it found, 1 minus the bound, always positive.
+    """
 
     strategies: np.ndarray
     aggregates: np.ndarray
     interior: bool
     iterations: int
     residual: float
+    certificate: str
+    contraction_margin: float
 
 
 def sample_network(g: Graphon, n: int, seed: int) -> SampledNetwork:
@@ -64,13 +79,16 @@ def sample_network(g: Graphon, n: int, seed: int) -> SampledNetwork:
         raise ValueError("need at least one agent")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     labels = np.sort(rng.random(n))
-    probs = g.pairwise(labels, labels)
-    iu, ju = np.triu_indices(n, k=1)
-    draws = rng.random(iu.size)
-    edges = (draws < probs[iu, ju]).astype(np.int8)
     adjacency = np.zeros((n, n), dtype=np.int8)
-    adjacency[iu, ju] = edges
-    adjacency[ju, iu] = edges
+    rows = max(1, EDGE_BLOCK_PAIRS // n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        # columns start.. of rows start..stop-1; pairs i < j in row-major order
+        upper = np.triu(np.ones((stop - start, n - start), dtype=bool), k=1)
+        probs = g.pairwise(labels[start:stop], labels[start:])[upper]
+        block = adjacency[start:stop, start:]
+        block[upper] = rng.random(probs.size) < probs
+    adjacency |= adjacency.T
     return SampledNetwork(labels=labels, adjacency=adjacency, seed=int(seed))
 
 
@@ -81,9 +99,38 @@ def _network_thetas(net: SampledNetwork, spec: GameSpec, eta, pi):
 
 
 def network_spectral_radius(net: SampledNetwork, rtol: float = 1e-8) -> float:
-    """Largest eigenvalue of the scaled adjacency P/N, by power iteration."""
-    p = net.adjacency.astype(float)
-    return power_iteration_max_eig(p, rtol=rtol) / net.n_agents
+    """Largest eigenvalue of the scaled adjacency P/N, to relative
+    accuracy ``rtol``.
+
+    Lanczos (ARPACK ``eigsh``) for the largest algebraic eigenvalue, started
+    from the constant vector; it stays correct when the extreme eigenvalues
+    tie in magnitude, as on bipartite networks.
+    """
+    n = net.n_agents
+    if not net.adjacency.any():
+        return 0.0  # ARPACK rejects a start vector that P maps to zero
+    try:
+        lam = eigsh(net.adjacency.astype(float), k=1, which="LA",
+                    v0=np.ones(n), tol=rtol, return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise NoConvergence(f"network eigensolve did not converge: {exc}") from None
+    return float(lam[0]) / n
+
+
+def _contraction_certificate(net: SampledNetwork, th2) -> tuple[str, float]:
+    """The cheapest check that admits the best-response map as a
+    contraction, and its margin. Raises NotAContraction when none does."""
+    n = net.n_agents
+    degrees = net.adjacency.sum(axis=1, dtype=np.int64)
+    margin = 1.0 - float(np.max(np.abs(th2) * degrees)) / n
+    if margin > 0.0:
+        return "row_sum", margin
+    margin = 1.0 - float(np.max(np.abs(th2))) * network_spectral_radius(net)
+    if margin > 0.0:
+        return "spectral", margin
+    raise NotAContraction(
+        f"scaled network spectral radius leaves margin {margin}"
+    )
 
 
 def solve_network_game(net: SampledNetwork, spec: GameSpec, eta,
@@ -98,15 +145,22 @@ def solve_network_game(net: SampledNetwork, spec: GameSpec, eta,
     sup-norm tolerance ``tol``; with ``method="direct"`` the interior linear
     system (I - diag(theta2) P / N) s = theta1 is solved instead. The two
     agree (to 10 * tol) whenever no strategy bound binds.
+
+    Before solving, the network must pass one of two contraction checks,
+    tried in this order:
+
+    1. ``"row_sum"``: max_i |theta2_i| deg_i / N < 1. This is the
+       infinity-norm of diag(theta2) P / N; clamping is nonexpansive in the
+       sup norm, so the iteration contracts, and the norm also bounds the
+       matrix's spectral radius. It needs only the degrees.
+    2. ``"spectral"``: max |theta2| * lambda_max(P / N) < 1, by an
+       eigensolve, run only when the row-sum check fails.
+
+    ``NotAContraction`` is raised when both fail.
     """
     th1, th2 = _network_thetas(net, spec, eta, pi)
     n = net.n_agents
-    radius = network_spectral_radius(net)
-    margin = 1.0 - float(np.max(np.abs(th2))) * radius
-    if margin <= 0.0:
-        raise NotAContraction(
-            f"scaled network spectral radius leaves margin {margin}"
-        )
+    certificate, margin = _contraction_certificate(net, th2)
     p = net.adjacency.astype(float)
     lo, hi = spec.strategy_set.lower, spec.strategy_set.upper
     if method == "direct":
@@ -135,6 +189,8 @@ def solve_network_game(net: SampledNetwork, spec: GameSpec, eta,
         interior=spec.strategy_set.is_interior(s),
         iterations=iterations,
         residual=residual,
+        certificate=certificate,
+        contraction_margin=margin,
     )
 
 
@@ -158,13 +214,30 @@ def write_network(net: SampledNetwork, edges_path, labels_path) -> None:
 
 
 def read_network(edges_path, labels_path) -> SampledNetwork:
-    labels = np.atleast_1d(np.loadtxt(labels_path, dtype=float))
+    """Read back what :func:`write_network` wrote. Raises ValueError unless
+    there is at least one label, the labels are sorted ascending and the
+    edges are distinct pairs of distinct agents in range."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # empty: caught below
+        labels = np.atleast_1d(np.loadtxt(labels_path, dtype=float))
+    if labels.size == 0:
+        raise ValueError(f"{labels_path}: no labels")
+    if np.any(np.diff(labels) < 0.0):
+        raise ValueError(f"{labels_path}: labels are not sorted ascending")
     n = labels.size
     adjacency = np.zeros((n, n), dtype=np.int8)
     with open(edges_path) as fh:
-        text = fh.read().split()
-    if text:
-        pairs = np.array(text, dtype=int).reshape(-1, 2)
+        tokens = fh.read().split()
+    if len(tokens) % 2:
+        raise ValueError(f"{edges_path}: odd number of agent indices")
+    if tokens:
+        pairs = np.array(tokens, dtype=int).reshape(-1, 2)
+        if pairs.min() < 0 or pairs.max() >= n:
+            raise ValueError(f"{edges_path}: agent index outside 0..{n - 1}")
+        if np.any(pairs[:, 0] == pairs[:, 1]):
+            raise ValueError(f"{edges_path}: self-loop")
         adjacency[pairs[:, 0], pairs[:, 1]] = 1
         adjacency[pairs[:, 1], pairs[:, 0]] = 1
+        if np.count_nonzero(adjacency) < 2 * len(pairs):
+            raise ValueError(f"{edges_path}: duplicate pair")
     return SampledNetwork(labels=labels, adjacency=adjacency, seed=None)

@@ -75,6 +75,14 @@ class TestSolve:
         values = np.array([float(line.split()[2]) for line in lines])
         assert np.all(values < 1.2)
 
+    def test_binding_strategy_bound_exits_2(self, capsys):
+        # the resolvent at this eta reaches 19.4 in community 1, beyond the
+        # strategy set [0, 10], so it is not the equilibrium
+        assert main(["solve", "--config", SHIPPED, "--eta=4.2,1,1,4.2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: ")
+        assert captured.out == ""
+
 
 class TestEstimate:
     def test_self_recovery_from_exported_equilibrium(self, tmp_path, capsys):

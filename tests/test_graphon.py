@@ -4,12 +4,10 @@ import pytest
 from graphongames import (
     ConstantGraphon,
     GridGraphon,
-    NoConvergence,
     OutOfDomain,
     PiecewiseConstantFn,
     SBMGraphon,
     make_piecewise,
-    power_iteration_max_eig,
     sup_distance,
 )
 from conftest import ETA4, PI4, Q2, PI2, Q4
@@ -128,12 +126,6 @@ class TestLambdaMax:
     def test_zero_kernel(self):
         assert ConstantGraphon(0.0).lambda_max() == 0.0
         assert GridGraphon(np.zeros((3, 3))).lambda_max() == 0.0
-
-    def test_power_iteration_no_convergence(self):
-        # near-degenerate spectrum converges far too slowly for 3 iterations
-        slow = np.array([[1.0, 0.0005], [0.0005, 0.999]])
-        with pytest.raises(NoConvergence):
-            power_iteration_max_eig(slow, max_iter=3)
 
 
 class TestSupDegree:

@@ -1,11 +1,17 @@
+from math import isqrt
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from graphongames import (
     ConstantGraphon,
+    GridGraphon,
     LQHomogeneous,
+    NoConvergence,
     NotAContraction,
     ParameterBox,
+    SampledNetwork,
     StrategySet,
     interpolate_equilibrium,
     observe,
@@ -14,15 +20,54 @@ from graphongames import (
     solve_network_game,
     write_network,
 )
-from graphongames.sampling import network_spectral_radius
+from graphongames import sampling
+from graphongames.sampling import EDGE_BLOCK_PAIRS, network_spectral_radius
 from conftest import ETA4, PI4
 
 
-def wide_homogeneous():
+def wide_homogeneous(eta2_max=2.0):
     return LQHomogeneous(
         strategy_set=StrategySet(0.0, 50.0),
-        xi=ParameterBox(np.array([0.0, 0.0]), np.array([3.0, 2.0])),
+        xi=ParameterBox(np.array([0.0, 0.0]), np.array([3.0, eta2_max])),
     )
+
+
+def triu_sampler(g, n, seed):
+    """The one-block sampler the row-block sampler must reproduce: all
+    N(N-1)/2 uniforms at once, scattered in row-major upper-triangle order."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    labels = np.sort(rng.random(n))
+    probs = g.pairwise(labels, labels)
+    iu, ju = np.triu_indices(n, k=1)
+    edges = (rng.random(iu.size) < probs[iu, ju]).astype(np.int8)
+    adjacency = np.zeros((n, n), dtype=np.int8)
+    adjacency[iu, ju] = edges
+    adjacency[ju, iu] = edges
+    return labels, adjacency
+
+
+def smooth_grid_kernel(m=100):
+    c = (np.arange(m) + 0.5) / m
+    return GridGraphon(0.8 * np.exp(-3.0 * np.abs(c[:, None] - c[None, :]))
+                       * (0.4 + 0.6 * np.sqrt(np.outer(c, c))))
+
+
+def network(adjacency):
+    n = adjacency.shape[0]
+    return SampledNetwork(labels=(np.arange(n) + 0.5) / n,
+                          adjacency=adjacency.astype(np.int8), seed=None)
+
+
+def star(n):
+    a = np.zeros((n, n), dtype=np.int8)
+    a[0, 1:] = a[1:, 0] = 1
+    return network(a)
+
+
+def complete_bipartite(k, m):
+    a = np.zeros((k + m, k + m), dtype=np.int8)
+    a[:k, k:] = a[k:, :k] = 1
+    return network(a)
 
 
 class TestSampleNetwork:
@@ -66,6 +111,33 @@ class TestSampleNetwork:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             sample_network(ConstantGraphon(0.5), 0, seed=3)
+
+
+# one row block holds the whole network up to this size, two just above it
+ONE_BLOCK_MAX = isqrt(EDGE_BLOCK_PAIRS)
+
+
+class TestRowBlockSampler:
+    @pytest.mark.parametrize("kernel", ["sbm4", "constant", "grid"])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, ONE_BLOCK_MAX - 1, ONE_BLOCK_MAX, ONE_BLOCK_MAX + 1])
+    def test_matches_one_block_sampler(self, sbm4, kernel, n):
+        g = {"sbm4": sbm4, "constant": ConstantGraphon(0.4),
+             "grid": smooth_grid_kernel()}[kernel]
+        for seed in (0, 1, 2):
+            labels, adjacency = triu_sampler(g, n, seed)
+            net = sample_network(g, n, seed)
+            assert np.array_equal(net.labels, labels)
+            assert net.adjacency.dtype == np.int8
+            assert np.array_equal(net.adjacency, adjacency)
+
+    @pytest.mark.parametrize("budget", [1, 7, 100, 401])
+    def test_block_size_does_not_change_the_network(self, monkeypatch, sbm4,
+                                                    budget):
+        # 40 agents: one row per block up to budget 79, then several
+        expected = triu_sampler(sbm4, 40, 5)[1]
+        monkeypatch.setattr(sampling, "EDGE_BLOCK_PAIRS", budget)
+        assert np.array_equal(sample_network(sbm4, 40, 5).adjacency, expected)
 
 
 class TestSolveNetworkGame:
@@ -112,6 +184,55 @@ class TestSolveNetworkGame:
         net = sample_network(ConstantGraphon(1.0), 25, seed=2)
         # complete graph: largest adjacency eigenvalue is N - 1
         assert network_spectral_radius(net) == pytest.approx(24 / 25, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "net, lam",
+        [(star(50), 7.0), (complete_bipartite(10, 40), 20.0),
+         (star(2), 1.0), (star(3), np.sqrt(2.0)), (star(1), 0.0),
+         (network(np.zeros((5, 5))), 0.0)],
+        ids=["star", "K10,40", "single-edge", "path-of-3", "single-agent",
+             "no-edges"])
+    def test_spectral_radius_on_bipartite_networks(self, net, lam):
+        # +lam and -lam tie in magnitude: lam = sqrt(k * m) on K_{k,m}
+        n = net.n_agents
+        exact = np.linalg.eigvalsh(net.adjacency.astype(float)).max()
+        assert exact == pytest.approx(lam, rel=1e-12)
+        assert network_spectral_radius(net) == pytest.approx(exact / n, rel=1e-8)
+
+    def test_eigensolve_failure_is_no_convergence(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.array([]), None)
+
+        monkeypatch.setattr(sampling, "eigsh", stalled)
+        with pytest.raises(NoConvergence):
+            network_spectral_radius(star(50))
+
+    def test_star_certified_by_spectral_check(self):
+        # hub row sum: 1.5 * 49 / 50 > 1, but 1.5 * 7 / 50 = 0.21 < 1
+        eq = solve_network_game(star(50), wide_homogeneous(), [1.0, 1.5])
+        assert eq.certificate == "spectral"
+        assert eq.contraction_margin == pytest.approx(1.0 - 1.5 * 7 / 50, rel=1e-8)
+        assert eq.residual <= 1e-10
+
+    def test_star_beyond_spectral_condition(self):
+        # 10 * 7 / 50 = 1.4: no contraction
+        with pytest.raises(NotAContraction):
+            solve_network_game(star(50), wide_homogeneous(eta2_max=20.0),
+                               [1.0, 10.0])
+
+    def test_sbm4_certified_by_row_sums(self, monkeypatch, sbm4, sbm4_game):
+        def no_eigensolve(net, rtol=1e-8):
+            raise AssertionError("spectral fallback reached")
+
+        monkeypatch.setattr(sampling, "network_spectral_radius", no_eigensolve)
+        net = sample_network(sbm4, 300, seed=11)
+        eq = solve_network_game(net, sbm4_game, ETA4, pi=PI4)
+        th2 = ETA4[np.minimum((net.labels * 4).astype(int), 3)]
+        degrees = net.adjacency.sum(axis=1)
+        assert eq.certificate == "row_sum"
+        assert eq.contraction_margin == pytest.approx(
+            1.0 - np.max(th2 * degrees) / 300, rel=1e-12)
+        assert eq.contraction_margin > 0.0
 
     def test_missing_pi_rejected(self, sbm4, sbm4_game):
         net = sample_network(sbm4, 30, seed=4)
@@ -162,3 +283,27 @@ class TestNetworkIO:
         back = read_network(edges, labels)
         assert not back.adjacency.any()
         assert back.labels.size == 5
+
+    @pytest.mark.parametrize(
+        "edges, labels, message",
+        [
+            ("0 1\n2 4\n", "0.1\n0.2\n0.3\n0.4\n", "outside"),
+            ("0 1\n-1 2\n", "0.1\n0.2\n0.3\n0.4\n", "outside"),
+            ("0 1\n2 2\n", "0.1\n0.2\n0.3\n0.4\n", "self-loop"),
+            ("0 1\n1 2\n0 1\n", "0.1\n0.2\n0.3\n0.4\n", "duplicate"),
+            ("0 1\n1 0\n", "0.1\n0.2\n0.3\n0.4\n", "duplicate"),
+            ("0 1\n2\n", "0.1\n0.2\n0.3\n0.4\n", "odd"),
+            ("0 1\n", "0.1\n0.3\n0.2\n0.4\n", "sorted"),
+            ("", "", "no labels"),
+        ],
+        ids=["index-too-large", "index-negative", "self-loop",
+             "duplicate-pair", "duplicate-reversed-pair", "odd-token-count",
+             "unsorted-labels", "no-labels"],
+    )
+    def test_malformed_input_rejected(self, tmp_path, edges, labels, message):
+        edges_path = tmp_path / "edges.txt"
+        labels_path = tmp_path / "labels.txt"
+        edges_path.write_text(edges)
+        labels_path.write_text(labels)
+        with pytest.raises(ValueError, match=message):
+            read_network(edges_path, labels_path)
