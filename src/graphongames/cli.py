@@ -157,14 +157,22 @@ def cmd_estimate(args) -> int:
     print(f"objective = {_fmt(result.objective)}")
     print(f"gradient_norm = {_fmt(result.gradient_norm)}")
     print(f"hessian_min_eig = {_fmt(result.hessian_min_eig)}")
+    print(f"starts = {result.starts}")
     print(f"converged = {'true' if result.converged else 'false'}")
     return 0
+
+
+def _print_progress(record) -> None:
+    converged = "true" if record.converged else "false"
+    print(f"N={record.n} run={record.run} converged={converged} "
+          f"starts={record.starts} wall_time_s={record.wall_time_s:.3f}",
+          file=sys.stderr, flush=True)
 
 
 def cmd_experiment(args) -> int:
     config = _load_valid_config(args)
     out = args.out or config.output
-    records = run_experiment(config)
+    records = run_experiment(config, _print_progress if args.progress else None)
     n_params = config.game.xi.dim
     write_records_csv(records, out, n_params)
     rows = summarize_quantiles(records)
@@ -234,7 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--n", type=int, default=None, help="network size")
     p_est.set_defaults(func=cmd_estimate)
 
-    sub.add_parser("experiment", parents=[common]).set_defaults(func=cmd_experiment)
+    p_exp = sub.add_parser("experiment", parents=[common])
+    p_exp.add_argument(
+        "--progress", action="store_true",
+        help="print one line per finished run on stderr",
+    )
+    p_exp.set_defaults(func=cmd_experiment)
     sub.add_parser("diagnose", parents=[common]).set_defaults(func=cmd_diagnose)
     return parser
 

@@ -10,8 +10,11 @@ On the kernel's natural partition (cell weights w) J is a sum of squared
 residuals plus a constant, J = ||r||^2 + c with r = sqrt(w) s_eta - a/sqrt(w),
 a_i the observation's integral over cell i and c = int obs^2 - sum a_i^2/w_i.
 Each start minimizes ||r||^2 by trust-region reflective bounded least
-squares with the exact Jacobian sqrt(w) ds/deta. Starts are the box center
-plus a Halton grid, so the estimate is a pure function of the observation.
+squares with the exact Jacobian sqrt(w) ds/deta. The first start is the box
+center. Its solve is accepted when it converged at a positive definite
+Hessian, a strict local minimum, which under identifiability is the unique
+one. Only otherwise does a Halton grid of further starts run. Either way the
+estimate is a pure function of the observation.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.stats import qmc
 
 from .errors import InfeasibleParameterSet, NoStart, NotInterior
 from .functionspace import (
@@ -49,7 +51,8 @@ class EstimateOptions:
     inside the resolvent's domain. ``max_iter`` caps the residual
     evaluations of each start's trust-region reflective solve."""
 
-    starts: int = 8              # Halton points, in addition to the box center
+    starts: int = 8              # Halton points, run only when the center
+                                 # start is not certified
     gtol: float = 1e-9
     max_iter: int = 5000
     margin_buffer: float = 1e-6  # keep the contraction margin at least this
@@ -117,14 +120,47 @@ def hessian(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
     return HessianInfo(matrix=h, min_eigenvalue=float(np.linalg.eigvalsh(h).min()))
 
 
+def _primes(count: int) -> list[int]:
+    found = []
+    k = 2
+    while len(found) < count:
+        if all(k % p for p in found):
+            found.append(k)
+        k += 1
+    return found
+
+
+def _halton(count: int, d: int) -> np.ndarray:
+    """The first ``count`` points of the unscrambled Halton sequence in
+    [0, 1)^d, one radical inverse per prime base; the same floating-point
+    steps as scipy.stats.qmc.Halton(scramble=False), without loading
+    scipy.stats."""
+    out = np.zeros((count, d))
+    for j, base in enumerate(_primes(d)):
+        for i in range(count):
+            q, scale = i, 1.0 / base
+            while q > 0:
+                out[i, j] += (q % base) * scale
+                scale /= base
+                q //= base
+    return out
+
+
 def _start_points(lo, hi, count: int) -> np.ndarray:
     """Deterministic multistart set: box center plus an unscrambled Halton
     grid scaled into the box."""
-    pts = [0.5 * (lo + hi)]
-    if count > 0:
-        halton = qmc.Halton(d=lo.size, scramble=False).random(count)
-        pts.extend(lo + halton * (hi - lo))
-    return np.array(pts)
+    halton = lo + _halton(count, lo.size) * (hi - lo)
+    return np.vstack([0.5 * (lo + hi), halton])
+
+
+def _hessian_min_eig(observed: PiecewiseConstantFn, g: Graphon,
+                     spec: GameSpec, eta) -> float:
+    """Smallest eigenvalue of the Hessian of J at eta; NaN where the model
+    equilibrium touches a strategy bound."""
+    try:
+        return hessian(observed, g, spec, eta).min_eigenvalue
+    except NotInterior:
+        return float("nan")
 
 
 def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
@@ -136,12 +172,17 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
     least ``margin_buffer``, so no solve leaves the resolvent's domain.
     Each start is a trust-region reflective least-squares solve of the
     residual form of J with at most ``max_iter`` residual evaluations; it
-    moves starts on the box boundary strictly inside. Runs are ranked by
-    final J. Runs within ``tie_tol`` of the best J are tied (their J values
-    differ by rounding only); among them a converged run (projected-gradient
-    norm at most ``gtol``) wins, then the smallest projected-gradient norm,
-    then the lexicographically smallest parameter. ``converged`` describes
-    the run reported, so it is false only when no tied run converged.
+    moves starts on the box boundary strictly inside.
+
+    The box center is solved first. Its run is returned when it converged
+    (projected-gradient norm at most ``gtol``) and the Hessian of J there
+    is positive definite. Otherwise the ``starts`` Halton points run too,
+    and all runs are ranked by final J. Runs within ``tie_tol`` of the best
+    J are tied (their J values differ by rounding only); among them a
+    converged run wins, then the smallest projected-gradient norm, then the
+    lexicographically smallest parameter. ``converged`` describes the run
+    reported, so it is false only when no tied run converged, and
+    ``starts`` counts the runs made: 1, or 1 + ``starts``.
     """
     opts = options if options is not None else EstimateOptions()
     margin = contraction_margin(spec, g)
@@ -171,10 +212,8 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
         _, _, grad = gradient_values(g, spec, eta)
         return root_w[:, None] * grad
 
-    starts = _start_points(lo, hi, opts.starts)
-    # each run is (eta, J, projected-gradient norm, residual evaluations)
-    runs = []
-    for x0 in starts:
+    def run(x0):
+        """(eta, J, projected-gradient norm, residual evaluations)"""
         fit = least_squares(
             residual, x0, jac=jacobian, bounds=(lo, hi), method="trf",
             xtol=LSQ_TOL, ftol=LSQ_TOL, gtol=LSQ_TOL, max_nfev=opts.max_iter,
@@ -182,23 +221,28 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
         grad_j = 2.0 * (fit.jac.T @ fit.fun)
         pgnorm = float(np.linalg.norm(fit.x - np.clip(fit.x - grad_j, lo, hi)))
         j = max(float(fit.fun @ fit.fun) + offset, 0.0)
-        runs.append((fit.x, j, pgnorm, fit.nfev))
-    total_evals = sum(run[3] for run in runs)
-    best_j = min(run[1] for run in runs)
-    eta_hat, fx, pgnorm, _ = min(
-        (run for run in runs if run[1] <= best_j + opts.tie_tol),
-        key=lambda run: (run[2] > opts.gtol, run[2], tuple(run[0])),
+        return fit.x, j, pgnorm, fit.nfev
+
+    center = run(0.5 * (lo + hi))
+    min_eig = _hessian_min_eig(observed, g, spec, center[0])
+    runs = [center]
+    certified = center[2] <= opts.gtol and min_eig > 0.0
+    if not certified:
+        runs += [run(x0) for x0 in _start_points(lo, hi, opts.starts)[1:]]
+    best_j = min(r[1] for r in runs)
+    best = min(
+        (r for r in runs if r[1] <= best_j + opts.tie_tol),
+        key=lambda r: (r[2] > opts.gtol, r[2], tuple(r[0])),
     )
-    try:
-        min_eig = hessian(observed, g, spec, eta_hat).min_eigenvalue
-    except NotInterior:
-        min_eig = float("nan")
+    if best is not center:
+        min_eig = _hessian_min_eig(observed, g, spec, best[0])
+    eta_hat, fx, pgnorm, _ = best
     return EstimationResult(
         eta_hat=eta_hat,
         objective=fx,
         gradient_norm=pgnorm,
         hessian_min_eig=min_eig,
-        starts=len(starts),
-        iterations_total=total_evals,
+        starts=len(runs),
+        iterations_total=sum(r[3] for r in runs),
         converged=pgnorm <= opts.gtol,
     )

@@ -10,7 +10,9 @@ Determinism: every byte of the results and quantile CSVs is a function of
 (config, master_seed). Floats are printed with 17 significant digits, runs
 execute in sorted (N, run) order, and per-run seeds come from a documented
 hash, so reruns are byte-identical. Wall-clock timings are inherently not
-reproducible and therefore go to a separate sidecar file.
+reproducible and therefore go to a separate sidecar file, together with
+the per-run solver facts (starts, evaluations, best-response iterations,
+the contraction certificate and the class of any failure).
 """
 
 from __future__ import annotations
@@ -107,6 +109,15 @@ class RunRecord:
     hessian_min_eig: float
     converged: bool
     wall_time_s: float
+    # sidecar only: estimator starts and residual evaluations, the finite
+    # game's best-response iterations and contraction certificate, and the
+    # exception class of a failed run
+    starts: int = 0
+    evaluations: int = 0
+    br_iterations: int = 0
+    certificate: str = ""
+    contraction_margin: float = float("nan")
+    failure: str = ""
 
 
 def _game_pi(config: ExperimentConfig):
@@ -128,9 +139,9 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
     """Execute the full sweep: for each network size and run index, sample,
     solve the finite game at the true parameter, observe, estimate.
 
-    Individual run failures become rows with NaN metrics and converged =
-    false; they are never dropped. ``progress`` is an optional callable
-    receiving each finished record.
+    Individual run failures become rows with NaN metrics, converged =
+    false and the exception class in ``failure``; they are never dropped.
+    ``progress`` is an optional callable receiving each finished record.
     """
     problems = config.validate()
     if problems:
@@ -146,6 +157,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
         for run in range(config.runs_per_n):
             seed = derive_run_seed(config.master_seed, run, n)
             started = time.perf_counter()
+            neq = result = None
+            failure = ""
             try:
                 net = sample_network(g, n, seed)
                 neq = solve_network_game(
@@ -154,34 +167,31 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
                     pi=pi,
                 )
                 obs = observe(net, neq)
+                l2 = l2_distance(obs, true_fn)
                 result = estimate(obs, g, game, config.optimizer)
-                record = RunRecord(
-                    n=n,
-                    run=run,
-                    seed=seed,
-                    eta_hat=result.eta_hat,
-                    err_inf=float(np.max(np.abs(result.eta_hat - eta_true))),
-                    err_2=float(np.linalg.norm(result.eta_hat - eta_true)),
-                    objective=result.objective,
-                    l2_obs_vs_graphon=l2_distance(obs, true_fn),
-                    hessian_min_eig=result.hessian_min_eig,
-                    converged=result.converged,
-                    wall_time_s=time.perf_counter() - started,
-                )
-            except GraphonGameError:
-                record = RunRecord(
-                    n=n,
-                    run=run,
-                    seed=seed,
-                    eta_hat=np.full(n_params, np.nan),
-                    err_inf=float("nan"),
-                    err_2=float("nan"),
-                    objective=float("nan"),
-                    l2_obs_vs_graphon=float("nan"),
-                    hessian_min_eig=float("nan"),
-                    converged=False,
-                    wall_time_s=time.perf_counter() - started,
-                )
+            except GraphonGameError as exc:
+                failure = type(exc).__name__
+            nan = float("nan")
+            eta_hat = result.eta_hat if result else np.full(n_params, nan)
+            record = RunRecord(
+                n=n,
+                run=run,
+                seed=seed,
+                eta_hat=eta_hat,
+                err_inf=float(np.max(np.abs(eta_hat - eta_true))),
+                err_2=float(np.linalg.norm(eta_hat - eta_true)),
+                objective=result.objective if result else nan,
+                l2_obs_vs_graphon=l2 if result else nan,
+                hessian_min_eig=result.hessian_min_eig if result else nan,
+                converged=bool(result and result.converged),
+                wall_time_s=time.perf_counter() - started,
+                starts=result.starts if result else 0,
+                evaluations=result.iterations_total if result else 0,
+                br_iterations=neq.iterations if neq else 0,
+                certificate=neq.certificate if neq else "",
+                contraction_margin=neq.contraction_margin if neq else nan,
+                failure=failure,
+            )
             records.append(record)
             if progress is not None:
                 progress(record)
@@ -231,12 +241,23 @@ def write_records_csv(records: list[RunRecord], path, n_params: int) -> None:
         fh.write(records_to_csv(records, n_params))
 
 
+def timings_to_csv(records: list[RunRecord]) -> str:
+    """Sidecar with measured wall times and per-run solver facts, kept out
+    of the deterministic CSV."""
+    out = io.StringIO()
+    out.write("N,run,wall_time_s,starts,evaluations,br_iterations,"
+              "certificate,contraction_margin,failure\n")
+    for r in records:
+        cells = [str(r.n), str(r.run), _fmt(r.wall_time_s), str(r.starts),
+                 str(r.evaluations), str(r.br_iterations), r.certificate,
+                 _fmt(r.contraction_margin), r.failure]
+        out.write(",".join(cells) + "\n")
+    return out.getvalue()
+
+
 def write_timings_csv(records: list[RunRecord], path) -> None:
-    """Sidecar with measured wall times, kept out of the deterministic CSV."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("N,run,wall_time_s\n")
-        for r in records:
-            fh.write(f"{r.n},{r.run},{_fmt(r.wall_time_s)}\n")
+        fh.write(timings_to_csv(records))
 
 
 def summarize_quantiles(records: list[RunRecord],

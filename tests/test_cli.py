@@ -100,6 +100,7 @@ class TestEstimate:
         eta_hat = np.array([float(v) for v in eta_line.split("=")[1].split(",")])
         assert np.abs(eta_hat - ETA4).max() <= 1e-6
         assert "converged = true" in out
+        assert "starts = 1" in out
 
     def test_fresh_sample_estimate(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -197,7 +198,30 @@ class TestSampleAndExperiment:
         quant = (tmp_path / "res.csv.quantiles.csv").read_text()
         assert "err_inf" in quant
         timing = (tmp_path / "res.csv.timings.csv").read_text()
-        assert timing.splitlines()[0] == "N,run,wall_time_s"
+        assert timing.splitlines()[0] == (
+            "N,run,wall_time_s,starts,evaluations,br_iterations,"
+            "certificate,contraction_margin,failure"
+        )
+        assert len(timing.splitlines()) == 3
+
+    def test_experiment_progress_leaves_outputs_unchanged(self, tmp_path,
+                                                          capsys):
+        path = write_config(tmp_path)
+        plain, streamed = tmp_path / "plain.csv", tmp_path / "streamed.csv"
+        assert main(["experiment", "--config", path, "--out", str(plain)]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        assert main(["experiment", "--config", path, "--out", str(streamed),
+                     "--progress"]) == 0
+        loud = capsys.readouterr()
+        lines = loud.err.splitlines()
+        assert [l.split()[:2] for l in lines] == [["N=40", "run=0"],
+                                                 ["N=40", "run=1"]]
+        assert all("converged=" in l and "starts=" in l for l in lines)
+        assert loud.out.replace(str(streamed), str(plain)) == quiet.out
+        for suffix in ("", ".quantiles.csv"):
+            assert (tmp_path / f"streamed.csv{suffix}").read_bytes() == (
+                tmp_path / f"plain.csv{suffix}").read_bytes()
 
     def test_experiment_seed_override_changes_output(self, tmp_path):
         path = write_config(tmp_path, {"output": str(tmp_path / "a.csv")})

@@ -24,7 +24,11 @@ from graphongames import (
     solve_lq_sbm,
     sup_distance,
 )
-from graphongames.equilibrium import second_derivative_values, solve_values
+from graphongames.equilibrium import (
+    gradient_values,
+    second_derivative_values,
+    solve_values,
+)
 from conftest import ETA4, PI2, PI4, Q2, Q4
 
 # Frozen from the hand 2x2 solve: (I - M) s = 1 with M = [[0.2, 0.05],
@@ -390,6 +394,28 @@ class TestResolventCoreProperties:
         g = smooth_grid_kernel()
         eta = np.array([eta1, ratio / g.lambda_max()])
         self.check(g, unbounded(LQHomogeneous, eta), eta)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        ratio=st.floats(0.0, 0.95),
+        eta1=st.floats(0.0, 2.0),
+        community=st.booleans(),
+    )
+    def test_monotone_in_eta(self, k, seed, ratio, eta1, community):
+        # with A >= 0 and theta >= 0 every term of the Neumann series
+        # sum_j (diag(theta2) A)^j is elementwise nonnegative, and so are
+        # the partial derivatives it produces
+        g, rng = random_block_kernel(k, seed)
+        if community:
+            eta = rng.uniform(0.0, 1.0, size=k) * ratio / g.lambda_max()
+            spec = unbounded(LQSBM, eta, theta1=1.0)
+        else:
+            eta = np.array([eta1, ratio / g.lambda_max()])
+            spec = unbounded(LQHomogeneous, eta)
+        _, _, grad = gradient_values(g, spec, eta)
+        assert np.all(grad >= 0.0)
 
     def test_community_game_refuses_a_grid_kernel(self, sbm4_game):
         with pytest.raises(TypeError):

@@ -3,6 +3,7 @@ import pytest
 
 from graphongames import (
     ConstantGraphon,
+    GridGraphon,
     InfeasibleParameterSet,
     LQHomogeneous,
     NoStart,
@@ -12,6 +13,7 @@ from graphongames import (
     StrategySet,
     estimate,
     hessian,
+    interpolate_equilibrium,
     model_equilibrium_fn,
     objective,
     objective_gradient,
@@ -120,6 +122,20 @@ class TestHessian:
         assert np.abs(fd - info.matrix).max() <= 1e-5
 
 
+FLAT_VALLEY_C = 0.5
+
+
+def flat_valley():
+    """Constant kernel observed at its own equilibrium: J vanishes along a
+    whole curve of parameters, so its Hessian there is singular."""
+    g = ConstantGraphon(FLAT_VALLEY_C)
+    spec = LQHomogeneous(
+        strategy_set=StrategySet(0.0, 10.0),
+        xi=ParameterBox(np.array([0.1, 0.0]), np.array([2.0, 1.5])),
+    )
+    return g, spec, model_equilibrium_fn(g, spec, np.array([1.0, 1.0]))
+
+
 class TestEstimate:
     def test_exact_self_recovery(self, sbm4, sbm4_game):
         obs = model_equilibrium_fn(sbm4, sbm4_game, ETA4)
@@ -127,7 +143,7 @@ class TestEstimate:
         assert np.abs(result.eta_hat - ETA4).max() <= 1e-6
         assert result.objective <= 1e-12
         assert result.converged
-        assert result.starts == 9
+        assert result.starts == 1
         assert sbm4_game.xi.contains(result.eta_hat)
 
     def test_deterministic(self, sbm4, sbm4_game):
@@ -141,17 +157,10 @@ class TestEstimate:
         # constant kernel: any (eta1, eta2) with eta1 / (1 - eta2 c) fixed
         # gives the same equilibrium, so J at the optimum is 0 but eta_hat
         # need not match the generator
-        c = 0.5
-        g = ConstantGraphon(c)
-        spec = LQHomogeneous(
-            strategy_set=StrategySet(0.0, 10.0),
-            xi=ParameterBox(np.array([0.1, 0.0]), np.array([2.0, 1.5])),
-        )
-        eta_bar = np.array([1.0, 1.0])
-        obs = model_equilibrium_fn(g, spec, eta_bar)
+        g, spec, obs = flat_valley()
         result = estimate(obs, g, spec)
         assert result.objective <= 1e-12
-        value = result.eta_hat[0] / (1 - result.eta_hat[1] * c)
+        value = result.eta_hat[0] / (1 - result.eta_hat[1] * FLAT_VALLEY_C)
         assert value == pytest.approx(2.0, abs=1e-5)
 
     def test_reported_objective_matches_objective(self, sbm4, sbm4_game):
@@ -211,6 +220,14 @@ class TestEstimate:
         assert a.shape == (9, 2)
         assert np.allclose(a[0], [0.5, 1.0])
         assert np.all((a >= lo) & (a <= hi))
+
+    def test_start_points_match_scipy_halton(self):
+        from scipy.stats import qmc
+
+        lo = np.array([0.1, 0.0, -1.0])
+        hi = np.array([2.0, 1.5, 3.0])
+        halton = qmc.Halton(d=3, scramble=False).random(8)
+        assert np.array_equal(_start_points(lo, hi, 8)[1:], lo + halton * (hi - lo))
 
     def test_homogeneous_recovery_from_sampled_network(self, sbm2):
         # full loop for the two-parameter game on an identifiable kernel:
@@ -289,3 +306,78 @@ class TestEstimate:
         quotients = np.array(quotients)
         assert np.all(np.isfinite(quotients))
         assert quotients.max() < 1e3
+
+
+class TestCertifiedStart:
+    """The box-center run is returned alone when it converged at a positive
+    definite Hessian; otherwise every Halton start runs as well."""
+
+    @staticmethod
+    def center_only(obs, g, spec):
+        return estimate(obs, g, spec, EstimateOptions(starts=0))
+
+    def test_certified_center_is_the_estimate(self, sbm4, sbm4_game):
+        obs = model_equilibrium_fn(sbm4, sbm4_game, ETA4) + 0.05
+        result = estimate(obs, sbm4, sbm4_game)
+        center = self.center_only(obs, sbm4, sbm4_game)
+        assert result.starts == 1
+        assert center.converged and center.hessian_min_eig > 0.0
+        assert np.array_equal(result.eta_hat, center.eta_hat)
+        assert result.iterations_total == center.iterations_total
+
+    def test_singular_hessian_falls_back(self):
+        g, spec, obs = flat_valley()
+        center = self.center_only(obs, g, spec)
+        assert center.converged and not center.hessian_min_eig > 0.0
+        result = estimate(obs, g, spec)
+        assert result.starts == 9
+        assert result.converged
+        assert result.iterations_total > center.iterations_total
+
+    def test_stalled_center_falls_back(self, homogeneous_game):
+        # the center stops at projected-gradient norm 1.5e-9, above gtol,
+        # although its Hessian is positive definite
+        g = GridGraphon(np.kron(Q2, np.ones((3, 3))))
+        obs = interpolate_equilibrium(
+            np.random.default_rng(46).uniform(0, 4, 40)
+        )
+        center = self.center_only(obs, g, homogeneous_game)
+        assert not center.converged and center.hessian_min_eig > 0.0
+        result = estimate(obs, g, homogeneous_game)
+        assert result.starts == 9
+        assert result.converged
+        assert result.objective <= center.objective + EstimateOptions().tie_tol
+
+    def test_indefinite_hessian_falls_back(self, sbm4, sbm4_game):
+        # a rough observation drives every coordinate to the upper bound,
+        # where the full Hessian of J has a negative eigenvalue
+        obs = interpolate_equilibrium(
+            np.random.default_rng(100).uniform(0, 3, 50)
+        )
+        center = self.center_only(obs, sbm4, sbm4_game)
+        assert center.converged and center.hessian_min_eig < 0.0
+        result = estimate(obs, sbm4, sbm4_game)
+        assert result.starts == 9
+        assert result.converged
+
+
+def test_fallback_leaves_scipy_stats_unloaded():
+    # loading scipy.stats on the first fallback of a process would add
+    # ~20 MB and ~0.5 s to that run alone
+    import os
+    import subprocess
+    import sys
+
+    import graphongames
+
+    src = os.path.dirname(os.path.dirname(graphongames.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        "import sys, numpy, graphongames.estimator as e; "
+        "e._start_points(numpy.zeros(2), numpy.ones(2), 8); "
+        "sys.exit(1 if 'scipy.stats' in sys.modules else 0)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

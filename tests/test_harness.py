@@ -16,6 +16,7 @@ from graphongames.harness import (
     load_config,
     quantiles_to_csv,
     records_to_csv,
+    timings_to_csv,
     write_records_csv,
 )
 from conftest import ETA4, PI2, PI4, Q2, Q4
@@ -186,6 +187,33 @@ class TestRunExperiment:
         for r in records:
             assert not r.converged
             assert np.isnan(r.objective) and np.all(np.isnan(r.eta_hat))
+            assert r.failure == "NoConvergence"
+        # the finite game solved before the estimator failed
+        row = timings_to_csv(records).splitlines()[1].split(",")
+        assert row[:2] == ["30", "0"]
+        assert row[3:5] == ["0", "0"]
+        assert int(row[5]) > 0 and row[6] == "row_sum"
+        assert 0.0 < float(row[7]) < 1.0
+        assert row[8] == "NoConvergence"
+
+    def test_timings_sidecar(self):
+        records = run_experiment(small_config())
+        lines = timings_to_csv(records).splitlines()
+        assert lines[0].split(",") == [
+            "N", "run", "wall_time_s", "starts", "evaluations",
+            "br_iterations", "certificate", "contraction_margin", "failure",
+        ]
+        assert len(lines) == len(records) + 1
+        for line, r in zip(lines[1:], records):
+            cells = line.split(",")
+            assert cells[:2] == [str(r.n), str(r.run)]
+            assert float(cells[2]) == r.wall_time_s
+            assert int(cells[3]) == r.starts in (1, 9)
+            assert int(cells[4]) == r.evaluations >= r.starts
+            assert int(cells[5]) == r.br_iterations > 0
+            assert cells[6] == r.certificate == "row_sum"
+            assert float(cells[7]) == r.contraction_margin > 0.0
+            assert cells[8] == r.failure == ""
 
     def test_csv_bytes_reproducible(self, tmp_path):
         config = small_config()
