@@ -48,8 +48,6 @@ from .game import (
 from .equilibrium import (
     BlockEquilibrium,
     GraphonEquilibrium,
-    equilibrium_gradient,
-    equilibrium_second_derivatives,
     solve_best_response,
     solve_fixed_point,
     solve_lq_homogeneous,

@@ -15,7 +15,8 @@ affine maps theta1 = b1 + D1 eta, theta2 = b2 + D2 eta
 s = (I - diag(theta2) A)^{-1} theta1. First and second derivatives in the
 unknown parameters come from resolvent identities on the same system (one
 multi-right-hand-side solve per order), not truncated series, so they are
-exact at machine precision.
+exact at machine precision. They are returned as per-cell arrays only; the
+estimator builds J, its gradient and its Hessian from those arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 from .errors import (
     NoConvergence,
     NotAContraction,
-    NotInterior,
     SingularSystem,
     SpectralConditionViolated,
 )
@@ -235,7 +235,7 @@ def solve_fixed_point(g: Graphon, spec: GameSpec, eta,
 # Array-level closed forms on the natural partition, all thin calls to
 # _resolvent. These are the workhorses behind the estimator and the
 # finite-difference checks: they solve the unconstrained (interior) system
-# without box or interiority checks, which the public wrappers add.
+# without box or interiority checks; the estimator's J core adds the latter.
 
 def solve_values(g: Graphon, spec: GameSpec, eta):
     """(strategy values, aggregate values) of the interior equilibrium on
@@ -254,45 +254,3 @@ def second_derivative_values(g: Graphon, spec: GameSpec, eta):
     (n_params, n_params, n_cells) and is exactly symmetric in its first two
     axes."""
     return _resolvent(g, spec, eta, 2)
-
-
-def _interior_or_raise(spec: GameSpec, s: np.ndarray):
-    if not spec.strategy_set.is_interior(s):
-        raise NotInterior(
-            "equilibrium touches a strategy bound; derivative formulas "
-            "are not valid there"
-        )
-
-
-def equilibrium_gradient(g: Graphon, spec: GameSpec, eta) -> list[PiecewiseConstantFn]:
-    """Per-coordinate derivative of the equilibrium profile in the unknown
-    parameters, one step function per coordinate.
-
-    d/d eta_i = V^{-1} (D1_i + D2_i * W s) with V = I - diag(theta2) W: for
-    the homogeneous game d/d eta1 = (I - eta2 W)^{-1} 1 and d/d eta2 =
-    (I - eta2 W)^{-1} W s. Refuses at non-interior equilibria.
-    """
-    s, _, grad = gradient_values(g, spec, eta)
-    _interior_or_raise(spec, s)
-    bounds = g.cell_boundaries()
-    return [PiecewiseConstantFn(bounds, grad[:, i]) for i in range(grad.shape[1])]
-
-
-def equilibrium_second_derivatives(g: Graphon, spec: GameSpec,
-                                   eta) -> list[list[PiecewiseConstantFn]]:
-    """Symmetric matrix of second derivatives of the equilibrium profile,
-    entry (i, j) a step function. Entries (i, j) and (j, i) are the same
-    object. Refuses at non-interior equilibria."""
-    s, _, _, hess = second_derivative_values(g, spec, eta)
-    _interior_or_raise(spec, s)
-    bounds = g.cell_boundaries()
-    n = hess.shape[0]
-    out: list[list[PiecewiseConstantFn | None]] = [
-        [None] * n for _ in range(n)
-    ]
-    for i in range(n):
-        for j in range(i, n):
-            fn = PiecewiseConstantFn(bounds, hess[i, j])
-            out[i][j] = fn
-            out[j][i] = fn
-    return out

@@ -1,20 +1,24 @@
 """Least-squares parameter estimation from an observed equilibrium.
 
 The estimator minimizes J(eta) = || observed - s_eta ||_{L2}^2 over a box
-of admissible parameters, where s_eta is the model equilibrium at eta. J,
-its gradient and its Hessian are all exact integrals of step functions; the
-Hessian splits into a gradient outer-product term and a residual-weighted
-curvature term and is exposed for diagnostics only.
+of admissible parameters, where s_eta is the model equilibrium at eta.
 
-On the kernel's natural partition (cell weights w) J is a sum of squared
-residuals plus a constant, J = ||r||^2 + c with r = sqrt(w) s_eta - a/sqrt(w),
-a_i the observation's integral over cell i and c = int obs^2 - sum a_i^2/w_i.
+The model is constant on the kernel's cells (weights w), so the observation
+enters J only through its cell integrals a and c = int obs^2 - sum a_i^2/w_i:
+J = ||r||^2 + c with r = sqrt(w) s_eta - a/sqrt(w). One private core reads
+that statistic and the resolvent arrays s, G = ds/deta and d2s/deta2, and
+gives J, its gradient 2 (sqrt(w) G)^T r and its Hessian, a Gauss-Newton
+term 2 (sqrt(w) G)^T (sqrt(w) G) plus the curvature term
+2 sum_k sqrt(w_k) r_k d2s_k. ``objective``, ``objective_gradient`` and
+``hessian`` are thin wrappers over it.
+
 Each start minimizes ||r||^2 by trust-region reflective bounded least
-squares with the exact Jacobian sqrt(w) ds/deta. The first start is the box
-center. Its solve is accepted when it converged at a positive definite
-Hessian, a strict local minimum, which under identifiability is the unique
-one. Only otherwise does a Halton grid of further starts run. Either way the
-estimate is a pure function of the observation.
+squares with the exact Jacobian sqrt(w) G. The first start is the box
+center. Its solve is accepted when it converged at a Hessian that is
+positive definite beyond rounding, a strict local minimum, which under
+identifiability is the unique one. Only otherwise does a Halton grid of
+further starts run. Either way the estimate is a pure function of the
+observation.
 """
 
 from __future__ import annotations
@@ -25,20 +29,10 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import InfeasibleParameterSet, NoStart, NotInterior
-from .functionspace import (
-    PiecewiseConstantFn,
-    cell_integrals,
-    integrate_product,
-    l2_distance,
-)
+from .functionspace import PiecewiseConstantFn, cell_integrals, integrate_product
 from .game import GameSpec, contraction_margin
 from .graphon import Graphon
-from .equilibrium import (
-    equilibrium_gradient,
-    equilibrium_second_derivatives,
-    gradient_values,
-    solve_values,
-)
+from .equilibrium import _resolvent, gradient_values, solve_values
 
 # scipy's xtol, ftol and gtol: a start runs to the rounding floor or to
 # max_iter; EstimateOptions.gtol alone decides whether it converged.
@@ -82,42 +76,67 @@ def model_equilibrium_fn(g: Graphon, spec: GameSpec, eta) -> PiecewiseConstantFn
     return PiecewiseConstantFn(g.cell_boundaries(), s)
 
 
+def _statistic(observed: PiecewiseConstantFn,
+               g: Graphon) -> tuple[np.ndarray, np.ndarray, float]:
+    """The observation's sufficient statistic on ``g``'s cells:
+    (root_w, target, offset) with root_w = sqrt(w), target = a / sqrt(w) and
+    offset = c, so that J(eta) = ||root_w * s_eta - target||^2 + offset."""
+    root_w = np.sqrt(g.cell_weights())
+    target = cell_integrals(observed, g.cell_boundaries()) / root_w
+    offset = integrate_product(observed, observed) - float(target @ target)
+    return root_w, target, offset
+
+
+def _j(stat, g: Graphon, spec: GameSpec, eta, order: int = 0) -> list:
+    """[J] at eta, plus its gradient for ``order`` 1 and its Hessian for 2.
+
+    With r = root_w * s - target and G = ds/deta from the resolvent:
+    J = ||r||^2 + offset (clamped at 0 against rounding), grad J =
+    2 (root_w G)^T r and H = 2 (root_w G)^T (root_w G) + 2 sum_k root_w_k
+    r_k d2s_k. H is exactly symmetric. The derivatives raise
+    :class:`NotInterior` where the equilibrium touches a strategy bound.
+    """
+    root_w, target, offset = stat
+    s, _, *derivs = _resolvent(g, spec, eta, order)
+    r = root_w * s - target
+    out = [max(float(r @ r) + offset, 0.0)]
+    if order == 0:
+        return out
+    if not spec.strategy_set.is_interior(s):
+        raise NotInterior(
+            "equilibrium touches a strategy bound; derivative formulas "
+            "are not valid there"
+        )
+    jac = root_w[:, None] * derivs[0]
+    out.append(2.0 * (jac.T @ r))
+    if order == 2:
+        half = jac.T @ jac + derivs[1] @ (root_w * r)
+        out.append(half + half.T)
+    return out
+
+
 def objective(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
               eta) -> float:
     """J(eta): squared L2 distance between the observation and the model
-    equilibrium, exact on the merged partition."""
-    return l2_distance(observed, model_equilibrium_fn(g, spec, eta)) ** 2
+    equilibrium."""
+    return _j(_statistic(observed, g), g, spec, eta)[0]
 
 
 def objective_gradient(observed: PiecewiseConstantFn, g: Graphon,
                        spec: GameSpec, eta) -> np.ndarray:
-    """Analytic gradient of J: component i is
-    -2 * integral of (observed - s_eta) * d s_eta / d eta_i.
-    Valid only at interior equilibria."""
-    grads = equilibrium_gradient(g, spec, eta)
-    residual = observed - model_equilibrium_fn(g, spec, eta)
-    return np.array([-2.0 * integrate_product(residual, gi) for gi in grads])
+    """Analytic gradient of J, -2 * integral of (observed - s_eta) *
+    ds_eta/deta. Valid only at interior equilibria."""
+    return _j(_statistic(observed, g), g, spec, eta, 1)[1]
 
 
 def hessian(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
             eta) -> HessianInfo:
-    """Analytic Hessian of J and its minimum eigenvalue.
-
-    H = 2 T1 - 2 T2 where T1 integrates the gradient outer product and T2
-    integrates the residual against the second derivatives; T2 vanishes at
-    zero residual, leaving the positive semidefinite 2 T1.
-    """
-    grads = equilibrium_gradient(g, spec, eta)
-    seconds = equilibrium_second_derivatives(g, spec, eta)
-    residual = observed - model_equilibrium_fn(g, spec, eta)
-    n = len(grads)
-    h = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            t1 = integrate_product(grads[i], grads[j])
-            t2 = integrate_product(residual, seconds[i][j])
-            h[i, j] = h[j, i] = 2.0 * (t1 - t2)
-    return HessianInfo(matrix=h, min_eigenvalue=float(np.linalg.eigvalsh(h).min()))
+    """Analytic Hessian of J and its minimum eigenvalue: a gradient
+    outer-product term plus a residual-weighted curvature term, which
+    vanishes at zero residual and leaves a positive semidefinite matrix.
+    Valid only at interior equilibria."""
+    h = _j(_statistic(observed, g), g, spec, eta, 2)[2]
+    return HessianInfo(matrix=h, min_eigenvalue=float(np.linalg.eigvalsh(h)[0]))
 
 
 def _primes(count: int) -> list[int]:
@@ -153,14 +172,17 @@ def _start_points(lo, hi, count: int) -> np.ndarray:
     return np.vstack([0.5 * (lo + hi), halton])
 
 
-def _hessian_min_eig(observed: PiecewiseConstantFn, g: Graphon,
-                     spec: GameSpec, eta) -> float:
-    """Smallest eigenvalue of the Hessian of J at eta; NaN where the model
+def _certify(stat, g: Graphon, spec: GameSpec, eta) -> tuple[float, bool]:
+    """(smallest eigenvalue of the Hessian of J at eta, whether it exceeds
+    the rounding level p * eps * max |eigenvalue| of numpy's matrix_rank).
+    The eigenvalue is NaN, and the Hessian not certified, where the model
     equilibrium touches a strategy bound."""
     try:
-        return hessian(observed, g, spec, eta).min_eigenvalue
+        eig = np.linalg.eigvalsh(_j(stat, g, spec, eta, 2)[2])
     except NotInterior:
-        return float("nan")
+        return float("nan"), False
+    floor = eig.size * np.finfo(float).eps * np.abs(eig).max()
+    return float(eig[0]), bool(eig[0] > floor)
 
 
 def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
@@ -175,12 +197,14 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
     moves starts on the box boundary strictly inside.
 
     The box center is solved first. Its run is returned when it converged
-    (projected-gradient norm at most ``gtol``) and the Hessian of J there
-    is positive definite. Otherwise the ``starts`` Halton points run too,
-    and all runs are ranked by final J. Runs within ``tie_tol`` of the best
-    J are tied (their J values differ by rounding only); among them a
-    converged run wins, then the smallest projected-gradient norm, then the
-    lexicographically smallest parameter. ``converged`` describes the run
+    (projected-gradient norm at most ``gtol``) and the smallest eigenvalue
+    of the Hessian of J there exceeds p * eps * max |eigenvalue|, the
+    rounding level numpy's ``matrix_rank`` uses. Otherwise the ``starts``
+    Halton points run too, and all runs are ranked by final J. Runs within
+    ``tie_tol`` of the best J are tied (their J values differ by rounding
+    only); among them a converged run wins, then the smallest
+    projected-gradient norm, then the lexicographically smallest
+    parameter. ``converged`` describes the run
     reported, so it is false only when no tied run converged, and
     ``starts`` counts the runs made: 1, or 1 + ``starts``.
     """
@@ -200,9 +224,8 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
     if np.any(hi <= lo):
         raise NoStart("margin cap leaves no interior in the parameter box")
 
-    root_w = np.sqrt(g.cell_weights())
-    target = cell_integrals(observed, g.cell_boundaries()) / root_w
-    offset = integrate_product(observed, observed) - float(target @ target)
+    stat = _statistic(observed, g)
+    root_w, target, _ = stat
 
     def residual(eta):
         s, _ = solve_values(g, spec, eta)
@@ -220,13 +243,12 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
         )
         grad_j = 2.0 * (fit.jac.T @ fit.fun)
         pgnorm = float(np.linalg.norm(fit.x - np.clip(fit.x - grad_j, lo, hi)))
-        j = max(float(fit.fun @ fit.fun) + offset, 0.0)
-        return fit.x, j, pgnorm, fit.nfev
+        return fit.x, _j(stat, g, spec, fit.x)[0], pgnorm, fit.nfev
 
     center = run(0.5 * (lo + hi))
-    min_eig = _hessian_min_eig(observed, g, spec, center[0])
+    min_eig, definite = _certify(stat, g, spec, center[0])
     runs = [center]
-    certified = center[2] <= opts.gtol and min_eig > 0.0
+    certified = center[2] <= opts.gtol and definite
     if not certified:
         runs += [run(x0) for x0 in _start_points(lo, hi, opts.starts)[1:]]
     best_j = min(r[1] for r in runs)
@@ -235,7 +257,7 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
         key=lambda r: (r[2] > opts.gtol, r[2], tuple(r[0])),
     )
     if best is not center:
-        min_eig = _hessian_min_eig(observed, g, spec, best[0])
+        min_eig, _ = _certify(stat, g, spec, best[0])
     eta_hat, fx, pgnorm, _ = best
     return EstimationResult(
         eta_hat=eta_hat,

@@ -15,9 +15,12 @@ from graphongames import (
     SBMGraphon,
     SpectralConditionViolated,
     StrategySet,
-    equilibrium_gradient,
-    equilibrium_second_derivatives,
     fd_check,
+    hessian,
+    interpolate_equilibrium,
+    model_equilibrium_fn,
+    objective,
+    objective_gradient,
     solve_best_response,
     solve_fixed_point,
     solve_lq_homogeneous,
@@ -223,22 +226,20 @@ class TestGradients:
     def test_homogeneous_decoupled_values(self, sbm2):
         spec = wide_homogeneous()
         eta = np.array([0.7, 0.0])
-        grads = equilibrium_gradient(sbm2, spec, eta)
+        _, _, grad = gradient_values(sbm2, spec, eta)
         ones = np.ones(2)
         w_ones = (Q2 * PI2[None, :]) @ ones
-        assert grads[0].values == pytest.approx(ones, abs=1e-14)
-        assert grads[1].values == pytest.approx(0.7 * w_ones, abs=1e-14)
+        assert grad[:, 0] == pytest.approx(ones, abs=1e-14)
+        assert grad[:, 1] == pytest.approx(0.7 * w_ones, abs=1e-14)
 
     def test_gradient_eta1_scaling_identity(self, sbm4):
         spec = wide_homogeneous()
         eta = np.array([0.9, 0.6])
-        s, _ = solve_values(sbm4, spec, eta)
-        grads = equilibrium_gradient(sbm4, spec, eta)
-        assert eta[0] * grads[0].values == pytest.approx(s, abs=1e-13)
+        s, _, grad = gradient_values(sbm4, spec, eta)
+        assert eta[0] * grad[:, 0] == pytest.approx(s, abs=1e-13)
 
     def test_sbm_gradient_matches_finite_differences(self, sbm4, sbm4_game):
-        grads = equilibrium_gradient(sbm4, sbm4_game, ETA4)
-        analytic = np.column_stack([g.values for g in grads])
+        _, _, analytic = gradient_values(sbm4, sbm4_game, ETA4)
         fd = fd_gradient(sbm4, sbm4_game, ETA4, h=1e-5)
         for i in range(4):
             scale = max(1.0, np.abs(analytic[:, i]).max())
@@ -248,8 +249,7 @@ class TestGradients:
         g = GridGraphon.from_kernel(SBMGraphon(Q2, PI2), 10)
         spec = wide_homogeneous()
         eta = np.array([1.1, 0.8])
-        grads = equilibrium_gradient(g, spec, eta)
-        analytic = np.column_stack([gr.values for gr in grads])
+        _, _, analytic = gradient_values(g, spec, eta)
         fd = fd_gradient(g, spec, eta)
         assert np.abs(fd - analytic).max() <= 1e-6
 
@@ -259,26 +259,27 @@ class TestGradients:
             strategy_set=StrategySet(0.0, 1.5),
             xi=ParameterBox(np.array([0.0, 0.0]), np.array([3.0, 1.5])),
         )
+        obs = model_equilibrium_fn(g, spec, [1.0, 1.0])
         with pytest.raises(NotInterior):
-            equilibrium_gradient(g, spec, [1.0, 1.0])
+            objective_gradient(obs, g, spec, [1.0, 1.0])
         with pytest.raises(NotInterior):
-            equilibrium_second_derivatives(g, spec, [1.0, 1.0])
+            hessian(obs, g, spec, [1.0, 1.0])
 
 
 class TestSecondDerivatives:
     def test_homogeneous_eta1_curvature_is_zero(self, sbm4):
         spec = wide_homogeneous()
-        hess = equilibrium_second_derivatives(sbm4, spec, [0.8, 0.5])
-        assert np.all(hess[0][0].values == 0.0)
+        *_, hess = second_derivative_values(sbm4, spec, [0.8, 0.5])
+        assert np.all(hess[0, 0] == 0.0)
 
     def test_symmetry_by_construction(self, sbm4, sbm4_game):
-        hess = equilibrium_second_derivatives(sbm4, sbm4_game, ETA4)
+        *_, hess = second_derivative_values(sbm4, sbm4_game, ETA4)
         for i in range(4):
             for j in range(4):
-                assert hess[i][j] is hess[j][i]
+                assert np.array_equal(hess[i, j], hess[j, i])
 
     def test_sbm_second_matches_finite_differences(self, sbm4, sbm4_game):
-        hess = equilibrium_second_derivatives(sbm4, sbm4_game, ETA4)
+        *_, hess = second_derivative_values(sbm4, sbm4_game, ETA4)
         h = 1e-4
         eta = ETA4
         s0, _ = solve_values(sbm4, sbm4_game, eta)
@@ -303,7 +304,7 @@ class TestSecondDerivatives:
                         - solve_at(eta - ei + ej)
                         + solve_at(eta - ei - ej)
                     ) / (4 * h**2)
-                analytic = hess[i][j].values
+                analytic = hess[i, j]
                 scale = max(1.0, np.abs(analytic).max())
                 worst = max(worst, np.abs(fd - analytic).max() / scale)
         assert worst <= 1e-4
@@ -329,12 +330,11 @@ class TestSecondDerivatives:
                 f2 += k * (k - 1) * eta[1] ** (k - 2) * term
             term = a @ term
             k += 1
-        grads = equilibrium_gradient(sbm2, spec, eta)
-        hess = equilibrium_second_derivatives(sbm2, spec, eta)
-        assert grads[0].values == pytest.approx(f0, rel=1e-12)
-        assert grads[1].values == pytest.approx(eta[0] * f1, rel=1e-12)
-        assert hess[0][1].values == pytest.approx(f1, rel=1e-12)
-        assert hess[1][1].values == pytest.approx(eta[0] * f2, rel=1e-12)
+        _, _, grad, hess = second_derivative_values(sbm2, spec, eta)
+        assert grad[:, 0] == pytest.approx(f0, rel=1e-12)
+        assert grad[:, 1] == pytest.approx(eta[0] * f1, rel=1e-12)
+        assert hess[0, 1] == pytest.approx(f1, rel=1e-12)
+        assert hess[1, 1] == pytest.approx(eta[0] * f2, rel=1e-12)
 
 
 def random_block_kernel(k, seed):
@@ -420,3 +420,51 @@ class TestResolventCoreProperties:
     def test_community_game_refuses_a_grid_kernel(self, sbm4_game):
         with pytest.raises(TypeError):
             solve_values(smooth_grid_kernel(4), sbm4_game, ETA4)
+
+
+def central_differences(f, eta, h):
+    """Central-difference gradient and Hessian of a scalar function."""
+    e = np.eye(eta.size) * h
+    grad = np.array([(f(eta + d) - f(eta - d)) / (2 * h) for d in e])
+    hess = np.array([[
+        (f(eta + di + dj) - f(eta + di - dj) - f(eta - di + dj)
+         + f(eta - di - dj)) / (4 * h * h)
+        for dj in e] for di in e])
+    return grad, hess
+
+
+class TestObjectiveDerivativeProperties:
+    """The gradient and Hessian of J, read from the resolvent arrays,
+    against central differences of J for a rough observation, for both
+    games on random block kernels."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        ratio=st.floats(0.05, 0.75),
+        eta1=st.floats(0.1, 2.0),
+        community=st.booleans(),
+        cells=st.integers(1, 60),
+    )
+    def test_random_block_kernels(self, k, seed, ratio, eta1, community, cells):
+        g, rng = random_block_kernel(k, seed)
+        if community:
+            eta = rng.uniform(0.05, 1.0, size=k) * ratio / g.lambda_max()
+            spec = unbounded(LQSBM, eta, theta1=1.0)
+        else:
+            eta = np.array([eta1, ratio / g.lambda_max()])
+            spec = unbounded(LQHomogeneous, eta)
+        s, _ = solve_values(g, spec, eta)
+        obs = interpolate_equilibrium(rng.uniform(0.0, 2.0 * s.max(), cells))
+        grad = objective_gradient(obs, g, spec, eta)
+        hess = hessian(obs, g, spec, eta).matrix
+        assert np.array_equal(hess, hess.T)
+
+        def j(e):
+            return objective(obs, g, spec, e)
+
+        fd_grad, _ = central_differences(j, eta, 1e-6)
+        _, fd_hess = central_differences(j, eta, 1e-4)
+        assert np.abs(fd_grad - grad).max() <= 1e-6 * max(1.0, np.abs(grad).max())
+        assert np.abs(fd_hess - hess).max() <= 1e-4 * max(1.0, np.abs(hess).max())

@@ -14,6 +14,7 @@ from graphongames import (
     estimate,
     hessian,
     interpolate_equilibrium,
+    l2_distance,
     model_equilibrium_fn,
     objective,
     objective_gradient,
@@ -125,15 +126,15 @@ class TestHessian:
 FLAT_VALLEY_C = 0.5
 
 
-def flat_valley():
+def flat_valley(c=FLAT_VALLEY_C, eta=(1.0, 1.0)):
     """Constant kernel observed at its own equilibrium: J vanishes along a
     whole curve of parameters, so its Hessian there is singular."""
-    g = ConstantGraphon(FLAT_VALLEY_C)
+    g = ConstantGraphon(c)
     spec = LQHomogeneous(
         strategy_set=StrategySet(0.0, 10.0),
         xi=ParameterBox(np.array([0.1, 0.0]), np.array([2.0, 1.5])),
     )
-    return g, spec, model_equilibrium_fn(g, spec, np.array([1.0, 1.0]))
+    return g, spec, model_equilibrium_fn(g, spec, np.array(eta))
 
 
 class TestEstimate:
@@ -172,7 +173,8 @@ class TestEstimate:
             np.linspace(0, 1, 201), rng.uniform(0.5, 2.0, size=200)
         )
         result = estimate(obs, sbm4, sbm4_game)
-        direct = objective(obs, sbm4, sbm4_game, result.eta_hat)
+        model = model_equilibrium_fn(sbm4, sbm4_game, result.eta_hat)
+        direct = l2_distance(obs, model) ** 2
         assert direct > 1e-3
         assert result.objective == pytest.approx(direct, rel=0, abs=1e-12)
 
@@ -309,8 +311,9 @@ class TestEstimate:
 
 
 class TestCertifiedStart:
-    """The box-center run is returned alone when it converged at a positive
-    definite Hessian; otherwise every Halton start runs as well."""
+    """The box-center run is returned alone when it converged at a Hessian
+    positive definite beyond rounding; otherwise every Halton start runs as
+    well."""
 
     @staticmethod
     def center_only(obs, g, spec):
@@ -333,6 +336,17 @@ class TestCertifiedStart:
         assert result.starts == 9
         assert result.converged
         assert result.iterations_total > center.iterations_total
+
+    def test_rounding_level_eigenvalue_falls_back(self):
+        # the flat valley's zero eigenvalue is rounding noise (about +7e-18
+        # for this case); it lies below the p * eps * max |eigenvalue|
+        # floor, so its sign cannot certify the center
+        g, spec, obs = flat_valley(0.2, (0.5, 0.2))
+        center = self.center_only(obs, g, spec)
+        assert center.converged and abs(center.hessian_min_eig) <= 1e-15
+        result = estimate(obs, g, spec)
+        assert result.starts == 9
+        assert result.converged
 
     def test_stalled_center_falls_back(self, homogeneous_game):
         # the center stops at projected-gradient norm 1.5e-9, above gtol,
