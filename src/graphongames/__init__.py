@@ -43,7 +43,6 @@ from .game import (
     best_response,
     contraction_margin,
     lq_payoff,
-    theta_of_eta,
 )
 from .equilibrium import (
     BlockEquilibrium,

@@ -54,10 +54,6 @@ def _load_observation(path) -> np.ndarray:
     return values
 
 
-def _config_pi(config):
-    return config.graphon.pi if isinstance(config.game, LQSBM) else None
-
-
 def _load_config(args):
     """The config at ``--config`` with ``--seed`` applied."""
     config = load_config(args.config)
@@ -149,7 +145,6 @@ def cmd_estimate(args) -> int:
         neq = solve_network_game(
             net, config.game, config.eta_true,
             tol=config.solver.tol, max_iter=config.solver.max_iter,
-            pi=_config_pi(config),
         )
         obs = observe(net, neq)
     result = estimate(obs, config.graphon, config.game, config.optimizer)

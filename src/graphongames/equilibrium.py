@@ -71,11 +71,6 @@ class BlockEquilibrium:
     values: np.ndarray
     aggregates: np.ndarray
 
-    def to_piecewise(self, pi) -> PiecewiseConstantFn:
-        bounds = np.concatenate([[0.0], np.cumsum(np.asarray(pi, dtype=float))])
-        bounds[-1] = 1.0
-        return PiecewiseConstantFn(bounds, self.values)
-
 
 def _resolvent(g: Graphon, spec: GameSpec, eta, order: int):
     """The one interior solve behind every closed form.
@@ -168,17 +163,16 @@ def solve_best_response(g: Graphon, br, tol: float = DEFAULT_TOL,
                         strategy_set: StrategySet | None = None) -> GraphonEquilibrium:
     """Generic best-response iteration on the kernel's natural partition.
 
-    ``br(z, mids)`` maps the per-cell aggregate array and the cell midpoints
-    to the per-cell best responses. The caller is responsible for supplying
-    a contractive map; the iteration starts from the zero profile and stops
-    when the sup-norm change drops below ``tol``.
+    ``br(z)`` maps the per-cell aggregate array to the per-cell best
+    responses. The caller is responsible for supplying a contractive map;
+    the iteration starts from the zero profile and stops when the sup-norm
+    change drops below ``tol``.
     """
     bounds = g.cell_boundaries()
-    mids = 0.5 * (bounds[:-1] + bounds[1:])
     a = g.operator_matrix()
     s = np.zeros(a.shape[0])
     for it in range(1, max_iter + 1):
-        s_new = np.asarray(br(a @ s, mids), dtype=float)
+        s_new = np.asarray(br(a @ s), dtype=float)
         delta = float(np.max(np.abs(s_new - s)))
         s = s_new
         if delta <= tol:
@@ -189,7 +183,7 @@ def solve_best_response(g: Graphon, br, tol: float = DEFAULT_TOL,
             f"{max_iter} iterations"
         )
     z = a @ s
-    residual = float(np.max(np.abs(np.asarray(br(z, mids), dtype=float) - s)))
+    residual = float(np.max(np.abs(np.asarray(br(z), dtype=float) - s)))
     interior = strategy_set.is_interior(s) if strategy_set is not None else True
     return GraphonEquilibrium(
         strategy=PiecewiseConstantFn(bounds, s),
@@ -206,30 +200,22 @@ def solve_fixed_point(g: Graphon, spec: GameSpec, eta,
     """Projected best-response fixed point of a linear-quadratic game.
 
     Iterates s <- clamp(theta1 + theta2 * (W s)) from the zero profile until
-    the sup-norm change is at most ``tol``. Requires a positive contraction
-    margin at ``eta``; under that margin the map is a contraction and the
-    unique equilibrium is reached from any start.
+    the sup-norm change is at most ``tol``, with the per-cell heterogeneity
+    of :meth:`GameSpec.cell_thetas` (``eta`` must lie in the box). Requires
+    a positive contraction margin at ``eta``; under that margin the map is
+    a contraction and the unique equilibrium is reached from any start.
     """
+    th1, th2 = spec.cell_thetas(g, eta)
     margin = contraction_margin(spec, g, eta=eta)
     if margin <= 0.0:
         raise NotAContraction(
             f"contraction margin {margin} is not positive at eta={np.asarray(eta).tolist()}"
         )
-    # contraction_margin has already refused a community game on a kernel
-    # that is not a block kernel
-    pi = g.pi if isinstance(spec, LQSBM) else None
-    bounds = g.cell_boundaries()
-    mids = 0.5 * (bounds[:-1] + bounds[1:])
-    th1, th2 = spec.theta_profile(eta, mids, pi=pi)
     lo, hi = spec.strategy_set.lower, spec.strategy_set.upper
-
-    def br(z, _mids):
-        return np.clip(th1 + th2 * z, lo, hi)
-
-    eq = solve_best_response(
-        g, br, tol=tol, max_iter=max_iter, strategy_set=spec.strategy_set
+    return solve_best_response(
+        g, lambda z: np.clip(th1 + th2 * z, lo, hi), tol=tol,
+        max_iter=max_iter, strategy_set=spec.strategy_set,
     )
-    return eq
 
 
 # Array-level closed forms on the natural partition, all thin calls to

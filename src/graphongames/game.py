@@ -2,10 +2,13 @@
 
 A game couples a compact interval strategy set, a box of admissible
 parameter vectors, and a map from the parameter vector to the per-agent
-heterogeneity pair (standalone marginal return, aggregate effect). On a
-kernel's natural partition that map is affine, theta1 = b1 + D1 eta and
-theta2 = b2 + D2 eta; :meth:`GameSpec.affine_maps` describes it once for
-every solver.
+heterogeneity pair (standalone marginal return, aggregate effect). An
+agent's pair depends on its position only through the cell of the kernel's
+natural partition that holds it, and on those cells the map is affine,
+theta1 = b1 + D1 eta and theta2 = b2 + D2 eta. :meth:`GameSpec.affine_maps`
+describes it once; every solver reads theta there, at the cells of its
+agents or of the partition itself. A new game is its affine maps plus
+validation.
 """
 
 from __future__ import annotations
@@ -132,9 +135,12 @@ class GameSpec:
         _, _, _, d2 = self.affine_maps(g)
         return np.any(d2 != 0.0, axis=0)
 
-    def theta_profile(self, eta, points, pi=None):
-        """Heterogeneity arrays (theta1, theta2) at given agent positions."""
-        raise NotImplementedError
+    def cell_thetas(self, g: Graphon, eta):
+        """Per-cell heterogeneity (theta1, theta2) on ``g``'s partition at
+        ``eta``. Raises ParameterOutOfBox unless ``eta`` lies in the box."""
+        e = _check_in_box(self.xi, eta)
+        b1, d1, b2, d2 = self.affine_maps(g)
+        return b1 + d1 @ e, b2 + d2 @ e
 
 
 @dataclass
@@ -155,11 +161,6 @@ class LQHomogeneous(GameSpec):
         ones, zeros = np.ones((n, 1)), np.zeros((n, 1))
         return (np.zeros(n), np.hstack([ones, zeros]),
                 np.zeros(n), np.hstack([zeros, ones]))
-
-    def theta_profile(self, eta, points, pi=None):
-        e = _check_in_box(self.xi, eta)
-        n = np.asarray(points, dtype=float).size
-        return np.full(n, e[0]), np.full(n, e[1])
 
 
 @dataclass
@@ -185,22 +186,11 @@ class LQSBM(GameSpec):
                 "a community game needs a block kernel carrying the communities"
             )
         k = g.n_communities
+        if k != self.xi.dim:
+            raise ValueError(
+                f"kernel has {k} communities, parameter box {self.xi.dim}"
+            )
         return np.full(k, self.theta1), np.zeros((k, k)), np.zeros(k), np.eye(k)
-
-    def theta_profile(self, eta, points, pi=None):
-        if pi is None:
-            raise ValueError("community weights are required for this game")
-        e = _check_in_box(self.xi, eta)
-        pi = np.asarray(pi, dtype=float)
-        if pi.size != e.size:
-            raise ValueError("eta and community weights disagree in length")
-        pts = np.asarray(points, dtype=float)
-        bounds = np.concatenate([[0.0], np.cumsum(pi)])
-        bounds[-1] = 1.0
-        idx = np.clip(
-            np.searchsorted(bounds, pts, side="right") - 1, 0, pi.size - 1
-        )
-        return np.full(pts.size, self.theta1), e[idx]
 
 
 def _check_in_box(xi: ParameterBox, eta) -> np.ndarray:
@@ -222,12 +212,6 @@ def lq_payoff(s: float, z: float, theta) -> float:
 def best_response(z: float, theta, strategy_set: StrategySet) -> float:
     """Maximizer of the quadratic payoff clamped to the strategy interval."""
     return float(strategy_set.clamp(theta[0] + theta[1] * z))
-
-
-def theta_of_eta(spec: GameSpec, eta, x: float, pi=None):
-    """Heterogeneity pair (theta1, theta2) of the agent at position x."""
-    t1, t2 = spec.theta_profile(eta, np.asarray([x], dtype=float), pi=pi)
-    return float(t1[0]), float(t2[0])
 
 
 def contraction_margin(spec: GameSpec, g: Graphon, eta=None) -> float:

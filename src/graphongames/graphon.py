@@ -43,9 +43,10 @@ class Graphon:
 
     def cell_index(self, x) -> np.ndarray:
         """Cell of each point. Cells are half-open [left, right) with the
-        final cell closed, so x = 1 belongs to the last cell."""
+        final cell closed, so x = 1 belongs to the last cell. Raises
+        OutOfDomain on any point not in [0, 1], NaN included."""
         xs = np.asarray(x, dtype=float)
-        if np.any(xs < 0.0) or np.any(xs > 1.0):
+        if not np.all((xs >= 0.0) & (xs <= 1.0)):
             raise OutOfDomain("kernel argument outside [0, 1]")
         bounds = self.cell_boundaries()
         idx = np.searchsorted(bounds, xs, side="right") - 1

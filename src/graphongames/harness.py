@@ -120,12 +120,6 @@ class RunRecord:
     failure: str = ""
 
 
-def _game_pi(config: ExperimentConfig):
-    if isinstance(config.game, LQSBM):
-        return config.graphon.pi
-    return None
-
-
 def derive_run_seed(master_seed: int, run_index: int, n: int) -> int:
     """Per-run stream key: numpy's SeedSequence hashes the entropy tuple
     (master_seed, run_index, n) into one 64-bit word. SeedSequence output is
@@ -149,7 +143,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
     g = config.graphon
     game = config.game
     eta_true = np.asarray(config.eta_true, dtype=float)
-    pi = _game_pi(config)
     true_fn = model_equilibrium_fn(g, game, eta_true)
     n_params = game.xi.dim
     records: list[RunRecord] = []
@@ -164,7 +157,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
                 neq = solve_network_game(
                     net, game, eta_true,
                     tol=config.solver.tol, max_iter=config.solver.max_iter,
-                    pi=pi,
                 )
                 obs = observe(net, neq)
                 l2 = l2_distance(obs, true_fn)

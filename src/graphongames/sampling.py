@@ -26,7 +26,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import NoConvergence, NotAContraction
 from .functionspace import PiecewiseConstantFn, interpolate_equilibrium
-from .game import GameSpec, LQSBM
+from .game import GameSpec
 from .graphon import Graphon
 
 DEFAULT_TOL = 1e-10
@@ -42,12 +42,15 @@ class SampledNetwork:
 
     ``labels`` are the sorted agent positions in [0, 1]; ``adjacency`` is
     the symmetric hollow 0-1 matrix; ``seed`` is the integer the generator
-    was keyed with (None for networks read back from files).
+    was keyed with (None for networks read back from files); ``graphon`` is
+    the kernel whose cells the labels index, so a game reads each agent's
+    heterogeneity at its label's cell.
     """
 
     labels: np.ndarray
     adjacency: np.ndarray
     seed: int | None
+    graphon: Graphon
 
     @property
     def n_agents(self) -> int:
@@ -89,13 +92,8 @@ def sample_network(g: Graphon, n: int, seed: int) -> SampledNetwork:
         block = adjacency[start:stop, start:]
         block[upper] = rng.random(probs.size) < probs
     adjacency |= adjacency.T
-    return SampledNetwork(labels=labels, adjacency=adjacency, seed=int(seed))
-
-
-def _network_thetas(net: SampledNetwork, spec: GameSpec, eta, pi):
-    if isinstance(spec, LQSBM) and pi is None:
-        raise ValueError("community weights are required for this game")
-    return spec.theta_profile(eta, net.labels, pi=pi)
+    return SampledNetwork(labels=labels, adjacency=adjacency, seed=int(seed),
+                          graphon=g)
 
 
 def network_spectral_radius(net: SampledNetwork, rtol: float = 1e-8) -> float:
@@ -139,7 +137,9 @@ def solve_network_game(net: SampledNetwork, spec: GameSpec, eta,
                        pi=None, method: str = "iterate") -> NetworkEquilibrium:
     """Equilibrium of the finite game on a sampled network.
 
-    Agent i's heterogeneity is the game's pair at position t_i. With
+    Agent i's heterogeneity is the game's per-cell pair
+    (:meth:`GameSpec.cell_thetas`, which checks ``eta`` against the box) at
+    the cell of ``net.graphon`` holding its label t_i. ``pi`` is ignored. With
     ``method="iterate"`` the projected best response
     s <- clamp(theta1 + theta2 * (P s) / N) is iterated from zero to
     sup-norm tolerance ``tol``; with ``method="direct"`` the interior linear
@@ -158,7 +158,10 @@ def solve_network_game(net: SampledNetwork, spec: GameSpec, eta,
 
     ``NotAContraction`` is raised when both fail.
     """
-    th1, th2 = _network_thetas(net, spec, eta, pi)
+    # pi is ignored but kept: perfbench/bench.py still passes it (ROADMAP item 1)
+    th1, th2 = spec.cell_thetas(net.graphon, eta)
+    cells = net.graphon.cell_index(net.labels)
+    th1, th2 = th1[cells], th2[cells]
     n = net.n_agents
     certificate, margin = _contraction_certificate(net, th2)
     p = net.adjacency.astype(float)
@@ -213,15 +216,18 @@ def write_network(net: SampledNetwork, edges_path, labels_path) -> None:
             fh.write(f"{t:.17g}\n")
 
 
-def read_network(edges_path, labels_path) -> SampledNetwork:
-    """Read back what :func:`write_network` wrote. Raises ValueError unless
-    there is at least one label, the labels are sorted ascending and the
-    edges are distinct pairs of distinct agents in range."""
+def read_network(edges_path, labels_path, g: Graphon) -> SampledNetwork:
+    """Read back what :func:`write_network` wrote, as a network on kernel
+    ``g``. Raises ValueError unless there is at least one label, every label
+    lies in [0, 1], the labels are sorted ascending and the edges are
+    distinct pairs of distinct agents in range."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # empty: caught below
         labels = np.atleast_1d(np.loadtxt(labels_path, dtype=float))
     if labels.size == 0:
         raise ValueError(f"{labels_path}: no labels")
+    if not np.all((labels >= 0.0) & (labels <= 1.0)):
+        raise ValueError(f"{labels_path}: a label does not lie in [0, 1]")
     if np.any(np.diff(labels) < 0.0):
         raise ValueError(f"{labels_path}: labels are not sorted ascending")
     n = labels.size
@@ -240,4 +246,5 @@ def read_network(edges_path, labels_path) -> SampledNetwork:
         adjacency[pairs[:, 1], pairs[:, 0]] = 1
         if np.count_nonzero(adjacency) < 2 * len(pairs):
             raise ValueError(f"{edges_path}: duplicate pair")
-    return SampledNetwork(labels=labels, adjacency=adjacency, seed=None)
+    return SampledNetwork(labels=labels, adjacency=adjacency, seed=None,
+                          graphon=g)

@@ -16,6 +16,7 @@ from graphongames import (
     LQHomogeneous,
     LQSBM,
     ParameterBox,
+    PiecewiseConstantFn,
     SBMGraphon,
     StrategySet,
     estimate,
@@ -77,7 +78,8 @@ def test_criterion_1_oracle_equivalence(sbm4, sbm4_game):
         started = time.perf_counter()
         eq = solve_fixed_point(sbm4, sbm4_game, ETA4)
         block = solve_lq_sbm(Q4, PI4, 1.0, ETA4)
-        assert sup_distance(eq.strategy, block.to_piecewise(PI4)) <= 1e-9
+        closed = PiecewiseConstantFn(sbm4.cell_boundaries(), block.values)
+        assert sup_distance(eq.strategy, closed) <= 1e-9
 
         rng = np.random.default_rng(2024)
         for _ in range(20):
@@ -102,7 +104,8 @@ def test_criterion_1_oracle_equivalence(sbm4, sbm4_game):
                     strategy_set=StrategySet(0.0, 1e6),
                     xi=ParameterBox(np.zeros(k), eta + 1.0),
                 )
-                closed = solve_lq_sbm(q, pi, 1.0, eta).to_piecewise(pi)
+                closed = PiecewiseConstantFn(
+                    g.cell_boundaries(), solve_lq_sbm(q, pi, 1.0, eta).values)
             iterated = solve_fixed_point(g, spec, eta).strategy
             assert sup_distance(iterated, closed) <= 1e-9
         assert time.perf_counter() - started < 5.0
@@ -223,7 +226,7 @@ def test_criterion_9_hessian_diagnostics(sbm4, sbm4_game):
         for run in range(runs):
             seed = derive_run_seed(777, run, 1600)
             net = sample_network(sbm4, 1600, seed)
-            neq = solve_network_game(net, sbm4_game, ETA4, pi=PI4)
+            neq = solve_network_game(net, sbm4_game, ETA4)
             sampled_obs = observe(net, neq)
             info = hessian(sampled_obs, sbm4, sbm4_game, ETA4)
             if info.min_eigenvalue > 0.0:

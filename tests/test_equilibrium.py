@@ -12,6 +12,8 @@ from graphongames import (
     NotAContraction,
     NotInterior,
     ParameterBox,
+    ParameterOutOfBox,
+    PiecewiseConstantFn,
     SBMGraphon,
     SpectralConditionViolated,
     StrategySet,
@@ -115,11 +117,6 @@ class TestBlockClosedForm:
         with pytest.raises(SpectralConditionViolated):
             solve_lq_sbm(Q2, PI2, 1.0, [1.1 / lam, 0.1])
 
-    def test_to_piecewise(self):
-        block = solve_lq_sbm(Q2, PI2, 1.0, [0.5, 0.5])
-        fn = block.to_piecewise(PI2)
-        assert fn(0.1) == block.values[0] and fn(0.9) == block.values[1]
-
 
 class TestFixedPoint:
     def test_constant_graphon_interior(self):
@@ -153,6 +150,10 @@ class TestFixedPoint:
         with pytest.raises(NotAContraction):
             solve_fixed_point(ConstantGraphon(1.0), spec, [1.0, 1.2])
 
+    def test_eta_outside_box_rejected(self, sbm4, sbm4_game):
+        with pytest.raises(ParameterOutOfBox):
+            solve_fixed_point(sbm4, sbm4_game, [2.0, 0.6, 1.0, 0.8])
+
     def test_no_convergence_on_impossible_tolerance(self, sbm4, sbm4_game):
         with pytest.raises(NoConvergence):
             solve_fixed_point(sbm4, sbm4_game, ETA4, tol=0.0, max_iter=5)
@@ -170,7 +171,7 @@ class TestFixedPoint:
 
     def test_generic_best_response_driver(self, sbm2):
         # a non-LQ response: relaxation toward a saturating function
-        def br(z, mids):
+        def br(z):
             return 0.5 * np.tanh(z) + 0.3
 
         eq = solve_best_response(sbm2, br, tol=1e-12)
@@ -201,7 +202,8 @@ class TestOracleEquivalence:
                     strategy_set=StrategySet(0.0, 1e6),
                     xi=ParameterBox(np.zeros(k), eta + 1.0),
                 )
-                direct = solve_lq_sbm(q, pi, 1.0, eta).to_piecewise(pi)
+                direct = PiecewiseConstantFn(
+                    g.cell_boundaries(), solve_lq_sbm(q, pi, 1.0, eta).values)
             iterated = solve_fixed_point(g, spec, eta, tol=1e-12).strategy
             assert sup_distance(iterated, direct) <= 1e-11
 

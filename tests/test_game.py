@@ -8,13 +8,10 @@ from graphongames import (
     LQHomogeneous,
     LQSBM,
     ParameterBox,
-    ParameterOutOfBox,
-    SBMGraphon,
     StrategySet,
     best_response,
     contraction_margin,
     lq_payoff,
-    theta_of_eta,
 )
 from conftest import ETA4, PI4, Q4
 
@@ -100,27 +97,31 @@ class TestBestResponse:
         assert lhs <= abs(t2) * abs(z1 - z2) + 1e-12
 
 
+def _theta_at(spec, g, eta, x):
+    """(theta1, theta2) of the agent at label ``x``: the cell thetas of
+    ``g``'s partition read at the cell that holds ``x``."""
+    t1, t2 = spec.cell_thetas(g, eta)
+    i = int(g.cell_index(x))
+    return float(t1[i]), float(t2[i])
+
+
 class TestThetaOfEta:
-    def test_homogeneous(self, homogeneous_game):
+    def test_homogeneous(self, homogeneous_game, sbm4):
         for x in (0.0, 0.4, 1.0):
-            assert theta_of_eta(homogeneous_game, [0.8, 0.6], x) == (0.8, 0.6)
+            assert _theta_at(homogeneous_game, sbm4, [0.8, 0.6], x) == (0.8, 0.6)
 
-    def test_benchmark_communities(self, sbm4_game):
-        assert theta_of_eta(sbm4_game, ETA4, 0.3, pi=PI4) == (1.0, 0.6)
-        assert theta_of_eta(sbm4_game, ETA4, 0.1, pi=PI4) == (1.0, 0.8)
-        assert theta_of_eta(sbm4_game, ETA4, 0.99, pi=PI4) == (1.0, 0.8)
+    def test_benchmark_communities(self, sbm4_game, sbm4):
+        assert _theta_at(sbm4_game, sbm4, ETA4, 0.3) == (1.0, 0.6)
+        assert _theta_at(sbm4_game, sbm4, ETA4, 0.1) == (1.0, 0.8)
+        assert _theta_at(sbm4_game, sbm4, ETA4, 0.99) == (1.0, 0.8)
 
-    def test_closed_last_community(self, sbm4_game):
-        assert theta_of_eta(sbm4_game, ETA4, 1.0, pi=PI4) == (1.0, ETA4[-1])
-
-    def test_out_of_box(self, sbm4_game):
-        with pytest.raises(ParameterOutOfBox):
-            theta_of_eta(sbm4_game, [2.0, 0.6, 1.0, 0.8], 0.3, pi=PI4)
+    def test_closed_last_community(self, sbm4_game, sbm4):
+        assert _theta_at(sbm4_game, sbm4, ETA4, 1.0) == (1.0, ETA4[-1])
 
     def test_profile_matches_community_partition(self, sbm4_game, sbm4):
         mids = np.array([0.125, 0.375, 0.625, 0.875])
-        _, t2 = sbm4_game.theta_profile(ETA4, mids, pi=PI4)
-        assert np.array_equal(t2, ETA4)
+        _, t2 = sbm4_game.cell_thetas(sbm4, ETA4)
+        assert np.array_equal(t2[sbm4.cell_index(mids)], ETA4)
 
 
 class TestAffineMaps:
@@ -138,6 +139,10 @@ class TestAffineMaps:
         assert np.array_equal(b2 + d2 @ ETA4, ETA4)
         assert sbm4_game.aggregate_mask(sbm4).tolist() == [True] * 4
         assert sbm4_game.aggregate_coefficient(sbm4, ETA4) == np.max(ETA4)
+
+    def test_community_count_must_match_the_box(self, sbm4_game, sbm2):
+        with pytest.raises(ValueError, match="communities"):
+            sbm4_game.affine_maps(sbm2)
 
     def test_coefficient_over_a_stack_is_the_largest(self, sbm4_game, sbm4):
         stack = np.array([ETA4, 0.5 * ETA4, [0.1, 1.1, 0.2, 0.3]])

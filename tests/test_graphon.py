@@ -47,6 +47,8 @@ class TestEval:
             sbm4(-0.01, 0.5)
         with pytest.raises(OutOfDomain):
             sbm4(0.5, 1.01)
+        with pytest.raises(OutOfDomain):
+            sbm4(np.nan, 0.1)
 
 
 class TestApplyOperator:

@@ -11,6 +11,7 @@ from graphongames import (
     NoConvergence,
     NotAContraction,
     ParameterBox,
+    ParameterOutOfBox,
     SampledNetwork,
     StrategySet,
     interpolate_equilibrium,
@@ -55,7 +56,8 @@ def smooth_grid_kernel(m=100):
 def network(adjacency):
     n = adjacency.shape[0]
     return SampledNetwork(labels=(np.arange(n) + 0.5) / n,
-                          adjacency=adjacency.astype(np.int8), seed=None)
+                          adjacency=adjacency.astype(np.int8), seed=None,
+                          graphon=ConstantGraphon(1.0))
 
 
 def star(n):
@@ -160,14 +162,14 @@ class TestSolveNetworkGame:
     def test_direct_matches_iteration_when_interior(self, sbm4, sbm4_game):
         net = sample_network(sbm4, 300, seed=11)
         tol = 1e-12
-        it = solve_network_game(net, sbm4_game, ETA4, tol=tol, pi=PI4)
-        direct = solve_network_game(net, sbm4_game, ETA4, pi=PI4, method="direct")
+        it = solve_network_game(net, sbm4_game, ETA4, tol=tol)
+        direct = solve_network_game(net, sbm4_game, ETA4, method="direct")
         assert it.interior and direct.interior
         assert np.abs(it.strategies - direct.strategies).max() <= 10 * tol
 
     def test_residual_and_interior_flags(self, sbm4, sbm4_game):
         net = sample_network(sbm4, 120, seed=13)
-        eq = solve_network_game(net, sbm4_game, ETA4, pi=PI4)
+        eq = solve_network_game(net, sbm4_game, ETA4)
         assert eq.residual <= 1e-10
         assert eq.interior
 
@@ -226,7 +228,7 @@ class TestSolveNetworkGame:
 
         monkeypatch.setattr(sampling, "network_spectral_radius", no_eigensolve)
         net = sample_network(sbm4, 300, seed=11)
-        eq = solve_network_game(net, sbm4_game, ETA4, pi=PI4)
+        eq = solve_network_game(net, sbm4_game, ETA4)
         th2 = ETA4[np.minimum((net.labels * 4).astype(int), 3)]
         degrees = net.adjacency.sum(axis=1)
         assert eq.certificate == "row_sum"
@@ -234,10 +236,37 @@ class TestSolveNetworkGame:
             1.0 - np.max(th2 * degrees) / 300, rel=1e-12)
         assert eq.contraction_margin > 0.0
 
-    def test_missing_pi_rejected(self, sbm4, sbm4_game):
-        net = sample_network(sbm4, 30, seed=4)
-        with pytest.raises(ValueError):
+    def test_community_game_needs_block_kernel(self, sbm4_game):
+        net = sample_network(smooth_grid_kernel(), 30, seed=4)
+        with pytest.raises(TypeError):
             solve_network_game(net, sbm4_game, ETA4)
+
+    def test_agents_take_their_label_cells_parameters(self, sbm4, sbm4_game):
+        # complete 4-agent network on sbm4: labels in communities 0, 1 and,
+        # twice, the last one, 1.0 included because the last cell is closed
+        labels = np.array([0.1, 0.3, 0.99, 1.0])
+        adjacency = np.ones((4, 4), dtype=np.int8) - np.eye(4, dtype=np.int8)
+        net = SampledNetwork(labels=labels, adjacency=adjacency, seed=None,
+                             graphon=sbm4)
+        eq = solve_network_game(net, sbm4_game, ETA4, method="direct")
+        expected = np.linalg.solve(
+            np.eye(4) - ETA4[[0, 1, 3, 3]][:, None] * adjacency / 4, np.ones(4))
+        assert np.array_equal(eq.strategies, expected)
+
+    def test_eta_outside_box_rejected(self, sbm4, sbm4_game):
+        net = sample_network(sbm4, 30, seed=4)
+        with pytest.raises(ParameterOutOfBox):
+            solve_network_game(net, sbm4_game, [2.0, 0.6, 1.0, 0.8])
+
+    def test_ignored_pi_keeps_the_benchmark_call_shape(self, sbm4, sbm4_game):
+        # perfbench/bench.py still passes pi=; delete this test and the
+        # ignored keyword at the next benchmark change (ROADMAP item 1)
+        net = sample_network(sbm4, 200, seed=9)
+        with_pi = solve_network_game(net, sbm4_game, ETA4, tol=1e-10,
+                                     max_iter=1000, pi=PI4)
+        without = solve_network_game(net, sbm4_game, ETA4, tol=1e-10,
+                                     max_iter=1000)
+        assert np.array_equal(with_pi.strategies, without.strategies)
 
 
 class TestObserve:
@@ -257,7 +286,7 @@ class TestObserve:
 
     def test_l2_norm_identity(self, sbm4, sbm4_game):
         net = sample_network(sbm4, 64, seed=8)
-        eq = solve_network_game(net, sbm4_game, ETA4, pi=PI4)
+        eq = solve_network_game(net, sbm4_game, ETA4)
         obs = observe(net, eq)
         assert obs.l2_norm() == pytest.approx(
             np.linalg.norm(eq.strategies) / np.sqrt(64), rel=1e-12
@@ -270,17 +299,17 @@ class TestNetworkIO:
         edges = tmp_path / "edges.txt"
         labels = tmp_path / "labels.txt"
         write_network(net, edges, labels)
-        back = read_network(edges, labels)
+        back = read_network(edges, labels, sbm4)
         assert np.array_equal(back.adjacency, net.adjacency)
         assert np.allclose(back.labels, net.labels, atol=1e-16)
-        assert back.seed is None
+        assert back.seed is None and back.graphon is sbm4
 
     def test_roundtrip_empty_graph(self, tmp_path):
         net = sample_network(ConstantGraphon(0.0), 5, seed=1)
         edges = tmp_path / "edges.txt"
         labels = tmp_path / "labels.txt"
         write_network(net, edges, labels)
-        back = read_network(edges, labels)
+        back = read_network(edges, labels, ConstantGraphon(0.0))
         assert not back.adjacency.any()
         assert back.labels.size == 5
 
@@ -295,10 +324,15 @@ class TestNetworkIO:
             ("0 1\n2\n", "0.1\n0.2\n0.3\n0.4\n", "odd"),
             ("0 1\n", "0.1\n0.3\n0.2\n0.4\n", "sorted"),
             ("", "", "no labels"),
+            ("0 1\n", "0.1\nnan\n0.5\n", "lie in"),
+            ("0 1\n", "0.1\n0.5\n1.5\n", "lie in"),
+            ("0 1\n", "-0.2\n0.5\n0.7\n", "lie in"),
+            ("0 1\n", "0.1\n0.2\ninf\n", "lie in"),
         ],
         ids=["index-too-large", "index-negative", "self-loop",
              "duplicate-pair", "duplicate-reversed-pair", "odd-token-count",
-             "unsorted-labels", "no-labels"],
+             "unsorted-labels", "no-labels", "nan-label", "label-above-one",
+             "negative-label", "infinite-label"],
     )
     def test_malformed_input_rejected(self, tmp_path, edges, labels, message):
         edges_path = tmp_path / "edges.txt"
@@ -306,4 +340,4 @@ class TestNetworkIO:
         edges_path.write_text(edges)
         labels_path.write_text(labels)
         with pytest.raises(ValueError, match=message):
-            read_network(edges_path, labels_path)
+            read_network(edges_path, labels_path, ConstantGraphon(0.5))
