@@ -11,8 +11,10 @@ Determinism: every byte of the results and quantile CSVs is a function of
 execute in sorted (N, run) order, and per-run seeds come from a documented
 hash, so reruns are byte-identical. Wall-clock timings are inherently not
 reproducible and therefore go to a separate sidecar file, together with
+the time of each stage (sampling, the finite-game solve, estimation) and
 the per-run solver facts (starts, evaluations, best-response iterations,
-the contraction certificate and the class of any failure).
+the finite game's residual and interior flag, the contraction certificate
+and the class of any failure).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import io
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,12 +112,19 @@ class RunRecord:
     hessian_min_eig: float
     converged: bool
     wall_time_s: float
-    # sidecar only: estimator starts and residual evaluations, the finite
-    # game's best-response iterations and contraction certificate, and the
-    # exception class of a failed run
+    # sidecar only: seconds spent sampling, solving the finite game and
+    # estimating (NaN for a stage the run did not complete), estimator
+    # starts and residual evaluations, the finite game's best-response
+    # iterations, residual, interior flag (None when unsolved) and
+    # contraction certificate, and the exception class of a failed run
+    sample_s: float = float("nan")
+    solve_s: float = float("nan")
+    estimate_s: float = float("nan")
     starts: int = 0
     evaluations: int = 0
     br_iterations: int = 0
+    residual: float = float("nan")
+    interior: bool | None = None
     certificate: str = ""
     contraction_margin: float = float("nan")
     failure: str = ""
@@ -129,13 +139,24 @@ def derive_run_seed(master_seed: int, run_index: int, n: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+@contextmanager
+def _timed(times: dict, stage: str):
+    """Store the seconds the block takes in ``times[stage]``, unless it
+    raises."""
+    started = time.perf_counter()
+    yield
+    times[stage] = time.perf_counter() - started
+
+
 def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
     """Execute the full sweep: for each network size and run index, sample,
     solve the finite game at the true parameter, observe, estimate.
 
-    Individual run failures become rows with NaN metrics, converged =
-    false and the exception class in ``failure``; they are never dropped.
-    ``progress`` is an optional callable receiving each finished record.
+    Individual run failures (the package's own errors, and the
+    ``LinAlgError`` and ``ValueError`` numpy and scipy raise on degenerate
+    input) become rows with NaN metrics, converged = false and the
+    exception class in ``failure``; they are never dropped. ``progress`` is
+    an optional callable receiving each finished record.
     """
     problems = config.validate()
     if problems:
@@ -152,18 +173,22 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
             started = time.perf_counter()
             neq = result = None
             failure = ""
+            nan = float("nan")
+            times = dict.fromkeys(("sample_s", "solve_s", "estimate_s"), nan)
             try:
-                net = sample_network(g, n, seed)
-                neq = solve_network_game(
-                    net, game, eta_true,
-                    tol=config.solver.tol, max_iter=config.solver.max_iter,
-                )
+                with _timed(times, "sample_s"):
+                    net = sample_network(g, n, seed)
+                with _timed(times, "solve_s"):
+                    neq = solve_network_game(
+                        net, game, eta_true,
+                        tol=config.solver.tol, max_iter=config.solver.max_iter,
+                    )
                 obs = observe(net, neq)
                 l2 = l2_distance(obs, true_fn)
-                result = estimate(obs, g, game, config.optimizer)
-            except GraphonGameError as exc:
+                with _timed(times, "estimate_s"):
+                    result = estimate(obs, g, game, config.optimizer)
+            except (GraphonGameError, np.linalg.LinAlgError, ValueError) as exc:
                 failure = type(exc).__name__
-            nan = float("nan")
             eta_hat = result.eta_hat if result else np.full(n_params, nan)
             record = RunRecord(
                 n=n,
@@ -177,9 +202,12 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
                 hessian_min_eig=result.hessian_min_eig if result else nan,
                 converged=bool(result and result.converged),
                 wall_time_s=time.perf_counter() - started,
+                **times,
                 starts=result.starts if result else 0,
                 evaluations=result.iterations_total if result else 0,
                 br_iterations=neq.iterations if neq else 0,
+                residual=neq.residual if neq else nan,
+                interior=neq.interior if neq else None,
                 certificate=neq.certificate if neq else "",
                 contraction_margin=neq.contraction_margin if neq else nan,
                 failure=failure,
@@ -237,11 +265,15 @@ def timings_to_csv(records: list[RunRecord]) -> str:
     """Sidecar with measured wall times and per-run solver facts, kept out
     of the deterministic CSV."""
     out = io.StringIO()
-    out.write("N,run,wall_time_s,starts,evaluations,br_iterations,"
-              "certificate,contraction_margin,failure\n")
+    out.write("N,run,wall_time_s,sample_s,solve_s,estimate_s,starts,"
+              "evaluations,br_iterations,residual,interior,certificate,"
+              "contraction_margin,failure\n")
+    interior = {True: "true", False: "false", None: ""}
     for r in records:
-        cells = [str(r.n), str(r.run), _fmt(r.wall_time_s), str(r.starts),
-                 str(r.evaluations), str(r.br_iterations), r.certificate,
+        cells = [str(r.n), str(r.run), _fmt(r.wall_time_s), _fmt(r.sample_s),
+                 _fmt(r.solve_s), _fmt(r.estimate_s), str(r.starts),
+                 str(r.evaluations), str(r.br_iterations), _fmt(r.residual),
+                 interior[r.interior], r.certificate,
                  _fmt(r.contraction_margin), r.failure]
         out.write(",".join(cells) + "\n")
     return out.getvalue()

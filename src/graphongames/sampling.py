@@ -14,6 +14,14 @@ All draws come from numpy's counter-based Philox generator keyed by a
 
 This makes a sampled network a pure function of (kernel, N, seed),
 bit-identical across platforms, thread counts and block sizes.
+
+Storage
+-------
+A network is held only as its edges: the strict upper triangle U of the
+adjacency (pairs i < j, each edge once) as a scipy CSR matrix with float64
+ones, filled row block by row block as the edges are drawn. The finite-game
+solver applies P = U + U^T as the two sparse products U s + U^T s, so no
+N x N array is formed anywhere between sampling and the equilibrium.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import NoConvergence, NotAContraction
@@ -40,21 +49,28 @@ EDGE_BLOCK_PAIRS = 1 << 18
 class SampledNetwork:
     """A 0-1 network drawn from a kernel.
 
-    ``labels`` are the sorted agent positions in [0, 1]; ``adjacency`` is
-    the symmetric hollow 0-1 matrix; ``seed`` is the integer the generator
-    was keyed with (None for networks read back from files); ``graphon`` is
-    the kernel whose cells the labels index, so a game reads each agent's
-    heterogeneity at its label's cell.
+    ``labels`` are the sorted agent positions in [0, 1]; ``upper`` is the
+    strict upper triangle of the adjacency as an N x N CSR matrix of
+    float64 ones, each edge stored once as (i, j) with i < j; ``seed`` is
+    the integer the generator was keyed with (None for networks read back
+    from files); ``graphon`` is the kernel whose cells the labels index, so
+    a game reads each agent's heterogeneity at its label's cell.
     """
 
     labels: np.ndarray
-    adjacency: np.ndarray
+    upper: sp.csr_array
     seed: int | None
     graphon: Graphon
 
     @property
     def n_agents(self) -> int:
         return self.labels.size
+
+    @property
+    def adjacency(self) -> sp.csr_array:
+        """The symmetric hollow 0-1 adjacency U + U^T, as a new CSR matrix
+        on each call."""
+        return self.upper + self.upper.T
 
 
 @dataclass
@@ -82,18 +98,41 @@ def sample_network(g: Graphon, n: int, seed: int) -> SampledNetwork:
         raise ValueError("need at least one agent")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     labels = np.sort(rng.random(n))
-    adjacency = np.zeros((n, n), dtype=np.int8)
+    cells = g.cell_index(labels)
+    kernel = g.kernel_matrix()
+    index = _index_dtype(n)
     rows = max(1, EDGE_BLOCK_PAIRS // n)
+    counts, cols = [], []
     for start in range(0, n, rows):
-        stop = min(start + rows, n)
+        stop, width = min(start + rows, n), n - start
         # columns start.. of rows start..stop-1; pairs i < j in row-major order
-        upper = np.triu(np.ones((stop - start, n - start), dtype=bool), k=1)
-        probs = g.pairwise(labels[start:stop], labels[start:])[upper]
-        block = adjacency[start:stop, start:]
-        block[upper] = rng.random(probs.size) < probs
-    adjacency |= adjacency.T
-    return SampledNetwork(labels=labels, adjacency=adjacency, seed=int(seed),
+        pairs = np.arange(width) > np.arange(stop - start)[:, None]
+        probs = np.take(kernel[cells[start:stop]], cells[start:], axis=1)[pairs]
+        hits = np.zeros(pairs.shape, dtype=bool)
+        hits[pairs] = rng.random(probs.size) < probs
+        r, c = divmod(np.flatnonzero(hits), width)
+        counts.append(np.bincount(r, minlength=stop - start))
+        cols.append((c + start).astype(index))
+    upper = _upper_csr(np.concatenate(counts), np.concatenate(cols))
+    return SampledNetwork(labels=labels, upper=upper, seed=int(seed),
                           graphon=g)
+
+
+def _index_dtype(n: int):
+    """CSR index type for an n-agent network: int32 unless n * n, which
+    bounds its edge count, needs int64."""
+    return sp.get_index_dtype(maxval=n * n)
+
+
+def _upper_csr(row_counts, cols) -> sp.csr_array:
+    """The CSR matrix with ones at the given columns, row by row:
+    ``row_counts[i]`` entries in row i, taken in order from ``cols``."""
+    n = row_counts.size
+    index = _index_dtype(n)
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(row_counts, out=indptr[1:])
+    return sp.csr_array((np.ones(cols.size), cols.astype(index, copy=False),
+                         indptr), shape=(n, n))
 
 
 def network_spectral_radius(net: SampledNetwork, rtol: float = 1e-8) -> float:
@@ -105,10 +144,10 @@ def network_spectral_radius(net: SampledNetwork, rtol: float = 1e-8) -> float:
     tie in magnitude, as on bipartite networks.
     """
     n = net.n_agents
-    if not net.adjacency.any():
+    if net.upper.nnz == 0:
         return 0.0  # ARPACK rejects a start vector that P maps to zero
     try:
-        lam = eigsh(net.adjacency.astype(float), k=1, which="LA",
+        lam = eigsh(net.adjacency, k=1, which="LA",
                     v0=np.ones(n), tol=rtol, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         raise NoConvergence(f"network eigensolve did not converge: {exc}") from None
@@ -118,8 +157,8 @@ def network_spectral_radius(net: SampledNetwork, rtol: float = 1e-8) -> float:
 def _contraction_certificate(net: SampledNetwork, th2) -> tuple[str, float]:
     """The cheapest check that admits the best-response map as a
     contraction, and its margin. Raises NotAContraction when none does."""
-    n = net.n_agents
-    degrees = net.adjacency.sum(axis=1, dtype=np.int64)
+    n, upper, ones = net.n_agents, net.upper, np.ones(net.n_agents)
+    degrees = upper @ ones + upper.T @ ones  # P 1, exact in float64
     margin = 1.0 - float(np.max(np.abs(th2) * degrees)) / n
     if margin > 0.0:
         return "row_sum", margin
@@ -156,7 +195,9 @@ def solve_network_game(net: SampledNetwork, spec: GameSpec, eta,
     2. ``"spectral"``: max |theta2| * lambda_max(P / N) < 1, by an
        eigensolve, run only when the row-sum check fails.
 
-    ``NotAContraction`` is raised when both fail.
+    ``NotAContraction`` is raised when both fail. The iteration applies
+    P = U + U^T as two sparse products on ``net.upper``; ``method="direct"``
+    densifies P and costs O(N^3), so it serves as a test oracle.
     """
     # pi is ignored but kept: perfbench/bench.py still passes it (ROADMAP item 1)
     th1, th2 = spec.cell_thetas(net.graphon, eta)
@@ -164,16 +205,16 @@ def solve_network_game(net: SampledNetwork, spec: GameSpec, eta,
     th1, th2 = th1[cells], th2[cells]
     n = net.n_agents
     certificate, margin = _contraction_certificate(net, th2)
-    p = net.adjacency.astype(float)
+    u, ut = net.upper, net.upper.T
     lo, hi = spec.strategy_set.lower, spec.strategy_set.upper
     if method == "direct":
-        system = np.eye(n) - (th2[:, None] / n) * p
+        system = np.eye(n) - (th2[:, None] / n) * net.adjacency.toarray()
         s = np.linalg.solve(system, th1)
         iterations = 0
     elif method == "iterate":
         s = np.zeros(n)
         for iterations in range(1, max_iter + 1):
-            s_new = np.clip(th1 + th2 * (p @ s) / n, lo, hi)
+            s_new = np.clip(th1 + th2 * (u @ s + ut @ s) / n, lo, hi)
             delta = float(np.max(np.abs(s_new - s)))
             s = s_new
             if delta <= tol:
@@ -184,7 +225,7 @@ def solve_network_game(net: SampledNetwork, spec: GameSpec, eta,
             )
     else:
         raise ValueError(f"unknown method {method!r}")
-    z = p @ s / n
+    z = (u @ s + ut @ s) / n
     residual = float(np.max(np.abs(s - np.clip(th1 + th2 * z, lo, hi))))
     return NetworkEquilibrium(
         strategies=s,
@@ -205,12 +246,13 @@ def observe(net: SampledNetwork, eq: NetworkEquilibrium) -> PiecewiseConstantFn:
 
 def write_network(net: SampledNetwork, edges_path, labels_path) -> None:
     """Export for debugging and cross-implementation comparison: an edge
-    list ("i j" per line, 0-indexed, i < j) and one label per line."""
-    iu, ju = np.triu_indices(net.n_agents, k=1)
-    mask = net.adjacency[iu, ju] > 0
+    list ("i j" per line, 0-indexed, i < j, in row-major order) and one
+    label per line."""
+    indptr, indices = net.upper.indptr, net.upper.indices
     with open(edges_path, "w", newline="\n") as fh:
-        for i, j in zip(iu[mask], ju[mask]):
-            fh.write(f"{i} {j}\n")
+        for i in range(net.n_agents):
+            row = indices[indptr[i]:indptr[i + 1]]
+            fh.writelines(f"{i} {j}\n" for j in row.tolist())
     with open(labels_path, "w", newline="\n") as fh:
         for t in net.labels:
             fh.write(f"{t:.17g}\n")
@@ -231,20 +273,21 @@ def read_network(edges_path, labels_path, g: Graphon) -> SampledNetwork:
     if np.any(np.diff(labels) < 0.0):
         raise ValueError(f"{labels_path}: labels are not sorted ascending")
     n = labels.size
-    adjacency = np.zeros((n, n), dtype=np.int8)
     with open(edges_path) as fh:
         tokens = fh.read().split()
     if len(tokens) % 2:
         raise ValueError(f"{edges_path}: odd number of agent indices")
+    pairs = np.array(tokens, dtype=np.int64).reshape(-1, 2)
     if tokens:
-        pairs = np.array(tokens, dtype=int).reshape(-1, 2)
         if pairs.min() < 0 or pairs.max() >= n:
             raise ValueError(f"{edges_path}: agent index outside 0..{n - 1}")
         if np.any(pairs[:, 0] == pairs[:, 1]):
             raise ValueError(f"{edges_path}: self-loop")
-        adjacency[pairs[:, 0], pairs[:, 1]] = 1
-        adjacency[pairs[:, 1], pairs[:, 0]] = 1
-        if np.count_nonzero(adjacency) < 2 * len(pairs):
-            raise ValueError(f"{edges_path}: duplicate pair")
-    return SampledNetwork(labels=labels, adjacency=adjacency, seed=None,
-                          graphon=g)
+    # each pair as (i, j) with i < j, keyed i * n + j: row-major once sorted
+    i, j = pairs.T
+    keys = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError(f"{edges_path}: duplicate pair")
+    rows, cols = divmod(keys, n)
+    upper = _upper_csr(np.bincount(rows, minlength=n), cols)
+    return SampledNetwork(labels=labels, upper=upper, seed=None, graphon=g)

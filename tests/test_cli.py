@@ -199,8 +199,9 @@ class TestSampleAndExperiment:
         assert "err_inf" in quant
         timing = (tmp_path / "res.csv.timings.csv").read_text()
         assert timing.splitlines()[0] == (
-            "N,run,wall_time_s,starts,evaluations,br_iterations,"
-            "certificate,contraction_margin,failure"
+            "N,run,wall_time_s,sample_s,solve_s,estimate_s,starts,"
+            "evaluations,br_iterations,residual,interior,certificate,"
+            "contraction_margin,failure"
         )
         assert len(timing.splitlines()) == 3
 

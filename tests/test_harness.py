@@ -7,6 +7,7 @@ from graphongames import (
     LQSBM,
     RunRecord,
     derive_run_seed,
+    estimate,
     run_experiment,
     summarize_quantiles,
 )
@@ -191,29 +192,61 @@ class TestRunExperiment:
         # the finite game solved before the estimator failed
         row = timings_to_csv(records).splitlines()[1].split(",")
         assert row[:2] == ["30", "0"]
-        assert row[3:5] == ["0", "0"]
-        assert int(row[5]) > 0 and row[6] == "row_sum"
-        assert 0.0 < float(row[7]) < 1.0
-        assert row[8] == "NoConvergence"
+        assert float(row[3]) >= 0.0 and float(row[4]) >= 0.0
+        assert np.isnan(float(row[5]))  # estimation never finished
+        assert row[6:8] == ["0", "0"]
+        assert int(row[8]) > 0 and float(row[9]) <= 1e-10
+        assert row[10] == "true" and row[11] == "row_sum"
+        assert 0.0 < float(row[12]) < 1.0
+        assert row[13] == "NoConvergence"
+
+    def test_linear_algebra_failure_does_not_abort_the_sweep(self,
+                                                             monkeypatch):
+        import graphongames.harness as harness
+
+        calls = []
+
+        def singular_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "estimate", singular_once)
+        records = run_experiment(small_config())
+        assert len(records) == 4 and len(calls) == 4
+        failed = records[1]
+        assert (failed.n, failed.run) == (30, 1)
+        assert failed.failure == "LinAlgError" and not failed.converged
+        assert np.all(np.isnan(failed.eta_hat))
+        for r in (records[0], *records[2:]):
+            assert r.failure == "" and r.converged
 
     def test_timings_sidecar(self):
         records = run_experiment(small_config())
         lines = timings_to_csv(records).splitlines()
         assert lines[0].split(",") == [
-            "N", "run", "wall_time_s", "starts", "evaluations",
-            "br_iterations", "certificate", "contraction_margin", "failure",
+            "N", "run", "wall_time_s", "sample_s", "solve_s", "estimate_s",
+            "starts", "evaluations", "br_iterations", "residual", "interior",
+            "certificate", "contraction_margin", "failure",
         ]
         assert len(lines) == len(records) + 1
         for line, r in zip(lines[1:], records):
             cells = line.split(",")
             assert cells[:2] == [str(r.n), str(r.run)]
             assert float(cells[2]) == r.wall_time_s
-            assert int(cells[3]) == r.starts in (1, 9)
-            assert int(cells[4]) == r.evaluations >= r.starts
-            assert int(cells[5]) == r.br_iterations > 0
-            assert cells[6] == r.certificate == "row_sum"
-            assert float(cells[7]) == r.contraction_margin > 0.0
-            assert cells[8] == r.failure == ""
+            stages = [r.sample_s, r.solve_s, r.estimate_s]
+            assert [float(c) for c in cells[3:6]] == stages
+            assert all(np.isfinite(t) and t >= 0.0 for t in stages)
+            assert sum(stages) <= r.wall_time_s
+            assert int(cells[6]) == r.starts in (1, 9)
+            assert int(cells[7]) == r.evaluations >= r.starts
+            assert int(cells[8]) == r.br_iterations > 0
+            assert float(cells[9]) == r.residual <= 1e-10
+            assert cells[10] == "true" and r.interior is True
+            assert cells[11] == r.certificate == "row_sum"
+            assert float(cells[12]) == r.contraction_margin > 0.0
+            assert cells[13] == r.failure == ""
 
     def test_csv_bytes_reproducible(self, tmp_path):
         config = small_config()

@@ -1,7 +1,10 @@
+import hashlib
+import tracemalloc
 from math import isqrt
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from graphongames import (
@@ -53,11 +56,26 @@ def smooth_grid_kernel(m=100):
                        * (0.4 + 0.6 * np.sqrt(np.outer(c, c))))
 
 
+def upper_csr(adjacency):
+    """The sampler's storage of a dense symmetric 0-1 matrix: its strict
+    upper triangle as CSR with float64 ones."""
+    return sp.csr_array(np.triu(adjacency, k=1).astype(float))
+
+
 def network(adjacency):
     n = adjacency.shape[0]
     return SampledNetwork(labels=(np.arange(n) + 0.5) / n,
-                          adjacency=adjacency.astype(np.int8), seed=None,
+                          upper=upper_csr(adjacency), seed=None,
                           graphon=ConstantGraphon(1.0))
+
+
+def assert_upper_csr(net):
+    """The network is CSR and holds each edge once, as (i, j) with i < j."""
+    upper = net.upper
+    assert isinstance(upper, sp.csr_array)
+    rows = np.repeat(np.arange(net.n_agents), np.diff(upper.indptr))
+    assert np.all(upper.indices > rows)
+    assert np.all(upper.data == 1.0)
 
 
 def star(n):
@@ -76,39 +94,40 @@ class TestSampleNetwork:
     def test_probability_one_gives_complete_graph(self):
         net = sample_network(ConstantGraphon(1.0), 30, seed=1)
         expected = np.ones((30, 30), dtype=np.int8) - np.eye(30, dtype=np.int8)
-        assert np.array_equal(net.adjacency, expected)
+        assert np.array_equal(net.adjacency.toarray(), expected)
 
     def test_probability_zero_gives_empty_graph(self):
         net = sample_network(ConstantGraphon(0.0), 30, seed=1)
-        assert not net.adjacency.any()
+        assert net.upper.nnz == 0
 
     def test_density_concentration(self):
         # binomial oracle: N(N-1)/2 pairs, 3 standard deviations around p
         n, p = 2000, 0.3
         net = sample_network(ConstantGraphon(p), n, seed=42)
         pairs = n * (n - 1) / 2
-        density = net.adjacency.sum() / 2 / pairs
+        density = net.upper.nnz / pairs
         sigma = np.sqrt(p * (1 - p) / pairs)
         assert abs(density - p) <= 3 * sigma
 
     def test_structure_invariants(self, sbm4):
         net = sample_network(sbm4, 200, seed=7)
         assert np.all(np.diff(net.labels) >= 0.0)
-        assert np.array_equal(net.adjacency, net.adjacency.T)
-        assert not net.adjacency.diagonal().any()
-        assert set(np.unique(net.adjacency)) <= {0, 1}
+        adjacency = net.adjacency.toarray()
+        assert np.array_equal(adjacency, adjacency.T)
+        assert not adjacency.diagonal().any()
+        assert set(np.unique(adjacency)) <= {0, 1}
 
     def test_bit_reproducibility(self, sbm4):
         a = sample_network(sbm4, 150, seed=99)
         b = sample_network(sbm4, 150, seed=99)
         assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.adjacency, b.adjacency)
+        assert np.array_equal(a.adjacency.toarray(), b.adjacency.toarray())
         c = sample_network(sbm4, 150, seed=100)
-        assert not np.array_equal(a.adjacency, c.adjacency)
+        assert not np.array_equal(a.adjacency.toarray(), c.adjacency.toarray())
 
     def test_single_agent(self):
         net = sample_network(ConstantGraphon(0.5), 1, seed=3)
-        assert net.adjacency.shape == (1, 1) and net.adjacency[0, 0] == 0
+        assert net.adjacency.shape == (1, 1) and net.upper.nnz == 0
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
@@ -122,7 +141,8 @@ ONE_BLOCK_MAX = isqrt(EDGE_BLOCK_PAIRS)
 class TestRowBlockSampler:
     @pytest.mark.parametrize("kernel", ["sbm4", "constant", "grid"])
     @pytest.mark.parametrize(
-        "n", [1, 2, 3, ONE_BLOCK_MAX - 1, ONE_BLOCK_MAX, ONE_BLOCK_MAX + 1])
+        "n", [1, 2, 3, ONE_BLOCK_MAX - 1, ONE_BLOCK_MAX, ONE_BLOCK_MAX + 1,
+              1600])  # 1600: ten row blocks, configs/sbm4.yaml's largest N
     def test_matches_one_block_sampler(self, sbm4, kernel, n):
         g = {"sbm4": sbm4, "constant": ConstantGraphon(0.4),
              "grid": smooth_grid_kernel()}[kernel]
@@ -130,8 +150,8 @@ class TestRowBlockSampler:
             labels, adjacency = triu_sampler(g, n, seed)
             net = sample_network(g, n, seed)
             assert np.array_equal(net.labels, labels)
-            assert net.adjacency.dtype == np.int8
-            assert np.array_equal(net.adjacency, adjacency)
+            assert_upper_csr(net)
+            assert np.array_equal(net.adjacency.toarray(), adjacency)
 
     @pytest.mark.parametrize("budget", [1, 7, 100, 401])
     def test_block_size_does_not_change_the_network(self, monkeypatch, sbm4,
@@ -139,7 +159,8 @@ class TestRowBlockSampler:
         # 40 agents: one row per block up to budget 79, then several
         expected = triu_sampler(sbm4, 40, 5)[1]
         monkeypatch.setattr(sampling, "EDGE_BLOCK_PAIRS", budget)
-        assert np.array_equal(sample_network(sbm4, 40, 5).adjacency, expected)
+        assert np.array_equal(sample_network(sbm4, 40, 5).adjacency.toarray(),
+                              expected)
 
 
 class TestSolveNetworkGame:
@@ -197,7 +218,7 @@ class TestSolveNetworkGame:
     def test_spectral_radius_on_bipartite_networks(self, net, lam):
         # +lam and -lam tie in magnitude: lam = sqrt(k * m) on K_{k,m}
         n = net.n_agents
-        exact = np.linalg.eigvalsh(net.adjacency.astype(float)).max()
+        exact = np.linalg.eigvalsh(net.adjacency.toarray()).max()
         assert exact == pytest.approx(lam, rel=1e-12)
         assert network_spectral_radius(net) == pytest.approx(exact / n, rel=1e-8)
 
@@ -230,7 +251,7 @@ class TestSolveNetworkGame:
         net = sample_network(sbm4, 300, seed=11)
         eq = solve_network_game(net, sbm4_game, ETA4)
         th2 = ETA4[np.minimum((net.labels * 4).astype(int), 3)]
-        degrees = net.adjacency.sum(axis=1)
+        degrees = net.adjacency.toarray().sum(axis=1)
         assert eq.certificate == "row_sum"
         assert eq.contraction_margin == pytest.approx(
             1.0 - np.max(th2 * degrees) / 300, rel=1e-12)
@@ -246,8 +267,8 @@ class TestSolveNetworkGame:
         # twice, the last one, 1.0 included because the last cell is closed
         labels = np.array([0.1, 0.3, 0.99, 1.0])
         adjacency = np.ones((4, 4), dtype=np.int8) - np.eye(4, dtype=np.int8)
-        net = SampledNetwork(labels=labels, adjacency=adjacency, seed=None,
-                             graphon=sbm4)
+        net = SampledNetwork(labels=labels, upper=upper_csr(adjacency),
+                             seed=None, graphon=sbm4)
         eq = solve_network_game(net, sbm4_game, ETA4, method="direct")
         expected = np.linalg.solve(
             np.eye(4) - ETA4[[0, 1, 3, 3]][:, None] * adjacency / 4, np.ones(4))
@@ -257,6 +278,20 @@ class TestSolveNetworkGame:
         net = sample_network(sbm4, 30, seed=4)
         with pytest.raises(ParameterOutOfBox):
             solve_network_game(net, sbm4_game, [2.0, 0.6, 1.0, 0.8])
+
+    def test_solve_allocates_no_n_by_n_array(self, sbm4, sbm4_game):
+        # a dense float64 copy of P alone would be 8 N^2 bytes; the guard
+        # is N^2 bytes, the size of an int8 adjacency matrix
+        n = 4000
+        net = sample_network(sbm4, n, seed=3)
+        tracemalloc.start()
+        try:
+            eq = solve_network_game(net, sbm4_game, ETA4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert eq.residual <= 1e-10
+        assert peak < n * n
 
     def test_ignored_pi_keeps_the_benchmark_call_shape(self, sbm4, sbm4_game):
         # perfbench/bench.py still passes pi=; delete this test and the
@@ -300,7 +335,8 @@ class TestNetworkIO:
         labels = tmp_path / "labels.txt"
         write_network(net, edges, labels)
         back = read_network(edges, labels, sbm4)
-        assert np.array_equal(back.adjacency, net.adjacency)
+        assert_upper_csr(back)
+        assert np.array_equal(back.upper.toarray(), net.upper.toarray())
         assert np.allclose(back.labels, net.labels, atol=1e-16)
         assert back.seed is None and back.graphon is sbm4
 
@@ -310,8 +346,32 @@ class TestNetworkIO:
         labels = tmp_path / "labels.txt"
         write_network(net, edges, labels)
         back = read_network(edges, labels, ConstantGraphon(0.0))
-        assert not back.adjacency.any()
+        assert back.upper.nnz == 0
         assert back.labels.size == 5
+
+    def test_file_format_is_pinned(self, tmp_path, sbm4):
+        # SHA-256 of the files written for the network of perfbench's
+        # digest gate (sbm4, N = 200, seed 20240405); 2835 edges
+        net = sample_network(sbm4, 200, seed=20240405)
+        edges = tmp_path / "edges.txt"
+        labels = tmp_path / "labels.txt"
+        write_network(net, edges, labels)
+        assert len(edges.read_bytes().splitlines()) == 2835
+        assert hashlib.sha256(edges.read_bytes()).hexdigest() == (
+            "cefdc823cc1bf5e91cebc093cbf88cde64fc88053dc339eda7267c2ed109bd7f")
+        assert hashlib.sha256(labels.read_bytes()).hexdigest() == (
+            "946547ebbd1b918723d6c4438782e03a56fc9789e3b34f8cdebb9852aa725371")
+
+    def test_edges_read_in_any_order(self, tmp_path):
+        edges_path = tmp_path / "edges.txt"
+        labels_path = tmp_path / "labels.txt"
+        edges_path.write_text("2 3\n1 0\n3 0\n")
+        labels_path.write_text("0.1\n0.2\n0.3\n0.4\n")
+        net = read_network(edges_path, labels_path, ConstantGraphon(0.5))
+        assert_upper_csr(net)
+        expected = np.zeros((4, 4))
+        expected[[0, 0, 2], [1, 3, 3]] = 1.0
+        assert np.array_equal(net.upper.toarray(), expected)
 
     @pytest.mark.parametrize(
         "edges, labels, message",
