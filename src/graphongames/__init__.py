@@ -45,12 +45,9 @@ from .game import (
     lq_payoff,
 )
 from .equilibrium import (
-    BlockEquilibrium,
     GraphonEquilibrium,
-    solve_best_response,
     solve_fixed_point,
     solve_lq_homogeneous,
-    solve_lq_sbm,
 )
 from .sampling import (
     NetworkEquilibrium,
@@ -73,7 +70,6 @@ from .estimator import (
 )
 from .diagnostics import (
     IdentifiabilityReport,
-    check_interior,
     empirical_identifiability_test,
     fd_check,
     homogeneous_identifiability,

@@ -184,8 +184,7 @@ def cmd_diagnose(args) -> int:
     config = _load_valid_config(args)
     eta = np.asarray(config.eta_true, dtype=float)
     if isinstance(config.game, LQSBM):
-        g = config.graphon
-        report = sbm_identifiability_constant(g.q, g.pi, config.game.theta1, eta)
+        report = sbm_identifiability_constant(config.graphon, config.game, eta)
     else:
         report = homogeneous_identifiability(config.graphon, eta)
     print(f"identifiable = {'true' if report.identifiable else 'false'}")

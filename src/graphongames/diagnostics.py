@@ -1,4 +1,4 @@
-"""Identifiability analysis, interiority checks and derivative validation.
+"""Identifiability analysis and derivative validation.
 
 Identifiability here means a quantitative stability bound: the parameter
 distance is controlled by an explicit constant L times the L2 distance of
@@ -13,17 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAggregate, NotInterior
-from .game import GameSpec, StrategySet
+from .game import GameSpec
 from .graphon import Graphon
 from .equilibrium import (
-    BlockEquilibrium,
-    GraphonEquilibrium,
     second_derivative_values,
     solve_lq_homogeneous,
-    solve_lq_sbm,
     solve_values,
 )
-from .sampling import NetworkEquilibrium
 
 # An aggregate whose L2 distance to its own mean is below this counts as
 # constant, which collapses the two homogeneous parameters onto a line.
@@ -44,22 +40,6 @@ class IdentifiabilityReport:
     constant: float | None
     gamma: float | None
     detail: dict
-
-
-def _strategy_values(eq) -> np.ndarray:
-    if isinstance(eq, GraphonEquilibrium):
-        return eq.strategy.values
-    if isinstance(eq, NetworkEquilibrium):
-        return eq.strategies
-    if isinstance(eq, BlockEquilibrium):
-        return eq.values
-    return np.asarray(eq, dtype=float)
-
-
-def check_interior(eq, strategy_set: StrategySet, rel_tol: float = 1e-9) -> bool:
-    """True iff every strategy value keeps a distance greater than
-    rel_tol * (upper - lower) from both strategy bounds."""
-    return strategy_set.is_interior(_strategy_values(eq), rel_tol=rel_tol)
 
 
 def homogeneous_identifiability(g: Graphon, eta_bar,
@@ -110,20 +90,21 @@ def homogeneous_identifiability(g: Graphon, eta_bar,
     )
 
 
-def sbm_identifiability_constant(q, pi, theta1: float, eta_bar) -> IdentifiabilityReport:
-    """Stability constant for the community game:
-    L = 2 / (min_i aggregate_i * sqrt(min_k pi_k)), with the aggregates
-    taken at the true parameter. Positive aggregates are guaranteed when
-    every community has at least one positive interaction intensity."""
-    pi = np.asarray(pi, dtype=float)
-    block = solve_lq_sbm(q, pi, theta1, eta_bar)
-    min_aggregate = float(block.aggregates.min())
+def sbm_identifiability_constant(g: Graphon, spec: GameSpec,
+                                 eta_bar) -> IdentifiabilityReport:
+    """Stability constant for the community game ``spec`` on the block
+    kernel ``g``: L = 2 / (min_i aggregate_i * sqrt(min_k pi_k)), with the
+    aggregates taken at the true parameter. Positive aggregates are
+    guaranteed when every community has at least one positive interaction
+    intensity."""
+    _, aggregates = solve_values(g, spec, eta_bar)
+    min_aggregate = float(aggregates.min())
     if min_aggregate <= 0.0:
         raise DegenerateAggregate(
             "a community has non-positive equilibrium aggregate; the "
             "constant is undefined (an isolated community?)"
         )
-    min_weight = float(pi.min())
+    min_weight = float(g.cell_weights().min())
     constant = 2.0 / (min_aggregate * np.sqrt(min_weight))
     return IdentifiabilityReport(
         identifiable=True,

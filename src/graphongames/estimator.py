@@ -32,7 +32,7 @@ from .errors import InfeasibleParameterSet, NoStart, NotInterior
 from .functionspace import PiecewiseConstantFn, cell_integrals, integrate_product
 from .game import GameSpec, contraction_margin
 from .graphon import Graphon
-from .equilibrium import _resolvent, gradient_values, solve_values
+from .equilibrium import _kernel_resolvent, gradient_values, solve_values
 
 # scipy's xtol, ftol and gtol: a start runs to the rounding floor or to
 # max_iter; EstimateOptions.gtol alone decides whether it converged.
@@ -97,7 +97,7 @@ def _j(stat, g: Graphon, spec: GameSpec, eta, order: int = 0) -> list:
     :class:`NotInterior` where the equilibrium touches a strategy bound.
     """
     root_w, target, offset = stat
-    s, _, *derivs = _resolvent(g, spec, eta, order)
+    s, _, *derivs = _kernel_resolvent(g, spec, eta, order)
     r = root_w * s - target
     out = [max(float(r @ r) + offset, 0.0)]
     if order == 0:

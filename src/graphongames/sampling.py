@@ -20,8 +20,9 @@ Storage
 A network is held only as its edges: the strict upper triangle U of the
 adjacency (pairs i < j, each edge once) as a scipy CSR matrix with float64
 ones, filled row block by row block as the edges are drawn. The finite-game
-solver applies P = U + U^T as the two sparse products U s + U^T s, so no
-N x N array is formed anywhere between sampling and the equilibrium.
+solve is the equilibrium module's projected loop with P = U + U^T applied
+as the two sparse products U s + U^T s, so no N x N array is formed
+anywhere between sampling and the equilibrium.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
+from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL, _project
 from .errors import NoConvergence, NotAContraction
 from .functionspace import PiecewiseConstantFn, interpolate_equilibrium
 from .game import GameSpec
 from .graphon import Graphon
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 100_000
 # Pair budget of one row block of the edge sampler: bounds its
 # probability matrix at 2 MiB whatever the network size.
 EDGE_BLOCK_PAIRS = 1 << 18
@@ -173,17 +173,16 @@ def _contraction_certificate(net: SampledNetwork, th2) -> tuple[str, float]:
 def solve_network_game(net: SampledNetwork, spec: GameSpec, eta,
                        tol: float = DEFAULT_TOL,
                        max_iter: int = DEFAULT_MAX_ITER,
-                       pi=None, method: str = "iterate") -> NetworkEquilibrium:
-    """Equilibrium of the finite game on a sampled network.
+                       pi=None) -> NetworkEquilibrium:
+    """Equilibrium of the finite game on a sampled network: the graphon game
+    on its empirical kernel P / N, by the loop of ``solve_fixed_point``.
 
     Agent i's heterogeneity is the game's per-cell pair
     (:meth:`GameSpec.cell_thetas`, which checks ``eta`` against the box) at
-    the cell of ``net.graphon`` holding its label t_i. ``pi`` is ignored. With
-    ``method="iterate"`` the projected best response
-    s <- clamp(theta1 + theta2 * (P s) / N) is iterated from zero to
-    sup-norm tolerance ``tol``; with ``method="direct"`` the interior linear
-    system (I - diag(theta2) P / N) s = theta1 is solved instead. The two
-    agree (to 10 * tol) whenever no strategy bound binds.
+    the cell of ``net.graphon`` holding its label t_i. ``pi`` is ignored.
+    The projected best response s <- clamp(theta1 + theta2 * (P s) / N) is
+    iterated from zero to sup-norm tolerance ``tol``, applying P = U + U^T
+    as two sparse products on ``net.upper``.
 
     Before solving, the network must pass one of two contraction checks,
     tried in this order:
@@ -195,9 +194,7 @@ def solve_network_game(net: SampledNetwork, spec: GameSpec, eta,
     2. ``"spectral"``: max |theta2| * lambda_max(P / N) < 1, by an
        eigensolve, run only when the row-sum check fails.
 
-    ``NotAContraction`` is raised when both fail. The iteration applies
-    P = U + U^T as two sparse products on ``net.upper``; ``method="direct"``
-    densifies P and costs O(N^3), so it serves as a test oracle.
+    ``NotAContraction`` is raised when both fail.
     """
     # pi is ignored but kept: perfbench/bench.py still passes it (ROADMAP item 1)
     th1, th2 = spec.cell_thetas(net.graphon, eta)
@@ -207,24 +204,8 @@ def solve_network_game(net: SampledNetwork, spec: GameSpec, eta,
     certificate, margin = _contraction_certificate(net, th2)
     u, ut = net.upper, net.upper.T
     lo, hi = spec.strategy_set.lower, spec.strategy_set.upper
-    if method == "direct":
-        system = np.eye(n) - (th2[:, None] / n) * net.adjacency.toarray()
-        s = np.linalg.solve(system, th1)
-        iterations = 0
-    elif method == "iterate":
-        s = np.zeros(n)
-        for iterations in range(1, max_iter + 1):
-            s_new = np.clip(th1 + th2 * (u @ s + ut @ s) / n, lo, hi)
-            delta = float(np.max(np.abs(s_new - s)))
-            s = s_new
-            if delta <= tol:
-                break
-        else:
-            raise NoConvergence(
-                f"network best-response iteration did not reach tol={tol}"
-            )
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    s, iterations = _project(lambda s: th1 + th2 * (u @ s + ut @ s) / n, n,
+                             lo, hi, tol, max_iter)
     z = (u @ s + ut @ s) / n
     residual = float(np.max(np.abs(s - np.clip(th1 + th2 * z, lo, hi))))
     return NetworkEquilibrium(
@@ -258,14 +239,20 @@ def write_network(net: SampledNetwork, edges_path, labels_path) -> None:
             fh.write(f"{t:.17g}\n")
 
 
+def _loadtxt(path, dtype, ndmin: int) -> np.ndarray:
+    """``np.loadtxt`` that reads an empty file as an empty array."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # empty: the caller checks
+        return np.loadtxt(path, dtype=dtype, ndmin=ndmin)
+
+
 def read_network(edges_path, labels_path, g: Graphon) -> SampledNetwork:
     """Read back what :func:`write_network` wrote, as a network on kernel
     ``g``. Raises ValueError unless there is at least one label, every label
-    lies in [0, 1], the labels are sorted ascending and the edges are
-    distinct pairs of distinct agents in range."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # empty: caught below
-        labels = np.atleast_1d(np.loadtxt(labels_path, dtype=float))
+    lies in [0, 1], the labels are sorted ascending, every edge line holds
+    two agent indices and the edges are distinct pairs of distinct agents in
+    range. An empty edge file is a network without edges."""
+    labels = _loadtxt(labels_path, float, 1)
     if labels.size == 0:
         raise ValueError(f"{labels_path}: no labels")
     if not np.all((labels >= 0.0) & (labels <= 1.0)):
@@ -273,12 +260,15 @@ def read_network(edges_path, labels_path, g: Graphon) -> SampledNetwork:
     if np.any(np.diff(labels) < 0.0):
         raise ValueError(f"{labels_path}: labels are not sorted ascending")
     n = labels.size
-    with open(edges_path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) % 2:
-        raise ValueError(f"{edges_path}: odd number of agent indices")
-    pairs = np.array(tokens, dtype=np.int64).reshape(-1, 2)
-    if tokens:
+    malformed = f"{edges_path}: a line does not hold two agent indices"
+    try:
+        pairs = _loadtxt(edges_path, np.int64, 2)
+    except ValueError as exc:
+        raise ValueError(f"{malformed} ({exc})") from None
+    if pairs.size and pairs.shape[1] != 2:
+        raise ValueError(malformed)
+    pairs = pairs.reshape(-1, 2)
+    if pairs.size:
         if pairs.min() < 0 or pairs.max() >= n:
             raise ValueError(f"{edges_path}: agent index outside 0..{n - 1}")
         if np.any(pairs[:, 0] == pairs[:, 1]):

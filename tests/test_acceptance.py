@@ -30,7 +30,6 @@ from graphongames import (
     sbm_identifiability_constant,
     solve_fixed_point,
     solve_lq_homogeneous,
-    solve_lq_sbm,
     solve_network_game,
     sup_distance,
     empirical_identifiability_test,
@@ -44,7 +43,8 @@ from graphongames.harness import (
     run_experiment,
     summarize_quantiles,
 )
-from conftest import ETA4, PI4, Q4
+from graphongames.equilibrium import solve_values
+from conftest import ETA4
 
 
 @contextmanager
@@ -77,8 +77,8 @@ def test_criterion_1_oracle_equivalence(sbm4, sbm4_game):
     with criterion(1, "fixed point matches closed forms to 1e-9 sup-norm"):
         started = time.perf_counter()
         eq = solve_fixed_point(sbm4, sbm4_game, ETA4)
-        block = solve_lq_sbm(Q4, PI4, 1.0, ETA4)
-        closed = PiecewiseConstantFn(sbm4.cell_boundaries(), block.values)
+        closed = PiecewiseConstantFn(sbm4.cell_boundaries(),
+                                     solve_values(sbm4, sbm4_game, ETA4)[0])
         assert sup_distance(eq.strategy, closed) <= 1e-9
 
         rng = np.random.default_rng(2024)
@@ -105,7 +105,7 @@ def test_criterion_1_oracle_equivalence(sbm4, sbm4_game):
                     xi=ParameterBox(np.zeros(k), eta + 1.0),
                 )
                 closed = PiecewiseConstantFn(
-                    g.cell_boundaries(), solve_lq_sbm(q, pi, 1.0, eta).values)
+                    g.cell_boundaries(), solve_values(g, spec, eta)[0])
             iterated = solve_fixed_point(g, spec, eta).strategy
             assert sup_distance(iterated, closed) <= 1e-9
         assert time.perf_counter() - started < 5.0
@@ -182,7 +182,7 @@ def test_criterion_6_observation_convergence(experiment):
 
 def test_criterion_7_identifiability_inequality(sbm4, sbm4_game):
     with criterion(7, "stability constant never violated on 100 samples"):
-        report = sbm_identifiability_constant(Q4, PI4, 1.0, ETA4)
+        report = sbm_identifiability_constant(sbm4, sbm4_game, ETA4)
         violations = empirical_identifiability_test(
             sbm4, sbm4_game, ETA4, report.constant, samples=100, seed=2024
         )

@@ -5,19 +5,21 @@ from graphongames import (
     ConstantGraphon,
     DegenerateAggregate,
     LQHomogeneous,
+    LQSBM,
     NotInterior,
     ParameterBox,
     SBMGraphon,
     StrategySet,
-    check_interior,
     empirical_identifiability_test,
     fd_check,
     homogeneous_identifiability,
+    sample_network,
     sbm_identifiability_constant,
     solve_fixed_point,
-    solve_lq_sbm,
+    solve_network_game,
 )
-from conftest import ETA4, PI2, PI4, Q2, Q4
+from graphongames.equilibrium import solve_values
+from conftest import ETA4, PI2
 
 
 def wide_homogeneous():
@@ -27,25 +29,37 @@ def wide_homogeneous():
     )
 
 
+def sbm_game(k):
+    return LQSBM(theta1=1.0, strategy_set=StrategySet(0.0, 10.0),
+                 xi=ParameterBox(np.zeros(k), np.ones(k)))
+
+
 class TestCheckInterior:
     def test_plain_values(self):
         s = StrategySet(0.0, 10.0)
-        assert check_interior(np.array([0.5, 2.0]), s)
-        assert not check_interior(np.array([0.5, 10.0]), s)
+        assert s.is_interior(np.array([0.5, 2.0]))
+        assert not s.is_interior(np.array([0.5, 10.0]))
 
     def test_benchmark_equilibrium_interior(self, sbm4, sbm4_game):
-        block = solve_lq_sbm(Q4, PI4, 1.0, ETA4)
-        assert check_interior(block, sbm4_game.strategy_set)
+        s, _ = solve_values(sbm4, sbm4_game, ETA4)
+        assert sbm4_game.strategy_set.is_interior(s)
+        assert solve_fixed_point(sbm4, sbm4_game, ETA4).interior
 
     def test_agrees_with_solver_flag(self, sbm4, sbm4_game):
         eq = solve_fixed_point(sbm4, sbm4_game, ETA4)
-        assert check_interior(eq, sbm4_game.strategy_set) == eq.interior
+        assert sbm4_game.strategy_set.is_interior(eq.strategy.values) == eq.interior
         narrow = LQHomogeneous(
             strategy_set=StrategySet(0.0, 1.5),
             xi=ParameterBox(np.array([0.0, 0.0]), np.array([3.0, 1.5])),
         )
         eq2 = solve_fixed_point(ConstantGraphon(0.5), narrow, [1.0, 1.0])
-        assert check_interior(eq2, narrow.strategy_set) == eq2.interior is False
+        assert narrow.strategy_set.is_interior(eq2.strategy.values) == eq2.interior is False
+        net = sample_network(sbm4, 100, seed=3)
+        neq = solve_network_game(net, sbm4_game, ETA4)
+        assert sbm4_game.strategy_set.is_interior(neq.strategies) == neq.interior is True
+        neq2 = solve_network_game(sample_network(ConstantGraphon(0.5), 20, seed=3),
+                                  narrow, [1.0, 1.0])
+        assert narrow.strategy_set.is_interior(neq2.strategies) == neq2.interior is False
 
 
 class TestHomogeneousIdentifiability:
@@ -59,8 +73,8 @@ class TestHomogeneousIdentifiability:
 
     def test_two_block_identifiable(self, sbm2):
         # oracle: closed-form aggregates (Q diag(pi) s) have unequal entries
-        block = solve_lq_sbm(Q2, PI2, 1.0, [0.5, 0.5])
-        assert block.aggregates[0] != pytest.approx(block.aggregates[1], abs=1e-3)
+        _, z = solve_values(sbm2, sbm_game(2), [0.5, 0.5])
+        assert z[0] != pytest.approx(z[1], abs=1e-3)
         report = homogeneous_identifiability(sbm2, np.array([1.0, 0.5]))
         assert report.identifiable
         assert report.constant > 0
@@ -88,24 +102,25 @@ class TestHomogeneousIdentifiability:
 
 
 class TestSBMIdentifiability:
-    def test_benchmark_constant(self, sbm4):
-        report = sbm_identifiability_constant(Q4, PI4, 1.0, ETA4)
+    def test_benchmark_constant(self, sbm4, sbm4_game):
+        report = sbm_identifiability_constant(sbm4, sbm4_game, ETA4)
         assert report.identifiable
         assert np.isfinite(report.constant) and report.constant > 0
         # equal quarter communities: sqrt(min pi) factor is exactly 0.5
         assert np.sqrt(report.detail["min_weight"]) == 0.5
         # oracle: closed-form aggregates from the dense solve
-        block = solve_lq_sbm(Q4, PI4, 1.0, ETA4)
-        expected = 2.0 / (block.aggregates.min() * 0.5)
+        _, z = solve_values(sbm4, sbm4_game, ETA4)
+        expected = 2.0 / (z.min() * 0.5)
         assert report.constant == pytest.approx(expected, rel=1e-12)
 
     def test_zero_row_degenerate(self):
         q = np.array([[0.5, 0.0], [0.0, 0.0]])
         with pytest.raises(DegenerateAggregate):
-            sbm_identifiability_constant(q, PI2, 1.0, [0.1, 0.1])
+            sbm_identifiability_constant(SBMGraphon(q, PI2), sbm_game(2),
+                                         [0.1, 0.1])
 
     def test_zero_violations_on_benchmark(self, sbm4, sbm4_game):
-        report = sbm_identifiability_constant(Q4, PI4, 1.0, ETA4)
+        report = sbm_identifiability_constant(sbm4, sbm4_game, ETA4)
         count = empirical_identifiability_test(
             sbm4, sbm4_game, ETA4, report.constant, samples=100, seed=0
         )
@@ -116,8 +131,6 @@ class TestSBMIdentifiability:
         # the threshold is the largest ratio ||eta - eta_bar|| / ||s - s_bar||
         # over the very draws the test makes: any smaller constant must be
         # caught, and a constant just above it never is
-        from graphongames.equilibrium import solve_values
-
         weights = sbm4.cell_weights()
         s_bar, _ = solve_values(sbm4, sbm4_game, ETA4)
         ratios = []
@@ -126,7 +139,7 @@ class TestSBMIdentifiability:
             dist = np.sqrt(np.dot(weights, (s - s_bar) ** 2))
             ratios.append(np.linalg.norm(eta - ETA4) / dist)
         largest = max(ratios)
-        report = sbm_identifiability_constant(Q4, PI4, 1.0, ETA4)
+        report = sbm_identifiability_constant(sbm4, sbm4_game, ETA4)
         assert largest <= report.constant
 
         def violations(constant):

@@ -23,10 +23,8 @@ from graphongames import (
     model_equilibrium_fn,
     objective,
     objective_gradient,
-    solve_best_response,
     solve_fixed_point,
     solve_lq_homogeneous,
-    solve_lq_sbm,
     sup_distance,
 )
 from graphongames.equilibrium import (
@@ -34,7 +32,7 @@ from graphongames.equilibrium import (
     second_derivative_values,
     solve_values,
 )
-from conftest import ETA4, PI2, PI4, Q2, Q4
+from conftest import ETA4, PI2, Q2
 
 # Frozen from the hand 2x2 solve: (I - M) s = 1 with M = [[0.2, 0.05],
 # [0.05, 0.1]] gives s = (0.95, 0.85) / 0.7175.
@@ -46,6 +44,12 @@ def wide_homogeneous(upper=50.0):
         strategy_set=StrategySet(0.0, upper),
         xi=ParameterBox(np.array([0.0, 0.0]), np.array([3.0, 2.0])),
     )
+
+
+def unbounded(spec_cls, eta, **kwargs):
+    """A game whose strategy bounds and box never bind near eta."""
+    return spec_cls(strategy_set=StrategySet(0.0, 1e6),
+                    xi=ParameterBox(np.zeros(eta.size), eta + 1.0), **kwargs)
 
 
 def fd_gradient(g, spec, eta, h=1e-6):
@@ -91,14 +95,16 @@ class TestHomogeneousClosedForm:
 
 
 class TestBlockClosedForm:
-    def test_hand_two_block_solve(self):
-        block = solve_lq_sbm(Q2, PI2, 1.0, [0.5, 0.5])
-        assert block.values == pytest.approx(HAND_S2, abs=1e-12)
-        assert block.values == pytest.approx([1.32404, 1.18467], abs=1e-5)
+    def test_hand_two_block_solve(self, sbm2):
+        eta = np.array([0.5, 0.5])
+        s, _ = solve_values(sbm2, unbounded(LQSBM, eta, theta1=1.0), eta)
+        assert s == pytest.approx(HAND_S2, abs=1e-12)
+        assert s == pytest.approx([1.32404, 1.18467], abs=1e-5)
 
-    def test_zero_eta_gives_theta1(self):
-        block = solve_lq_sbm(Q2, PI2, 2.5, [0.0, 0.0])
-        assert block.values == pytest.approx([2.5, 2.5], abs=1e-15)
+    def test_zero_eta_gives_theta1(self, sbm2):
+        eta = np.zeros(2)
+        s, _ = solve_values(sbm2, unbounded(LQSBM, eta, theta1=2.5), eta)
+        assert s == pytest.approx([2.5, 2.5], abs=1e-15)
 
     def test_aggregates_positive_with_positive_rows(self):
         rng = np.random.default_rng(17)
@@ -109,13 +115,13 @@ class TestBlockClosedForm:
             pi = rng.dirichlet(np.ones(k))
             g = SBMGraphon(q, pi)
             eta = rng.uniform(0.0, 0.8 / g.lambda_max(), size=k)
-            block = solve_lq_sbm(q, pi, 1.0, eta)
-            assert np.all(block.aggregates > 0.0)
+            _, aggregates = solve_values(g, unbounded(LQSBM, eta, theta1=1.0), eta)
+            assert np.all(aggregates > 0.0)
 
     def test_spectral_violation(self, sbm2):
-        lam = sbm2.lambda_max()
+        eta = np.array([1.1 / sbm2.lambda_max(), 0.1])
         with pytest.raises(SpectralConditionViolated):
-            solve_lq_sbm(Q2, PI2, 1.0, [1.1 / lam, 0.1])
+            solve_values(sbm2, unbounded(LQSBM, eta, theta1=1.0), eta)
 
 
 class TestFixedPoint:
@@ -137,8 +143,8 @@ class TestFixedPoint:
 
     def test_benchmark_matches_block_solver(self, sbm4, sbm4_game):
         eq = solve_fixed_point(sbm4, sbm4_game, ETA4, tol=1e-12)
-        block = solve_lq_sbm(Q4, PI4, 1.0, ETA4)
-        assert eq.strategy.values == pytest.approx(block.values, abs=1e-10)
+        s, _ = solve_values(sbm4, sbm4_game, ETA4)
+        assert eq.strategy.values == pytest.approx(s, abs=1e-10)
 
     def test_aggregate_consistency(self, sbm4, sbm4_game):
         eq = solve_fixed_point(sbm4, sbm4_game, ETA4)
@@ -169,15 +175,6 @@ class TestFixedPoint:
         assert np.all(eq.strategy.values == 1.5)
         assert eq.residual <= 1e-10
 
-    def test_generic_best_response_driver(self, sbm2):
-        # a non-LQ response: relaxation toward a saturating function
-        def br(z):
-            return 0.5 * np.tanh(z) + 0.3
-
-        eq = solve_best_response(sbm2, br, tol=1e-12)
-        z = eq.aggregate.values
-        assert eq.strategy.values == pytest.approx(0.5 * np.tanh(z) + 0.3, abs=1e-11)
-
 
 class TestOracleEquivalence:
     def test_random_interior_instances(self):
@@ -203,7 +200,7 @@ class TestOracleEquivalence:
                     xi=ParameterBox(np.zeros(k), eta + 1.0),
                 )
                 direct = PiecewiseConstantFn(
-                    g.cell_boundaries(), solve_lq_sbm(q, pi, 1.0, eta).values)
+                    g.cell_boundaries(), solve_values(g, spec, eta)[0])
             iterated = solve_fixed_point(g, spec, eta, tol=1e-12).strategy
             assert sup_distance(iterated, direct) <= 1e-11
 
@@ -216,11 +213,12 @@ class TestOracleEquivalence:
             g = SBMGraphon(q, pi)
             lam = g.lambda_max()
             eta = rng.uniform(0.05, 0.7 / lam, size=k)
-            base = solve_lq_sbm(q, pi, 1.0, eta).values
+            spec = unbounded(LQSBM, eta, theta1=1.0)
+            base, _ = solve_values(g, spec, eta)
             i = int(rng.integers(0, k))
             bumped = eta.copy()
             bumped[i] = min(bumped[i] + 0.1 * eta[i], 0.95 / lam)
-            higher = solve_lq_sbm(q, pi, 1.0, bumped).values
+            higher, _ = solve_values(g, spec, bumped)
             assert np.all(higher >= base - 1e-12)
 
 
@@ -350,12 +348,6 @@ def smooth_grid_kernel(m=100):
     c = (np.arange(m) + 0.5) / m
     return GridGraphon(0.8 * np.exp(-3.0 * np.abs(c[:, None] - c[None, :]))
                        * (0.4 + 0.6 * np.sqrt(np.outer(c, c))))
-
-
-def unbounded(spec_cls, eta, **kwargs):
-    """A game whose strategy bounds and box never bind near eta."""
-    return spec_cls(strategy_set=StrategySet(0.0, 1e6),
-                    xi=ParameterBox(np.zeros(eta.size), eta + 1.0), **kwargs)
 
 
 class TestResolventCoreProperties:

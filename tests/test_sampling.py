@@ -5,17 +5,21 @@ from math import isqrt
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from graphongames import (
     ConstantGraphon,
     GridGraphon,
     LQHomogeneous,
+    LQSBM,
     NoConvergence,
     NotAContraction,
     ParameterBox,
     ParameterOutOfBox,
     SampledNetwork,
+    SBMGraphon,
     StrategySet,
     interpolate_equilibrium,
     observe,
@@ -25,6 +29,7 @@ from graphongames import (
     write_network,
 )
 from graphongames import sampling
+from graphongames.equilibrium import _resolvent
 from graphongames.sampling import EDGE_BLOCK_PAIRS, network_spectral_radius
 from conftest import ETA4, PI4
 
@@ -67,6 +72,15 @@ def network(adjacency):
     return SampledNetwork(labels=(np.arange(n) + 0.5) / n,
                           upper=upper_csr(adjacency), seed=None,
                           graphon=ConstantGraphon(1.0))
+
+
+def empirical_resolvent(net, spec, eta, order):
+    """The finite game's interior solve by the dense resolvent core: the
+    graphon game on the empirical kernel P / N, with the game's affine maps
+    read at the cells holding the agents' labels."""
+    cells = net.graphon.cell_index(net.labels)
+    maps = tuple(m[cells] for m in spec.affine_maps(net.graphon))
+    return _resolvent(net.adjacency.toarray() / net.n_agents, maps, eta, order)
 
 
 def assert_upper_csr(net):
@@ -184,9 +198,9 @@ class TestSolveNetworkGame:
         net = sample_network(sbm4, 300, seed=11)
         tol = 1e-12
         it = solve_network_game(net, sbm4_game, ETA4, tol=tol)
-        direct = solve_network_game(net, sbm4_game, ETA4, method="direct")
-        assert it.interior and direct.interior
-        assert np.abs(it.strategies - direct.strategies).max() <= 10 * tol
+        direct, _ = empirical_resolvent(net, sbm4_game, ETA4, 0)
+        assert it.interior and sbm4_game.strategy_set.is_interior(direct)
+        assert np.abs(it.strategies - direct).max() <= 10 * tol
 
     def test_residual_and_interior_flags(self, sbm4, sbm4_game):
         net = sample_network(sbm4, 120, seed=13)
@@ -269,10 +283,13 @@ class TestSolveNetworkGame:
         adjacency = np.ones((4, 4), dtype=np.int8) - np.eye(4, dtype=np.int8)
         net = SampledNetwork(labels=labels, upper=upper_csr(adjacency),
                              seed=None, graphon=sbm4)
-        eq = solve_network_game(net, sbm4_game, ETA4, method="direct")
+        tol = 1e-12
+        eq = solve_network_game(net, sbm4_game, ETA4, tol=tol)
         expected = np.linalg.solve(
             np.eye(4) - ETA4[[0, 1, 3, 3]][:, None] * adjacency / 4, np.ones(4))
-        assert np.array_equal(eq.strategies, expected)
+        assert np.abs(eq.strategies - expected).max() <= 10 * tol
+        assert np.array_equal(empirical_resolvent(net, sbm4_game, ETA4, 0)[0],
+                              expected)
 
     def test_eta_outside_box_rejected(self, sbm4, sbm4_game):
         net = sample_network(sbm4, 30, seed=4)
@@ -302,6 +319,56 @@ class TestSolveNetworkGame:
         without = solve_network_game(net, sbm4_game, ETA4, tol=1e-10,
                                      max_iter=1000)
         assert np.array_equal(with_pi.strategies, without.strategies)
+
+
+class TestEmpiricalKernelOracle:
+    """The finite game is the graphon game on its empirical kernel: on
+    interior draws the projected loop agrees with the dense resolvent core
+    on P / N, whose order-1 arrays are then the finite game's exact
+    ds_N/deta."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 60),
+        ratio=st.floats(0.05, 0.75),
+        eta1=st.floats(0.1, 2.0),
+        community=st.booleans(),
+    )
+    def test_random_block_kernels(self, k, seed, n, ratio, eta1, community):
+        rng = np.random.default_rng(seed)
+        q = rng.uniform(0.0, 1.0, size=(k, k))
+        net = sample_network(SBMGraphon((q + q.T) / 2, rng.dirichlet(np.ones(k))),
+                             n, seed)
+        # max |theta2| * max degree / N <= ratio: the sup-norm contraction
+        # factor, so an iterate that moved by at most tol is within
+        # tol * ratio / (1 - ratio) <= 3 tol of the equilibrium
+        scale = max(net.adjacency.sum(axis=1).max() / n, 1e-3)
+        if community:
+            eta = rng.uniform(0.05, 1.0, size=k) * ratio / scale
+            spec = LQSBM(theta1=1.0, strategy_set=StrategySet(0.0, 1e6),
+                         xi=ParameterBox(np.zeros(k), eta + 1.0))
+        else:
+            eta = np.array([eta1, ratio / scale])
+            spec = LQHomogeneous(strategy_set=StrategySet(0.0, 1e6),
+                                 xi=ParameterBox(np.zeros(2), eta + 1.0))
+        tol = 1e-12
+        eq = solve_network_game(net, spec, eta, tol=tol)
+        s, z, grad = empirical_resolvent(net, spec, eta, 1)
+        assert eq.interior and eq.certificate == "row_sum"
+        assert np.abs(eq.strategies - s).max() <= 10 * tol
+        assert np.abs(eq.aggregates - z).max() <= 10 * tol
+
+        h = 1e-5
+        for i in range(eta.size):
+            e = np.zeros(eta.size)
+            e[i] = h
+            plus = solve_network_game(net, spec, eta + e, tol=1e-13).strategies
+            minus = solve_network_game(net, spec, eta - e, tol=1e-13).strategies
+            fd = (plus - minus) / (2 * h)
+            scale = max(1.0, np.abs(grad[:, i]).max())
+            assert np.abs(fd - grad[:, i]).max() / scale <= 1e-6
 
 
 class TestObserve:
@@ -381,7 +448,9 @@ class TestNetworkIO:
             ("0 1\n2 2\n", "0.1\n0.2\n0.3\n0.4\n", "self-loop"),
             ("0 1\n1 2\n0 1\n", "0.1\n0.2\n0.3\n0.4\n", "duplicate"),
             ("0 1\n1 0\n", "0.1\n0.2\n0.3\n0.4\n", "duplicate"),
-            ("0 1\n2\n", "0.1\n0.2\n0.3\n0.4\n", "odd"),
+            ("0 1\n2\n", "0.1\n0.2\n0.3\n0.4\n", "two agent indices"),
+            ("0 1 2\n3\n", "0.1\n0.2\n0.3\n0.4\n", "two agent indices"),
+            ("0 1 2\n", "0.1\n0.2\n0.3\n0.4\n", "two agent indices"),
             ("0 1\n", "0.1\n0.3\n0.2\n0.4\n", "sorted"),
             ("", "", "no labels"),
             ("0 1\n", "0.1\nnan\n0.5\n", "lie in"),
@@ -391,6 +460,7 @@ class TestNetworkIO:
         ],
         ids=["index-too-large", "index-negative", "self-loop",
              "duplicate-pair", "duplicate-reversed-pair", "odd-token-count",
+             "three-indices-then-one", "three-indices",
              "unsorted-labels", "no-labels", "nan-label", "label-above-one",
              "negative-label", "infinite-label"],
     )
