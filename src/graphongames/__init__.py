@@ -15,7 +15,6 @@ from .errors import (
     NotInterior,
     OutOfDomain,
     ParameterOutOfBox,
-    SingularSystem,
     SpectralConditionViolated,
 )
 from .functionspace import (

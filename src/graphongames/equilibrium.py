@@ -26,7 +26,6 @@ import numpy as np
 from .errors import (
     NoConvergence,
     NotAContraction,
-    SingularSystem,
     SpectralConditionViolated,
 )
 from .functionspace import PiecewiseConstantFn
@@ -99,19 +98,16 @@ def _resolvent(a: np.ndarray, maps, eta, order: int):
     eta = np.asarray(eta, dtype=float)
     b1, d1, b2, d2 = maps
     v = np.eye(a.shape[0]) - (b2 + d2 @ eta)[:, None] * a
-    try:
-        s = np.linalg.solve(v, b1 + d1 @ eta)
-        z = a @ s
-        if order == 0:
-            return s, z
-        grad = np.linalg.solve(v, d1 + d2 * z[:, None])
-        if order == 1:
-            return s, z, grad
-        ag = a @ grad
-        i, j = np.triu_indices(eta.size)
-        pairs = np.linalg.solve(v, d2[:, i] * ag[:, j] + d2[:, j] * ag[:, i])
-    except np.linalg.LinAlgError as exc:  # unreachable under the spectral check
-        raise SingularSystem(str(exc)) from exc
+    s = np.linalg.solve(v, b1 + d1 @ eta)
+    z = a @ s
+    if order == 0:
+        return s, z
+    grad = np.linalg.solve(v, d1 + d2 * z[:, None])
+    if order == 1:
+        return s, z, grad
+    ag = a @ grad
+    i, j = np.triu_indices(eta.size)
+    pairs = np.linalg.solve(v, d2[:, i] * ag[:, j] + d2[:, j] * ag[:, i])
     hess = np.empty((eta.size, eta.size, a.shape[0]))
     hess[i, j] = hess[j, i] = pairs.T
     return s, z, grad, hess

@@ -34,10 +34,6 @@ class SpectralConditionViolated(GraphonGameError):
     operator's largest eigenvalue is >= 1."""
 
 
-class SingularSystem(GraphonGameError):
-    """A linear solve failed; unreachable when the spectral condition holds."""
-
-
 class NotInterior(GraphonGameError):
     """Derivative formulas were requested at a projected (non-interior)
     equilibrium, where they are not valid."""

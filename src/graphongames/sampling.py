@@ -6,11 +6,18 @@ All draws come from numpy's counter-based Philox generator keyed by a
 ``SeedSequence``. For a given seed the draw order is fixed:
 
 1. the N agent labels, as one uniform block, then sorted ascending;
-2. the N(N-1)/2 edge uniforms, consumed in row-major upper-triangle order
-   (pairs (0,1), (0,2), ..., (N-2,N-1)). They are drawn in blocks of whole
-   rows, at most ``EDGE_BLOCK_PAIRS`` pairs' worth of probabilities at a
-   time. Successive draws continue the same stream, so each pair gets the
-   same uniform as if all of them were drawn as one block.
+2. the N(N-1)/2 edge uniforms, in row-major upper-triangle order (pairs
+   (0,1), (0,2), ..., (N-2,N-1)), so the uniforms of row i begin at offset
+   o = N + sum_{k<i} (N-1-k) of the stream.
+
+The edges are drawn in blocks of whole rows of about equal pair counts.
+Philox is counter-based, so a block starting at row i draws on its own: it
+keys a fresh generator with the same ``SeedSequence``, calls
+``Philox.advance(o // 4)`` (one counter step yields four 64-bit draws) and
+discards ``o % 4`` uniforms. Each pair gets the uniform it would get if all
+of them were drawn as one block, whatever the block size and whichever
+thread draws it. The blocks run on a thread pool sized to the CPUs the
+process may run on; the thread count changes no value.
 
 This makes a sampled network a pure function of (kernel, N, seed),
 bit-identical across platforms, thread counts and block sizes.
@@ -19,16 +26,23 @@ Storage
 -------
 A network is held only as its edges: the strict upper triangle U of the
 adjacency (pairs i < j, each edge once) as a scipy CSR matrix with float64
-ones, filled row block by row block as the edges are drawn. The finite-game
-solve is the equilibrium module's projected loop with P = U + U^T applied
-as the two sparse products U s + U^T s, so no N x N array is formed
-anywhere between sampling and the equilibrium.
+ones. Each row block turns its uniforms into edges by runs of columns in
+one kernel cell, where the edge probability is constant, and keeps only
+its row counts and columns. ``EDGE_BLOCK_PAIRS`` bounds the pairs of all
+blocks in flight together (plus one row per block), so the sampler's
+working memory beyond U grows neither with N nor with the thread count.
+The finite-game solve is the equilibrium module's projected loop with
+P = U + U^T applied as the two sparse products U s + U^T s, so no N x N
+array is formed anywhere between sampling and the equilibrium.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,8 +54,9 @@ from .functionspace import PiecewiseConstantFn, interpolate_equilibrium
 from .game import GameSpec
 from .graphon import Graphon
 
-# Pair budget of one row block of the edge sampler: bounds its
-# probability matrix at 2 MiB whatever the network size.
+# Pair budget of the edge sampler's row blocks in flight together: bounds
+# their probability arrays at 2 MiB, plus a row per block, whatever the
+# network size and thread count.
 EDGE_BLOCK_PAIRS = 1 << 18
 
 
@@ -100,22 +115,57 @@ def sample_network(g: Graphon, n: int, seed: int) -> SampledNetwork:
     labels = np.sort(rng.random(n))
     cells = g.cell_index(labels)
     kernel = g.kernel_matrix()
-    index = _index_dtype(n)
-    rows = max(1, EDGE_BLOCK_PAIRS // n)
-    counts, cols = [], []
-    for start in range(0, n, rows):
-        stop, width = min(start + rows, n), n - start
-        # columns start.. of rows start..stop-1; pairs i < j in row-major order
-        pairs = np.arange(width) > np.arange(stop - start)[:, None]
-        probs = np.take(kernel[cells[start:stop]], cells[start:], axis=1)[pairs]
-        hits = np.zeros(pairs.shape, dtype=bool)
-        hits[pairs] = rng.random(probs.size) < probs
-        r, c = divmod(np.flatnonzero(hits), width)
-        counts.append(np.bincount(r, minlength=stop - start))
-        cols.append((c + start).astype(index))
-    upper = _upper_csr(np.concatenate(counts), np.concatenate(cols))
-    return SampledNetwork(labels=labels, upper=upper, seed=int(seed),
-                          graphon=g)
+    # agents cut[c]..cut[c+1]-1 hold cell c: labels are sorted
+    cut = np.searchsorted(cells, np.arange(kernel.shape[0] + 1))
+    # before[i] pairs precede row i, which pairs with columns i+1..n-1
+    before = np.arange(n + 1)
+    before = before * (2 * n - 1 - before) // 2
+    # row blocks of equal pair counts, each at most a row over its share
+    workers = _workers()
+    share = max(1, EDGE_BLOCK_PAIRS // workers)
+    starts = np.searchsorted(before, np.arange(0, before[-1], share))
+    bounds = np.union1d(starts, [0, n])
+    block = partial(_edge_block, seed, kernel, cells, cut, before)
+    threads = min(workers, bounds.size - 1)
+    if threads > 1:
+        with ThreadPoolExecutor(threads) as pool:
+            blocks = list(pool.map(block, bounds[:-1], bounds[1:]))
+    else:
+        blocks = list(map(block, bounds[:-1], bounds[1:]))
+    counts, cols = map(np.concatenate, zip(*blocks))
+    del blocks  # hold the columns once before U's data is allocated
+    return SampledNetwork(labels=labels, upper=_upper_csr(counts, cols),
+                          seed=int(seed), graphon=g)
+
+
+def _workers() -> int:
+    """Threads of the edge sampler: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _edge_block(seed, kernel, cells, cut, before, start: int, stop: int):
+    """Edges of rows start..stop-1, as (row counts, columns). A pure
+    function of the seed and the rows: it reads the seed's Philox stream
+    from the offset where these rows' uniforms begin."""
+    n = cells.size
+    rows = np.arange(start, stop)
+    offset = n + int(before[start])  # the n labels come first
+    bits = np.random.Philox(np.random.SeedSequence(seed))
+    bits.advance(offset // 4)  # one counter step is four 64-bit draws
+    rng = np.random.Generator(bits)
+    rng.random(offset % 4)
+    # row i meets cell c in a run of constant probability K[c_i, c]
+    first = rows[:, None] + 1
+    runs = np.maximum(cut[1:], first) - np.maximum(cut[:-1], first)
+    probs = np.repeat(kernel[cells[rows]].ravel(), runs.ravel())
+    hits = np.flatnonzero(rng.random(probs.size) < probs)
+    del probs
+    pairs = before[start:stop + 1] - before[start]
+    counts = np.diff(np.searchsorted(hits, pairs))
+    hits -= np.repeat(pairs[:-1] - first[:, 0], counts)  # pair -> column
+    return counts, hits.astype(_index_dtype(n))
 
 
 def _index_dtype(n: int):

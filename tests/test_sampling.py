@@ -1,4 +1,8 @@
 import hashlib
+import inspect
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import isqrt
 
@@ -31,7 +35,7 @@ from graphongames import (
 from graphongames import sampling
 from graphongames.equilibrium import _resolvent
 from graphongames.sampling import EDGE_BLOCK_PAIRS, network_spectral_radius
-from conftest import ETA4, PI4
+from conftest import ETA4, PI4, Q4
 
 
 def wide_homogeneous(eta2_max=2.0):
@@ -92,6 +96,14 @@ def assert_upper_csr(net):
     assert np.all(upper.data == 1.0)
 
 
+def network_sha256(net):
+    """SHA-256 of a sampled network's labels and CSR structure."""
+    h = hashlib.sha256()
+    for a in (net.labels, net.upper.indptr, net.upper.indices):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def star(n):
     a = np.zeros((n, n), dtype=np.int8)
     a[0, 1:] = a[1:, 0] = 1
@@ -148,7 +160,8 @@ class TestSampleNetwork:
             sample_network(ConstantGraphon(0.5), 0, seed=3)
 
 
-# one row block holds the whole network up to this size, two just above it
+# on two CPUs one row block holds the whole network up to this size, two
+# just above it
 ONE_BLOCK_MAX = isqrt(EDGE_BLOCK_PAIRS)
 
 
@@ -170,11 +183,70 @@ class TestRowBlockSampler:
     @pytest.mark.parametrize("budget", [1, 7, 100, 401])
     def test_block_size_does_not_change_the_network(self, monkeypatch, sbm4,
                                                     budget):
-        # 40 agents: one row per block up to budget 79, then several
+        # 40 agents, 780 pairs: one row per block at budget 1, then blocks
+        # of several rows
         expected = triu_sampler(sbm4, 40, 5)[1]
         monkeypatch.setattr(sampling, "EDGE_BLOCK_PAIRS", budget)
         assert np.array_equal(sample_network(sbm4, 40, 5).adjacency.toarray(),
                               expected)
+
+    @pytest.mark.parametrize("kernel", ["sbm4", "constant", "grid"])
+    @pytest.mark.parametrize("n, budgets", [
+        # 820 pairs: one row per block at budget 1; at 1500 two blocks for
+        # three workers; one block at the default budget
+        (41, [1, 7, 100, 1500, EDGE_BLOCK_PAIRS]),
+        # 2,001,000 pairs: 8 to 92 blocks
+        (2001, [1 << 16, EDGE_BLOCK_PAIRS]),
+    ])  # odd n: block offsets are not multiples of Philox's 4-draw step
+    def test_worker_count_does_not_change_the_network(self, monkeypatch, sbm4,
+                                                      kernel, n, budgets):
+        g = {"sbm4": sbm4, "constant": ConstantGraphon(0.4),
+             "grid": smooth_grid_kernel()}[kernel]
+        labels, adjacency = triu_sampler(g, n, 11)
+        expected = upper_csr(adjacency)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(sampling, "_workers", lambda: workers)
+            for budget in budgets:
+                monkeypatch.setattr(sampling, "EDGE_BLOCK_PAIRS", budget)
+                net = sample_network(g, n, 11)
+                assert np.array_equal(net.labels, labels)
+                assert np.array_equal(net.upper.indptr, expected.indptr)
+                assert np.array_equal(net.upper.indices, expected.indices)
+
+    def test_one_cpu_process_samples_the_same_network(self, sbm4):
+        # the sampler's threads follow the CPUs the process may run on
+        cpu = min(os.sched_getaffinity(0))
+        script = "import hashlib, os\n" + inspect.getsource(network_sha256) + f"""
+import numpy as np
+from graphongames import SBMGraphon, sample_network, sampling
+os.sched_setaffinity(0, {{{cpu}}})
+assert sampling._workers() == 1
+g = SBMGraphon(np.array({Q4.tolist()}), np.array({PI4.tolist()}))
+print(network_sha256(sample_network(g, 1600, 20240405)))
+"""
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == network_sha256(sample_network(sbm4, 1600,
+                                                            20240405))
+
+    def test_blocks_in_flight_share_the_pair_budget(self, monkeypatch, sbm4):
+        # Per pair in flight a block holds its probability and its uniform
+        # (8 bytes each), a hit flag (1) and, for the ~15% of pairs that
+        # are edges, an 8-byte position: ~18 bytes. A budget large against
+        # the network makes the blocks' working memory the peak beyond U.
+        budget, workers, n = 1 << 21, 3, 4000
+        monkeypatch.setattr(sampling, "EDGE_BLOCK_PAIRS", budget)
+        monkeypatch.setattr(sampling, "_workers", lambda: workers)
+        tracemalloc.start()
+        try:
+            net = sample_network(sbm4, n, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        u = net.upper
+        held = u.data.nbytes + u.indices.nbytes + u.indptr.nbytes
+        # the budget plus one row per block, at 20 bytes a pair
+        assert peak - held < 20 * (budget + workers * n)
 
 
 class TestSolveNetworkGame:
