@@ -23,7 +23,6 @@ from .functionspace import (
     integrate_product,
     interpolate_equilibrium,
     l2_distance,
-    make_piecewise,
     merge_breakpoints,
     sup_distance,
 )
@@ -39,9 +38,7 @@ from .game import (
     LQSBM,
     ParameterBox,
     StrategySet,
-    best_response,
     contraction_margin,
-    lq_payoff,
 )
 from .equilibrium import (
     GraphonEquilibrium,

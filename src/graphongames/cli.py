@@ -152,7 +152,6 @@ def cmd_estimate(args) -> int:
     print(f"objective = {_fmt(result.objective)}")
     print(f"gradient_norm = {_fmt(result.gradient_norm)}")
     print(f"hessian_min_eig = {_fmt(result.hessian_min_eig)}")
-    print(f"starts = {result.starts}")
     print(f"converged = {'true' if result.converged else 'false'}")
     return 0
 
@@ -160,7 +159,7 @@ def cmd_estimate(args) -> int:
 def _print_progress(record) -> None:
     converged = "true" if record.converged else "false"
     print(f"N={record.n} run={record.run} converged={converged} "
-          f"starts={record.starts} wall_time_s={record.wall_time_s:.3f}",
+          f"wall_time_s={record.wall_time_s:.3f}",
           file=sys.stderr, flush=True)
 
 

@@ -12,13 +12,13 @@ term 2 (sqrt(w) G)^T (sqrt(w) G) plus the curvature term
 2 sum_k sqrt(w_k) r_k d2s_k. ``objective``, ``objective_gradient`` and
 ``hessian`` are thin wrappers over it.
 
-Each start minimizes ||r||^2 by trust-region reflective bounded least
-squares with the exact Jacobian sqrt(w) G. The first start is the box
-center. Its solve is accepted when it converged at a Hessian that is
-positive definite beyond rounding, a strict local minimum, which under
-identifiability is the unique one. Only otherwise does a Halton grid of
-further starts run. Either way the estimate is a pure function of the
-observation.
+The estimate is one trust-region reflective bounded least-squares solve of
+||r||^2 from the box center with the exact Jacobian sqrt(w) G. It is
+certified by the second-order sufficient condition for bound constraints
+(Nocedal & Wright, Numerical Optimization, Thm 12.6): the gradient points
+strictly out of the box at the active coordinates, and the Hessian on the
+free ones is positive definite beyond rounding. That is a strict local
+minimum, under identifiability the unique one, so nothing runs after it.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .game import GameSpec, contraction_margin
 from .graphon import Graphon
 from .equilibrium import _kernel_resolvent, gradient_values, solve_values
 
-# scipy's xtol, ftol and gtol: a start runs to the rounding floor or to
-# max_iter; EstimateOptions.gtol alone decides whether it converged.
+# scipy's xtol, ftol and gtol: the solve runs to the rounding floor or to
+# max_iter; EstimateOptions.gtol and the certificate decide convergence.
 LSQ_TOL = 1e-15
 
 
@@ -43,14 +43,11 @@ LSQ_TOL = 1e-15
 class EstimateOptions:
     """Optimizer knobs. Defaults keep estimation deterministic and well
     inside the resolvent's domain. ``max_iter`` caps the residual
-    evaluations of each start's trust-region reflective solve."""
+    evaluations of the trust-region reflective solve."""
 
-    starts: int = 8              # Halton points, run only when the center
-                                 # start is not certified
     gtol: float = 1e-9
     max_iter: int = 5000
     margin_buffer: float = 1e-6  # keep the contraction margin at least this
-    tie_tol: float = 1e-12
 
 
 @dataclass
@@ -59,6 +56,7 @@ class EstimationResult:
     objective: float
     gradient_norm: float
     hessian_min_eig: float
+    # always 1; kept because perfbench/bench.py divides by it (ROADMAP item 1)
     starts: int
     iterations_total: int
     converged: bool
@@ -139,74 +137,42 @@ def hessian(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
     return HessianInfo(matrix=h, min_eigenvalue=float(np.linalg.eigvalsh(h)[0]))
 
 
-def _primes(count: int) -> list[int]:
-    found = []
-    k = 2
-    while len(found) < count:
-        if all(k % p for p in found):
-            found.append(k)
-        k += 1
-    return found
+def _certify(stat, g: Graphon, spec: GameSpec, eta, grad_j, lo,
+             hi) -> tuple[float, bool]:
+    """(smallest eigenvalue of the Hessian of J at eta, whether eta passes
+    the second-order certificate on the box [lo, hi]).
 
-
-def _halton(count: int, d: int) -> np.ndarray:
-    """The first ``count`` points of the unscrambled Halton sequence in
-    [0, 1)^d, one radical inverse per prime base; the same floating-point
-    steps as scipy.stats.qmc.Halton(scramble=False), without loading
-    scipy.stats."""
-    out = np.zeros((count, d))
-    for j, base in enumerate(_primes(d)):
-        for i in range(count):
-            q, scale = i, 1.0 / base
-            while q > 0:
-                out[i, j] += (q % base) * scale
-                scale /= base
-                q //= base
-    return out
-
-
-def _start_points(lo, hi, count: int) -> np.ndarray:
-    """Deterministic multistart set: box center plus an unscrambled Halton
-    grid scaled into the box."""
-    halton = lo + _halton(count, lo.size) * (hi - lo)
-    return np.vstack([0.5 * (lo + hi), halton])
-
-
-def _certify(stat, g: Graphon, spec: GameSpec, eta) -> tuple[float, bool]:
-    """(smallest eigenvalue of the Hessian of J at eta, whether it exceeds
-    the rounding level p * eps * max |eigenvalue| of numpy's matrix_rank).
-    The eigenvalue is NaN, and the Hessian not certified, where the model
-    equilibrium touches a strategy bound."""
+    A coordinate is free unless its projected-gradient step eta - grad_j
+    is clipped. The Hessian on the q free coordinates must have its
+    smallest eigenvalue above q * eps * max |eigenvalue| of that
+    sub-matrix, the rounding level of numpy's matrix_rank; an empty free
+    set certifies. The eigenvalue is NaN, and eta not certified, where the
+    model equilibrium touches a strategy bound."""
     try:
-        eig = np.linalg.eigvalsh(_j(stat, g, spec, eta, 2)[2])
+        h = _j(stat, g, spec, eta, 2)[2]
     except NotInterior:
         return float("nan"), False
-    floor = eig.size * np.finfo(float).eps * np.abs(eig).max()
-    return float(eig[0]), bool(eig[0] > floor)
+    step = eta - grad_j
+    free = (step >= lo) & (step <= hi)
+    full = np.linalg.eigvalsh(h)
+    eig = full if free.all() else np.linalg.eigvalsh(h[np.ix_(free, free)])
+    floor = eig.size * np.finfo(float).eps * np.abs(eig).max(initial=0.0)
+    return float(full[0]), bool(eig.size == 0 or eig[0] > floor)
 
 
 def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
              options: EstimateOptions | None = None) -> EstimationResult:
-    """Minimize J over the parameter box and return the best run.
+    """Minimize J over the parameter box by one certified solve.
 
     Every corner of the box must satisfy the spectral condition. Candidate
     parameters are additionally capped so the contraction margin stays at
     least ``margin_buffer``, so no solve leaves the resolvent's domain.
-    Each start is a trust-region reflective least-squares solve of the
-    residual form of J with at most ``max_iter`` residual evaluations; it
-    moves starts on the box boundary strictly inside.
-
-    The box center is solved first. Its run is returned when it converged
-    (projected-gradient norm at most ``gtol``) and the smallest eigenvalue
-    of the Hessian of J there exceeds p * eps * max |eigenvalue|, the
-    rounding level numpy's ``matrix_rank`` uses. Otherwise the ``starts``
-    Halton points run too, and all runs are ranked by final J. Runs within
-    ``tie_tol`` of the best J are tied (their J values differ by rounding
-    only); among them a converged run wins, then the smallest
-    projected-gradient norm, then the lexicographically smallest
-    parameter. ``converged`` describes the run
-    reported, so it is false only when no tied run converged, and
-    ``starts`` counts the runs made: 1, or 1 + ``starts``.
+    The solve runs from the box center with at most ``max_iter`` residual
+    evaluations. ``converged`` is true when its projected-gradient norm is
+    at most ``gtol`` and the certificate (module docstring) holds; a
+    non-identifiable game, whose Hessian is singular, or a solve that
+    stalls above ``gtol`` reports false. ``hessian_min_eig`` is the
+    smallest eigenvalue of the full Hessian.
     """
     opts = options if options is not None else EstimateOptions()
     margin = contraction_margin(spec, g)
@@ -235,36 +201,20 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
         _, _, grad = gradient_values(g, spec, eta)
         return root_w[:, None] * grad
 
-    def run(x0):
-        """(eta, J, projected-gradient norm, residual evaluations)"""
-        fit = least_squares(
-            residual, x0, jac=jacobian, bounds=(lo, hi), method="trf",
-            xtol=LSQ_TOL, ftol=LSQ_TOL, gtol=LSQ_TOL, max_nfev=opts.max_iter,
-        )
-        grad_j = 2.0 * (fit.jac.T @ fit.fun)
-        pgnorm = float(np.linalg.norm(fit.x - np.clip(fit.x - grad_j, lo, hi)))
-        return fit.x, _j(stat, g, spec, fit.x)[0], pgnorm, fit.nfev
-
-    center = run(0.5 * (lo + hi))
-    min_eig, definite = _certify(stat, g, spec, center[0])
-    runs = [center]
-    certified = center[2] <= opts.gtol and definite
-    if not certified:
-        runs += [run(x0) for x0 in _start_points(lo, hi, opts.starts)[1:]]
-    best_j = min(r[1] for r in runs)
-    best = min(
-        (r for r in runs if r[1] <= best_j + opts.tie_tol),
-        key=lambda r: (r[2] > opts.gtol, r[2], tuple(r[0])),
+    fit = least_squares(
+        residual, 0.5 * (lo + hi), jac=jacobian, bounds=(lo, hi),
+        method="trf", xtol=LSQ_TOL, ftol=LSQ_TOL, gtol=LSQ_TOL,
+        max_nfev=opts.max_iter,
     )
-    if best is not center:
-        min_eig, _ = _certify(stat, g, spec, best[0])
-    eta_hat, fx, pgnorm, _ = best
+    grad_j = 2.0 * (fit.jac.T @ fit.fun)
+    pgnorm = float(np.linalg.norm(fit.x - np.clip(fit.x - grad_j, lo, hi)))
+    min_eig, certified = _certify(stat, g, spec, fit.x, grad_j, lo, hi)
     return EstimationResult(
-        eta_hat=eta_hat,
-        objective=fx,
+        eta_hat=fit.x,
+        objective=_j(stat, g, spec, fit.x)[0],
         gradient_norm=pgnorm,
         hessian_min_eig=min_eig,
-        starts=len(runs),
-        iterations_total=sum(r[3] for r in runs),
-        converged=pgnorm <= opts.gtol,
+        starts=1,
+        iterations_total=fit.nfev,
+        converged=pgnorm <= opts.gtol and certified,
     )

@@ -125,11 +125,6 @@ class PiecewiseConstantFn:
         return PiecewiseConstantFn(self.breakpoints, -self.values)
 
 
-def make_piecewise(breakpoints, values) -> PiecewiseConstantFn:
-    """Validated construction of a step function from raw sequences."""
-    return PiecewiseConstantFn(breakpoints, values)
-
-
 def interpolate_equilibrium(s) -> PiecewiseConstantFn:
     """Embed a length-N strategy vector as a step function on the regular
     grid {i/N}, assigning each entry equal weight 1/N."""

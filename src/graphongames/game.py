@@ -204,16 +204,6 @@ def _check_in_box(xi: ParameterBox, eta) -> np.ndarray:
     return e
 
 
-def lq_payoff(s: float, z: float, theta) -> float:
-    """Quadratic payoff -s^2/2 + (theta1 + theta2 z) s."""
-    return -0.5 * s * s + (theta[0] + theta[1] * z) * s
-
-
-def best_response(z: float, theta, strategy_set: StrategySet) -> float:
-    """Maximizer of the quadratic payoff clamped to the strategy interval."""
-    return float(strategy_set.clamp(theta[0] + theta[1] * z))
-
-
 def contraction_margin(spec: GameSpec, g: Graphon, eta=None) -> float:
     """1 minus lambda_max times the largest aggregate coefficient.
 

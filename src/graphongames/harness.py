@@ -12,18 +12,20 @@ execute in sorted (N, run) order, and per-run seeds come from a documented
 hash, so reruns are byte-identical. Wall-clock timings are inherently not
 reproducible and therefore go to a separate sidecar file, together with
 the time of each stage (sampling, the finite-game solve, estimation) and
-the per-run solver facts (starts, evaluations, best-response iterations,
-the finite game's residual and interior flag, the contraction certificate
-and the class of any failure).
+the per-run solver facts (evaluations, best-response iterations, the
+finite game's residual and interior flag, the contraction certificate and
+the class of any failure).
 """
 
 from __future__ import annotations
 
 import io
+import math
 import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 import yaml
@@ -96,7 +98,27 @@ class ExperimentConfig:
             problems.append("runs_per_n must be nonnegative")
         if self.master_seed < 0:
             problems.append("master_seed must be nonnegative")
+        opt, sol = self.optimizer, self.solver
+        for name, value, ok, rule in (
+            ("optimizer.gtol", opt.gtol, _positive_finite,
+             "positive and finite"),
+            ("optimizer.max_iter", opt.max_iter, _count, "an integer >= 1"),
+            ("optimizer.margin_buffer", opt.margin_buffer,
+             lambda v: isinstance(v, Real) and 0.0 <= v < 1.0, "in [0, 1)"),
+            ("solver.tol", sol.tol, _positive_finite, "positive and finite"),
+            ("solver.max_iter", sol.max_iter, _count, "an integer >= 1"),
+        ):
+            if not ok(value):
+                problems.append(f"{name} must be {rule}, got {value!r}")
         return problems
+
+
+def _positive_finite(v) -> bool:
+    return isinstance(v, Real) and 0.0 < v < math.inf
+
+
+def _count(v) -> bool:
+    return isinstance(v, Integral) and v >= 1
 
 
 @dataclass
@@ -114,13 +136,12 @@ class RunRecord:
     wall_time_s: float
     # sidecar only: seconds spent sampling, solving the finite game and
     # estimating (NaN for a stage the run did not complete), estimator
-    # starts and residual evaluations, the finite game's best-response
-    # iterations, residual, interior flag (None when unsolved) and
-    # contraction certificate, and the exception class of a failed run
+    # residual evaluations, the finite game's best-response iterations,
+    # residual, interior flag (None when unsolved) and contraction
+    # certificate, and the exception class of a failed run
     sample_s: float = float("nan")
     solve_s: float = float("nan")
     estimate_s: float = float("nan")
-    starts: int = 0
     evaluations: int = 0
     br_iterations: int = 0
     residual: float = float("nan")
@@ -203,7 +224,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
                 converged=bool(result and result.converged),
                 wall_time_s=time.perf_counter() - started,
                 **times,
-                starts=result.starts if result else 0,
                 evaluations=result.iterations_total if result else 0,
                 br_iterations=neq.iterations if neq else 0,
                 residual=neq.residual if neq else nan,
@@ -265,16 +285,15 @@ def timings_to_csv(records: list[RunRecord]) -> str:
     """Sidecar with measured wall times and per-run solver facts, kept out
     of the deterministic CSV."""
     out = io.StringIO()
-    out.write("N,run,wall_time_s,sample_s,solve_s,estimate_s,starts,"
-              "evaluations,br_iterations,residual,interior,certificate,"
+    out.write("N,run,wall_time_s,sample_s,solve_s,estimate_s,evaluations,"
+              "br_iterations,residual,interior,certificate,"
               "contraction_margin,failure\n")
     interior = {True: "true", False: "false", None: ""}
     for r in records:
         cells = [str(r.n), str(r.run), _fmt(r.wall_time_s), _fmt(r.sample_s),
-                 _fmt(r.solve_s), _fmt(r.estimate_s), str(r.starts),
-                 str(r.evaluations), str(r.br_iterations), _fmt(r.residual),
-                 interior[r.interior], r.certificate,
-                 _fmt(r.contraction_margin), r.failure]
+                 _fmt(r.solve_s), _fmt(r.estimate_s), str(r.evaluations),
+                 str(r.br_iterations), _fmt(r.residual), interior[r.interior],
+                 r.certificate, _fmt(r.contraction_margin), r.failure]
         out.write(",".join(cells) + "\n")
     return out.getvalue()
 

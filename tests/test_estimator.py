@@ -19,8 +19,8 @@ from graphongames import (
     objective,
     objective_gradient,
 )
-from graphongames.estimator import EstimateOptions, _start_points
-from conftest import ETA4, PI4, Q2
+from graphongames.estimator import EstimateOptions
+from conftest import ETA4, PI4, Q2, Q4
 
 
 def riemann_objective(observed, g, spec, eta, cells=10**6):
@@ -179,16 +179,18 @@ class TestEstimate:
         assert result.objective == pytest.approx(direct, rel=0, abs=1e-12)
 
     def test_no_start_point_beats_the_estimate(self, sbm4, sbm4_game):
+        from scipy.stats import qmc
+
         rng = np.random.default_rng(37)
         obs = PiecewiseConstantFn(
             np.linspace(0, 1, 101), rng.uniform(0.8, 1.6, size=100)
         )
-        opts = EstimateOptions()
-        result = estimate(obs, sbm4, sbm4_game, opts)
+        result = estimate(obs, sbm4, sbm4_game)
         lo, hi = sbm4_game.xi.lower, sbm4_game.xi.upper
-        for x0 in _start_points(lo, hi, 8):
+        halton = qmc.Halton(d=lo.size, scramble=False).random(8)
+        for x0 in lo + halton * (hi - lo):
             assert result.objective <= (
-                objective(obs, sbm4, sbm4_game, x0) + opts.tie_tol
+                objective(obs, sbm4, sbm4_game, x0) + 1e-12
             )
 
     def test_infeasible_box(self):
@@ -212,24 +214,6 @@ class TestEstimate:
         obs = PiecewiseConstantFn.constant(1.0)
         with pytest.raises(NoStart):
             estimate(obs, g, spec)
-
-    def test_start_points_deterministic(self):
-        lo = np.array([0.0, 0.0])
-        hi = np.array([1.0, 2.0])
-        a = _start_points(lo, hi, 8)
-        b = _start_points(lo, hi, 8)
-        assert np.array_equal(a, b)
-        assert a.shape == (9, 2)
-        assert np.allclose(a[0], [0.5, 1.0])
-        assert np.all((a >= lo) & (a <= hi))
-
-    def test_start_points_match_scipy_halton(self):
-        from scipy.stats import qmc
-
-        lo = np.array([0.1, 0.0, -1.0])
-        hi = np.array([2.0, 1.5, 3.0])
-        halton = qmc.Halton(d=3, scramble=False).random(8)
-        assert np.array_equal(_start_points(lo, hi, 8)[1:], lo + halton * (hi - lo))
 
     def test_homogeneous_recovery_from_sampled_network(self, sbm2):
         # full loop for the two-parameter game on an identifiable kernel:
@@ -258,10 +242,9 @@ class TestEstimate:
         assert np.median(errs) <= 0.25
 
     def test_tied_starts_report_a_converged_one(self):
-        # grid-kernel run whose starts all reach the same J up to rounding;
-        # two of them stall just above gtol, and the smallest parameter among
-        # the tied starts is one of those, so the reported start must be
-        # picked by convergence before parameter order
+        # grid-kernel run on which solves from other starting points reach
+        # the same J up to rounding, two of them stalling just above gtol;
+        # the box-center solve converges and is certified
         from graphongames import (
             GridGraphon,
             derive_run_seed,
@@ -311,73 +294,71 @@ class TestEstimate:
 
 
 class TestCertifiedStart:
-    """The box-center run is returned alone when it converged at a Hessian
-    positive definite beyond rounding; otherwise every Halton start runs as
-    well."""
-
-    @staticmethod
-    def center_only(obs, g, spec):
-        return estimate(obs, g, spec, EstimateOptions(starts=0))
+    """The box-center solve is the estimate. It is converged when its
+    projected-gradient norm is at most gtol and the Hessian on the free
+    coordinates is positive definite beyond rounding, with the gradient
+    pointing strictly out of the box at the active ones; otherwise it is
+    reported not converged."""
 
     def test_certified_center_is_the_estimate(self, sbm4, sbm4_game):
         obs = model_equilibrium_fn(sbm4, sbm4_game, ETA4) + 0.05
         result = estimate(obs, sbm4, sbm4_game)
-        center = self.center_only(obs, sbm4, sbm4_game)
         assert result.starts == 1
-        assert center.converged and center.hessian_min_eig > 0.0
-        assert np.array_equal(result.eta_hat, center.eta_hat)
-        assert result.iterations_total == center.iterations_total
+        assert result.converged and result.hessian_min_eig > 0.0
+        assert result.gradient_norm <= EstimateOptions().gtol
 
     def test_singular_hessian_falls_back(self):
+        # non-identifiable: J vanishes along a curve, so the Hessian is
+        # singular (min eig about -4.4e-16) and nothing certifies the point
         g, spec, obs = flat_valley()
-        center = self.center_only(obs, g, spec)
-        assert center.converged and not center.hessian_min_eig > 0.0
         result = estimate(obs, g, spec)
-        assert result.starts == 9
-        assert result.converged
-        assert result.iterations_total > center.iterations_total
+        assert result.objective <= 1e-12
+        assert result.gradient_norm <= EstimateOptions().gtol
+        assert not result.hessian_min_eig > 1e-12
+        assert not result.converged
+        assert result.starts == 1
 
     def test_rounding_level_eigenvalue_falls_back(self):
         # the flat valley's zero eigenvalue is rounding noise (about +7e-18
         # for this case); it lies below the p * eps * max |eigenvalue|
-        # floor, so its sign cannot certify the center
+        # floor, so its sign cannot certify the point
         g, spec, obs = flat_valley(0.2, (0.5, 0.2))
-        center = self.center_only(obs, g, spec)
-        assert center.converged and abs(center.hessian_min_eig) <= 1e-15
         result = estimate(obs, g, spec)
-        assert result.starts == 9
-        assert result.converged
+        assert abs(result.hessian_min_eig) <= 1e-15
+        assert result.gradient_norm <= EstimateOptions().gtol
+        assert not result.converged
 
     def test_stalled_center_falls_back(self, homogeneous_game):
-        # the center stops at projected-gradient norm 1.5e-9, above gtol,
-        # although its Hessian is positive definite
+        # the solve stops at projected-gradient norm 1.5e-9, above gtol,
+        # although its Hessian is positive definite; its estimate stays
+        # within 1e-7 of the minimum that other starts reach
         g = GridGraphon(np.kron(Q2, np.ones((3, 3))))
         obs = interpolate_equilibrium(
             np.random.default_rng(46).uniform(0, 4, 40)
         )
-        center = self.center_only(obs, g, homogeneous_game)
-        assert not center.converged and center.hessian_min_eig > 0.0
         result = estimate(obs, g, homogeneous_game)
-        assert result.starts == 9
-        assert result.converged
-        assert result.objective <= center.objective + EstimateOptions().tie_tol
+        assert not result.converged and result.hessian_min_eig > 0.0
+        assert result.gradient_norm > EstimateOptions().gtol
+        minimum = np.array([1.8393849852272086, 0.19498575007584903])
+        assert np.abs(result.eta_hat - minimum).max() <= 1e-7
 
     def test_indefinite_hessian_falls_back(self, sbm4, sbm4_game):
         # a rough observation drives every coordinate to the upper bound,
-        # where the full Hessian of J has a negative eigenvalue
+        # where the full Hessian of J has a negative eigenvalue; all four
+        # coordinates are active with the gradient pointing out of the box,
+        # so the free set is empty and the point is certified
         obs = interpolate_equilibrium(
             np.random.default_rng(100).uniform(0, 3, 50)
         )
-        center = self.center_only(obs, sbm4, sbm4_game)
-        assert center.converged and center.hessian_min_eig < 0.0
         result = estimate(obs, sbm4, sbm4_game)
-        assert result.starts == 9
-        assert result.converged
+        assert result.converged and result.starts == 1
+        assert result.hessian_min_eig < 0.0
+        assert np.allclose(result.eta_hat, sbm4_game.xi.upper, rtol=0,
+                           atol=1e-12)
 
 
-def test_fallback_leaves_scipy_stats_unloaded():
-    # loading scipy.stats on the first fallback of a process would add
-    # ~20 MB and ~0.5 s to that run alone
+def test_estimate_leaves_scipy_stats_unloaded():
+    # loading scipy.stats in a run would add ~20 MB and ~0.5 s to that run
     import os
     import subprocess
     import sys
@@ -390,8 +371,14 @@ def test_fallback_leaves_scipy_stats_unloaded():
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     code = (
-        "import sys, numpy, graphongames.estimator as e; "
-        "e._start_points(numpy.zeros(2), numpy.ones(2), 8); "
+        "import sys, numpy as np, graphongames as gg; "
+        f"g = gg.SBMGraphon(np.array({Q4.tolist()}), np.array({PI4.tolist()})); "
+        "spec = gg.LQSBM(theta1=1.0, strategy_set=gg.StrategySet(0.0, 10.0), "
+        "xi=gg.ParameterBox(np.full(4, 0.01), np.full(4, 1.2))); "
+        f"eta = np.array({ETA4.tolist()}); "
+        "net = gg.sample_network(g, 100, 7); "
+        "obs = gg.observe(net, gg.solve_network_game(net, spec, eta)); "
+        "gg.estimate(obs, g, spec); "
         "sys.exit(1 if 'scipy.stats' in sys.modules else 0)"
     )
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

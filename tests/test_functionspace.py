@@ -12,7 +12,6 @@ from graphongames import (
     integrate_product,
     interpolate_equilibrium,
     l2_distance,
-    make_piecewise,
     merge_breakpoints,
     sup_distance,
 )
@@ -58,33 +57,35 @@ fn_strategy = st.builds(
 
 
 class TestMakePiecewise:
+    """Validated construction of a step function from raw sequences."""
+
     def test_single_interval(self):
-        f = make_piecewise([0, 1], [3.0])
+        f = PiecewiseConstantFn([0, 1], [3.0])
         assert f(0.0) == 3.0 and f(0.7) == 3.0 and f(1.0) == 3.0
 
     def test_two_intervals(self):
-        f = make_piecewise([0, 0.5, 1], [1.0, 0.0])
+        f = PiecewiseConstantFn([0, 0.5, 1], [1.0, 0.0])
         assert f(0.25) == 1.0
         assert f(0.5) == 0.0
         assert f(1.0) == 0.0
 
     def test_non_monotone_rejected(self):
         with pytest.raises(MalformedPartition):
-            make_piecewise([0, 1, 0.5], [1.0, 0.0])
+            PiecewiseConstantFn([0, 1, 0.5], [1.0, 0.0])
 
     def test_endpoint_mismatch_rejected(self):
         with pytest.raises(MalformedPartition):
-            make_piecewise([0, 0.9], [1.0])
+            PiecewiseConstantFn([0, 0.9], [1.0])
         with pytest.raises(MalformedPartition):
-            make_piecewise([0.1, 1], [1.0])
+            PiecewiseConstantFn([0.1, 1], [1.0])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(MalformedPartition):
-            make_piecewise([0, 0.5, 1], [1.0])
+            PiecewiseConstantFn([0, 0.5, 1], [1.0])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(MalformedPartition):
-            make_piecewise([0, 1], [np.inf])
+            PiecewiseConstantFn([0, 1], [np.inf])
 
     def test_out_of_domain_evaluation(self):
         f = PiecewiseConstantFn.constant(1.0)
@@ -116,11 +117,11 @@ class TestInterpolate:
 
 class TestL2Distance:
     def test_identity(self):
-        f = make_piecewise([0, 0.3, 1], [1.0, -2.0])
+        f = PiecewiseConstantFn([0, 0.3, 1], [1.0, -2.0])
         assert l2_distance(f, f) == 0.0
 
     def test_unit_step_half_interval(self):
-        f = make_piecewise([0, 0.5, 1], [1.0, 0.0])
+        f = PiecewiseConstantFn([0, 0.5, 1], [1.0, 0.0])
         g = PiecewiseConstantFn.constant(0.0)
         assert l2_distance(f, g) == pytest.approx(np.sqrt(0.5), abs=1e-15)
 
@@ -141,7 +142,7 @@ class TestIntegrateProduct:
 
     def test_mean_of_step(self):
         one = PiecewiseConstantFn.constant(1.0)
-        step = make_piecewise([0, 0.5, 1], [1.0, 3.0])
+        step = PiecewiseConstantFn([0, 0.5, 1], [1.0, 3.0])
         assert integrate_product(one, step) == pytest.approx(2.0, abs=1e-15)
 
     def test_random_vs_riemann_oracle(self):
@@ -187,20 +188,20 @@ class TestProperties:
 
 class TestMergingAndHelpers:
     def test_merge_coalesces_near_duplicates(self):
-        f = make_piecewise([0, 0.5, 1], [1.0, 2.0])
-        g = make_piecewise([0, 0.5 + 1e-13, 1], [5.0, 6.0])
+        f = PiecewiseConstantFn([0, 0.5, 1], [1.0, 2.0])
+        g = PiecewiseConstantFn([0, 0.5 + 1e-13, 1], [5.0, 6.0])
         merged = merge_breakpoints(f, g)
         assert merged[0] == 0.0 and merged[-1] == 1.0
         assert np.all(np.diff(merged) > 1e-13)
         assert merged.size == 3
 
     def test_value_at_one_is_last_piece(self):
-        f = make_piecewise([0, 0.25, 1], [5.0, -1.0])
+        f = PiecewiseConstantFn([0, 0.25, 1], [5.0, -1.0])
         assert f(1.0) == -1.0
 
     def test_arithmetic(self):
-        f = make_piecewise([0, 0.5, 1], [1.0, 2.0])
-        g = make_piecewise([0, 0.25, 1], [10.0, 20.0])
+        f = PiecewiseConstantFn([0, 0.5, 1], [1.0, 2.0])
+        g = PiecewiseConstantFn([0, 0.25, 1], [10.0, 20.0])
         h = f + g
         assert h(0.1) == 11.0 and h(0.3) == 21.0 and h(0.9) == 22.0
         assert (f - f).l2_norm() == 0.0
@@ -209,17 +210,17 @@ class TestMergingAndHelpers:
         assert (-f)(0.1) == -1.0
 
     def test_sup_distance(self):
-        f = make_piecewise([0, 0.5, 1], [1.0, 2.0])
+        f = PiecewiseConstantFn([0, 0.5, 1], [1.0, 2.0])
         g = PiecewiseConstantFn.constant(0.0)
         assert sup_distance(f, g) == 2.0
 
     def test_cell_integrals(self):
-        f = make_piecewise([0, 0.5, 1], [2.0, 4.0])
+        f = PiecewiseConstantFn([0, 0.5, 1], [2.0, 4.0])
         got = cell_integrals(f, np.array([0.0, 0.25, 0.75, 1.0]))
         assert got == pytest.approx([0.5, 1.5, 1.0], abs=1e-15)
         assert cell_integrals(f, f.breakpoints) == pytest.approx([1.0, 2.0])
 
     def test_integral_and_norm(self):
-        f = make_piecewise([0, 0.5, 1], [1.0, 3.0])
+        f = PiecewiseConstantFn([0, 0.5, 1], [1.0, 3.0])
         assert f.integral() == pytest.approx(2.0, abs=1e-15)
         assert f.l2_norm() == pytest.approx(np.sqrt(5.0), abs=1e-15)

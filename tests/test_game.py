@@ -9,9 +9,7 @@ from graphongames import (
     LQSBM,
     ParameterBox,
     StrategySet,
-    best_response,
     contraction_margin,
-    lq_payoff,
 )
 from conftest import ETA4, PI4, Q4
 
@@ -56,33 +54,18 @@ class TestParameterBox:
             ParameterBox(np.array([1.0]), np.array([1.0]))
 
 
-class TestPayoff:
-    def test_zero_strategy(self):
-        for z in (-1.0, 0.0, 3.0):
-            assert lq_payoff(0.0, z, (0.7, 0.3)) == 0.0
-
-    def test_simple_value(self):
-        assert lq_payoff(1.0, 0.0, (1.0, 1.0)) == 0.5
-
-    def test_unconstrained_argmax(self):
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            z = rng.uniform(-3, 3)
-            theta = rng.uniform(0, 2, size=2)
-            star = theta[0] + theta[1] * z
-            for ds in (-0.5, -1e-3, 1e-3, 0.5):
-                assert lq_payoff(star, z, theta) > lq_payoff(star + ds, z, theta)
-
-
 class TestBestResponse:
+    """The best response to aggregate z is the strategy set's clamp of
+    theta1 + theta2 z, the step every projected solver takes."""
+
     def test_interior(self):
-        assert best_response(0.0, (0.8, 0.6), StrategySet(0, 10)) == 0.8
+        assert StrategySet(0, 10).clamp(0.8 + 0.6 * 0.0) == 0.8
 
     def test_projection_high(self):
-        assert best_response(2.0, (2.0, 5.0), StrategySet(0, 10)) == 10.0
+        assert StrategySet(0, 10).clamp(2.0 + 5.0 * 2.0) == 10.0
 
     def test_projection_low(self):
-        assert best_response(-2.0, (1.0, 1.0), StrategySet(0, 10)) == 0.0
+        assert StrategySet(0, 10).clamp(1.0 + 1.0 * -2.0) == 0.0
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -93,7 +76,7 @@ class TestBestResponse:
     )
     def test_nonexpansive(self, z1, z2, t1, t2):
         s = StrategySet(0.0, 10.0)
-        lhs = abs(best_response(z1, (t1, t2), s) - best_response(z2, (t1, t2), s))
+        lhs = abs(s.clamp(t1 + t2 * z1) - s.clamp(t1 + t2 * z2))
         assert lhs <= abs(t2) * abs(z1 - z2) + 1e-12
 
 

@@ -7,7 +7,6 @@ from graphongames import (
     OutOfDomain,
     PiecewiseConstantFn,
     SBMGraphon,
-    make_piecewise,
     sup_distance,
 )
 from conftest import ETA4, PI4, Q2, PI2, Q4
@@ -84,7 +83,7 @@ class TestApplyOperator:
     def test_unaligned_input_exact(self):
         # integrate by hand: community 1 gets 0.8 * int_{[0,0.5)} f + 0.2 * int_{[0.5,1]} f
         g = SBMGraphon(Q2, PI2)
-        f = make_piecewise([0, 0.25, 1], [4.0, 8.0])
+        f = PiecewiseConstantFn([0, 0.25, 1], [4.0, 8.0])
         out = g.apply(f)
         int1 = 4.0 * 0.25 + 8.0 * 0.25  # over [0, 0.5)
         int2 = 8.0 * 0.5  # over [0.5, 1]

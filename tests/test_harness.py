@@ -68,6 +68,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict(broken)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("optimizer", "gtol", -1.0),
+            ("optimizer", "gtol", float("inf")),
+            ("optimizer", "max_iter", 0),
+            ("optimizer", "margin_buffer", 1.5),
+            ("optimizer", "margin_buffer", -0.1),
+            ("solver", "tol", 0.0),
+            ("solver", "tol", float("nan")),
+            ("solver", "max_iter", 0),
+        ],
+    )
+    def test_out_of_range_numbers_flagged(self, section, key, value):
+        # each of these makes every run fail or none converge
+        bad = dict(SMALL_CONFIG)
+        bad[section] = {key: value}
+        problems = config_from_dict(bad).validate()
+        assert len(problems) == 1 and problems[0].startswith(f"{section}.{key} ")
+
     def test_eta_true_outside_box_flagged(self):
         bad = dict(SMALL_CONFIG)
         bad["eta_true"] = [1.2, 0.6, 1.0, 0.8]  # on the boundary, not interior
@@ -194,11 +214,11 @@ class TestRunExperiment:
         assert row[:2] == ["30", "0"]
         assert float(row[3]) >= 0.0 and float(row[4]) >= 0.0
         assert np.isnan(float(row[5]))  # estimation never finished
-        assert row[6:8] == ["0", "0"]
-        assert int(row[8]) > 0 and float(row[9]) <= 1e-10
-        assert row[10] == "true" and row[11] == "row_sum"
-        assert 0.0 < float(row[12]) < 1.0
-        assert row[13] == "NoConvergence"
+        assert row[6] == "0"
+        assert int(row[7]) > 0 and float(row[8]) <= 1e-10
+        assert row[9] == "true" and row[10] == "row_sum"
+        assert 0.0 < float(row[11]) < 1.0
+        assert row[12] == "NoConvergence"
 
     def test_linear_algebra_failure_does_not_abort_the_sweep(self,
                                                              monkeypatch):
@@ -227,7 +247,7 @@ class TestRunExperiment:
         lines = timings_to_csv(records).splitlines()
         assert lines[0].split(",") == [
             "N", "run", "wall_time_s", "sample_s", "solve_s", "estimate_s",
-            "starts", "evaluations", "br_iterations", "residual", "interior",
+            "evaluations", "br_iterations", "residual", "interior",
             "certificate", "contraction_margin", "failure",
         ]
         assert len(lines) == len(records) + 1
@@ -239,14 +259,13 @@ class TestRunExperiment:
             assert [float(c) for c in cells[3:6]] == stages
             assert all(np.isfinite(t) and t >= 0.0 for t in stages)
             assert sum(stages) <= r.wall_time_s
-            assert int(cells[6]) == r.starts in (1, 9)
-            assert int(cells[7]) == r.evaluations >= r.starts
-            assert int(cells[8]) == r.br_iterations > 0
-            assert float(cells[9]) == r.residual <= 1e-10
-            assert cells[10] == "true" and r.interior is True
-            assert cells[11] == r.certificate == "row_sum"
-            assert float(cells[12]) == r.contraction_margin > 0.0
-            assert cells[13] == r.failure == ""
+            assert int(cells[6]) == r.evaluations >= 1
+            assert int(cells[7]) == r.br_iterations > 0
+            assert float(cells[8]) == r.residual <= 1e-10
+            assert cells[9] == "true" and r.interior is True
+            assert cells[10] == r.certificate == "row_sum"
+            assert float(cells[11]) == r.contraction_margin > 0.0
+            assert cells[12] == r.failure == ""
 
     def test_csv_bytes_reproducible(self, tmp_path):
         config = small_config()
