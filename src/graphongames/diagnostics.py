@@ -15,11 +15,7 @@ import numpy as np
 from .errors import DegenerateAggregate, NotInterior
 from .game import GameSpec
 from .graphon import Graphon
-from .equilibrium import (
-    second_derivative_values,
-    solve_lq_homogeneous,
-    solve_values,
-)
+from .equilibrium import _kernel_resolvent, solve_lq_homogeneous, solve_values
 
 # An aggregate whose L2 distance to its own mean is below this counts as
 # constant, which collapses the two homogeneous parameters onto a line.
@@ -124,11 +120,12 @@ def empirical_identifiability_test(g: Graphon, spec: GameSpec, eta_bar,
         raise ValueError("the stability constant must be positive")
     eta_bar = np.asarray(eta_bar, dtype=float)
     weights = g.cell_weights()
-    s_bar, _ = solve_values(g, spec, eta_bar)
+    solve = _kernel_resolvent(g, spec)
+    s_bar, _ = solve(eta_bar, 0)
     rng = np.random.default_rng(seed)
     violations = 0
     for eta in spec.xi.sample(rng, samples):
-        s, _ = solve_values(g, spec, eta)
+        s, _ = solve(eta, 0)
         dist = float(np.sqrt(np.dot(weights, (s - s_bar) ** 2)))
         if float(np.linalg.norm(eta - eta_bar)) > constant * dist:
             violations += 1
@@ -144,14 +141,14 @@ def fd_check(g: Graphon, spec: GameSpec, eta, order: int = 1) -> float:
     absolutely. Refuses at non-interior equilibria.
     """
     eta = np.asarray(eta, dtype=float)
-    s0, _, grad, hess = second_derivative_values(g, spec, eta)
+    solve = _kernel_resolvent(g, spec)
+    s0, _, grad, hess = solve(eta, 2)
     if not spec.strategy_set.is_interior(s0):
         raise NotInterior("equilibrium touches a strategy bound")
     n = eta.size
 
     def solve_at(e):
-        s, _ = solve_values(g, spec, e)
-        return s
+        return solve(e, 0)[0]
 
     worst = 0.0
     if order == 1:

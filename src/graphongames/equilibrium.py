@@ -13,8 +13,11 @@ kernel, so both games share one engine of two private cores:
   system, one multi-right-hand-side solve per order, so they are exact at
   machine precision.
 
-Every closed form on a kernel, the estimator's J core included, reaches
-``_resolvent`` through one entry that checks the spectral condition.
+Every closed form on a kernel, the estimator's J core included, goes
+through one solver built once per (kernel, game), ``_kernel_resolvent``,
+which checks the spectral condition at every eta. Where theta2 is the same
+on every cell it solves in the kernel's one cached eigenbasis instead of
+calling ``_resolvent``.
 """
 
 from __future__ import annotations
@@ -113,18 +116,66 @@ def _resolvent(a: np.ndarray, maps, eta, order: int):
     return s, z, grad, hess
 
 
-def _kernel_resolvent(g: Graphon, spec: GameSpec, eta, order: int):
-    """:func:`_resolvent` on ``g``'s natural partition. Raises
-    :class:`SpectralConditionViolated` when max |theta2| * lambda_max >= 1."""
+def _kernel_resolvent(g: Graphon, spec: GameSpec):
+    """The interior solve on ``g``'s natural partition for one game, built
+    once: returns ``solve(eta, order)`` with :func:`_resolvent`'s outputs.
+    Each call raises :class:`SpectralConditionViolated` when
+    max |theta2| * lambda_max >= 1.
+
+    When theta2 is the same on every cell for every eta (b2 constant, each
+    column of D2 constant), V = I - t A is diagonal in the kernel's cached
+    eigenbasis (:meth:`Graphon.eigen`, A = R^-1 Q diag(lam) Q^T R with
+    R = diag(sqrt(w))): with y = Q^T R theta1 / (1 - t lam), s = R^-1 Q y
+    and z = R^-1 Q (lam y). Both resolvent identities become diagonal
+    scalings of right-hand sides projected once, and every order is one
+    product with Q. Any other game takes :func:`_resolvent`, one LU
+    factorization per call.
+    """
     maps = spec.affine_maps(g)
-    _, _, b2, d2 = maps
-    coef = float(np.max(np.abs(b2 + d2 @ np.asarray(eta, dtype=float))))
+    b1, d1, b2, d2 = maps
     lam = g.lambda_max()
-    if coef * lam >= 1.0:
-        raise SpectralConditionViolated(
-            f"aggregate coefficient {coef} times lambda_max {lam} is >= 1"
-        )
-    return _resolvent(g.operator_matrix(), maps, eta, order)
+
+    def check(eta):
+        eta = np.asarray(eta, dtype=float)
+        coef = float(np.max(np.abs(b2 + d2 @ eta)))
+        if coef * lam >= 1.0:
+            raise SpectralConditionViolated(
+                f"aggregate coefficient {coef} times lambda_max {lam} is >= 1"
+            )
+        return eta
+
+    if not ((d2 == d2[0]).all() and (b2 == b2[0]).all()):
+        a = g.operator_matrix()
+        return lambda eta, order: _resolvent(a, maps, check(eta), order)
+
+    evals, q = g.eigen()
+    root_w = np.sqrt(g.cell_weights())
+    proj = q.T @ (root_w[:, None] * np.column_stack([b1, d1]))
+    c = d2[0]
+
+    def solve(eta, order: int):
+        eta = check(eta)
+        p = eta.size
+        u = 1.0 / (1.0 - (b2[0] + c @ eta) * evals)
+        y = u * (proj[:, 0] + proj[:, 1:] @ eta)
+        cols = [y[:, None], (evals * y)[:, None]]
+        if order >= 1:
+            cols.append(u[:, None] * (proj[:, 1:] + np.outer(evals * y, c)))
+        if order == 2:
+            lg = evals[:, None] * cols[2]
+            i, j = np.triu_indices(p)
+            cols.append(u[:, None] * (c[i] * lg[:, j] + c[j] * lg[:, i]))
+        out = (q @ np.hstack(cols)) / root_w[:, None]
+        result = [out[:, 0], out[:, 1]]
+        if order >= 1:
+            result.append(out[:, 2:2 + p])
+        if order == 2:
+            hess = np.empty((p, p, out.shape[0]))
+            hess[i, j] = hess[j, i] = out[:, 2 + p:].T
+            result.append(hess)
+        return tuple(result)
+
+    return solve
 
 
 def solve_lq_homogeneous(g: Graphon, eta,
@@ -190,25 +241,25 @@ def solve_fixed_point(g: Graphon, spec: GameSpec, eta,
     )
 
 
-# Array-level closed forms on the natural partition, all thin calls to
-# _kernel_resolvent. These are the workhorses behind the estimator and the
-# finite-difference checks: they solve the unconstrained (interior) system
-# without box or interiority checks; the estimator's J core adds the latter.
+# Array-level closed forms on the natural partition, each one solve of a
+# _kernel_resolvent built for the call. They solve the unconstrained
+# (interior) system without box or interiority checks. The estimator and
+# the finite-difference checks build the solver once and call it directly.
 
 def solve_values(g: Graphon, spec: GameSpec, eta):
     """(strategy values, aggregate values) of the interior equilibrium on
     the kernel's natural partition."""
-    return _kernel_resolvent(g, spec, eta, 0)
+    return _kernel_resolvent(g, spec)(eta, 0)
 
 
 def gradient_values(g: Graphon, spec: GameSpec, eta):
     """(strategy, aggregate, gradient) arrays; gradient has one column per
     parameter coordinate."""
-    return _kernel_resolvent(g, spec, eta, 1)
+    return _kernel_resolvent(g, spec)(eta, 1)
 
 
 def second_derivative_values(g: Graphon, spec: GameSpec, eta):
     """(strategy, aggregate, gradient, hessian) arrays; hessian has shape
     (n_params, n_params, n_cells) and is exactly symmetric in its first two
     axes."""
-    return _kernel_resolvent(g, spec, eta, 2)
+    return _kernel_resolvent(g, spec)(eta, 2)

@@ -32,7 +32,7 @@ from .errors import InfeasibleParameterSet, NoStart, NotInterior
 from .functionspace import PiecewiseConstantFn, cell_integrals, integrate_product
 from .game import GameSpec, contraction_margin
 from .graphon import Graphon
-from .equilibrium import _kernel_resolvent, gradient_values, solve_values
+from .equilibrium import _kernel_resolvent, solve_values
 
 # scipy's xtol, ftol and gtol: the solve runs to the rounding floor or to
 # max_iter; EstimateOptions.gtol and the certificate decide convergence.
@@ -85,8 +85,9 @@ def _statistic(observed: PiecewiseConstantFn,
     return root_w, target, offset
 
 
-def _j(stat, g: Graphon, spec: GameSpec, eta, order: int = 0) -> list:
-    """[J] at eta, plus its gradient for ``order`` 1 and its Hessian for 2.
+def _j(stat, solve, spec: GameSpec, eta, order: int = 0) -> list:
+    """[J] at eta, plus its gradient for ``order`` 1 and its Hessian for 2,
+    from the solver ``solve`` = ``_kernel_resolvent(g, spec)``.
 
     With r = root_w * s - target and G = ds/deta from the resolvent:
     J = ||r||^2 + offset (clamped at 0 against rounding), grad J =
@@ -95,7 +96,7 @@ def _j(stat, g: Graphon, spec: GameSpec, eta, order: int = 0) -> list:
     :class:`NotInterior` where the equilibrium touches a strategy bound.
     """
     root_w, target, offset = stat
-    s, _, *derivs = _kernel_resolvent(g, spec, eta, order)
+    s, _, *derivs = solve(eta, order)
     r = root_w * s - target
     out = [max(float(r @ r) + offset, 0.0)]
     if order == 0:
@@ -117,14 +118,15 @@ def objective(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
               eta) -> float:
     """J(eta): squared L2 distance between the observation and the model
     equilibrium."""
-    return _j(_statistic(observed, g), g, spec, eta)[0]
+    return _j(_statistic(observed, g), _kernel_resolvent(g, spec), spec, eta)[0]
 
 
 def objective_gradient(observed: PiecewiseConstantFn, g: Graphon,
                        spec: GameSpec, eta) -> np.ndarray:
     """Analytic gradient of J, -2 * integral of (observed - s_eta) *
     ds_eta/deta. Valid only at interior equilibria."""
-    return _j(_statistic(observed, g), g, spec, eta, 1)[1]
+    return _j(_statistic(observed, g), _kernel_resolvent(g, spec), spec, eta,
+              1)[1]
 
 
 def hessian(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
@@ -133,31 +135,33 @@ def hessian(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
     outer-product term plus a residual-weighted curvature term, which
     vanishes at zero residual and leaves a positive semidefinite matrix.
     Valid only at interior equilibria."""
-    h = _j(_statistic(observed, g), g, spec, eta, 2)[2]
+    h = _j(_statistic(observed, g), _kernel_resolvent(g, spec), spec, eta,
+           2)[2]
     return HessianInfo(matrix=h, min_eigenvalue=float(np.linalg.eigvalsh(h)[0]))
 
 
-def _certify(stat, g: Graphon, spec: GameSpec, eta, grad_j, lo,
-             hi) -> tuple[float, bool]:
-    """(smallest eigenvalue of the Hessian of J at eta, whether eta passes
-    the second-order certificate on the box [lo, hi]).
+def _certify(stat, solve, spec: GameSpec, eta, grad_j, lo,
+             hi) -> tuple[float, float, bool]:
+    """(J at eta, smallest eigenvalue of the Hessian of J there, whether eta
+    passes the second-order certificate on the box [lo, hi]).
 
     A coordinate is free unless its projected-gradient step eta - grad_j
     is clipped. The Hessian on the q free coordinates must have its
     smallest eigenvalue above q * eps * max |eigenvalue| of that
     sub-matrix, the rounding level of numpy's matrix_rank; an empty free
     set certifies. The eigenvalue is NaN, and eta not certified, where the
-    model equilibrium touches a strategy bound."""
+    model equilibrium touches a strategy bound; J then takes an order-0
+    solve of its own."""
     try:
-        h = _j(stat, g, spec, eta, 2)[2]
+        j, _, h = _j(stat, solve, spec, eta, 2)
     except NotInterior:
-        return float("nan"), False
+        return _j(stat, solve, spec, eta)[0], float("nan"), False
     step = eta - grad_j
     free = (step >= lo) & (step <= hi)
     full = np.linalg.eigvalsh(h)
     eig = full if free.all() else np.linalg.eigvalsh(h[np.ix_(free, free)])
     floor = eig.size * np.finfo(float).eps * np.abs(eig).max(initial=0.0)
-    return float(full[0]), bool(eig.size == 0 or eig[0] > floor)
+    return j, float(full[0]), bool(eig.size == 0 or eig[0] > floor)
 
 
 def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
@@ -192,14 +196,13 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
 
     stat = _statistic(observed, g)
     root_w, target, _ = stat
+    solve = _kernel_resolvent(g, spec)
 
     def residual(eta):
-        s, _ = solve_values(g, spec, eta)
-        return root_w * s - target
+        return root_w * solve(eta, 0)[0] - target
 
     def jacobian(eta):
-        _, _, grad = gradient_values(g, spec, eta)
-        return root_w[:, None] * grad
+        return root_w[:, None] * solve(eta, 1)[2]
 
     fit = least_squares(
         residual, 0.5 * (lo + hi), jac=jacobian, bounds=(lo, hi),
@@ -208,10 +211,11 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
     )
     grad_j = 2.0 * (fit.jac.T @ fit.fun)
     pgnorm = float(np.linalg.norm(fit.x - np.clip(fit.x - grad_j, lo, hi)))
-    min_eig, certified = _certify(stat, g, spec, fit.x, grad_j, lo, hi)
+    j_hat, min_eig, certified = _certify(stat, solve, spec, fit.x, grad_j,
+                                         lo, hi)
     return EstimationResult(
         eta_hat=fit.x,
-        objective=_j(stat, g, spec, fit.x)[0],
+        objective=j_hat,
         gradient_norm=pgnorm,
         hessian_min_eig=min_eig,
         starts=1,

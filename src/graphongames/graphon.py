@@ -70,18 +70,22 @@ class Graphon:
         ints = cell_integrals(f, bounds)
         return PiecewiseConstantFn(bounds, self.kernel_matrix() @ ints)
 
-    def lambda_max(self) -> float:
-        """Largest eigenvalue of the integral operator.
-
-        A dense symmetric eigensolve of the symmetrized cell matrix
-        sqrt(w_i) K_ij sqrt(w_j), which shares the operator's spectrum.
-        Computed once per instance and cached.
-        """
-        if "_lambda_max" not in self.__dict__:
+    def eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues in ascending order, orthonormal eigenvectors as
+        columns) of the symmetrized cell matrix sqrt(w_i) K_ij sqrt(w_j),
+        which shares the integral operator's spectrum: the operator matrix
+        is diag(1/sqrt(w)) Q diag(lambda) Q^T diag(sqrt(w)). One dense
+        symmetric eigensolve, computed once per instance and cached."""
+        if "_eigen" not in self.__dict__:
             root_w = np.sqrt(self.cell_weights())
             sym = self.kernel_matrix() * np.outer(root_w, root_w)
-            self._lambda_max = float(np.linalg.eigvalsh(sym).max())
-        return self._lambda_max
+            self._eigen = np.linalg.eigh(sym)
+        return self._eigen
+
+    def lambda_max(self) -> float:
+        """Largest eigenvalue of the integral operator, the top one of
+        :meth:`eigen`."""
+        return float(self.eigen()[0][-1])
 
     def sup_degree(self) -> float:
         """Essential supremum over x of the degree integral of W(x, y) dy."""

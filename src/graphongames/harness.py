@@ -104,7 +104,7 @@ class ExperimentConfig:
              "positive and finite"),
             ("optimizer.max_iter", opt.max_iter, _count, "an integer >= 1"),
             ("optimizer.margin_buffer", opt.margin_buffer,
-             lambda v: isinstance(v, Real) and 0.0 <= v < 1.0, "in [0, 1)"),
+             lambda v: _real(v) and 0.0 <= v < 1.0, "in [0, 1)"),
             ("solver.tol", sol.tol, _positive_finite, "positive and finite"),
             ("solver.max_iter", sol.max_iter, _count, "an integer >= 1"),
         ):
@@ -113,12 +113,17 @@ class ExperimentConfig:
         return problems
 
 
+def _real(v) -> bool:
+    # YAML's true and false are Python bools, which numbers.Real admits
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
 def _positive_finite(v) -> bool:
-    return isinstance(v, Real) and 0.0 < v < math.inf
+    return _real(v) and 0.0 < v < math.inf
 
 
 def _count(v) -> bool:
-    return isinstance(v, Integral) and v >= 1
+    return _real(v) and isinstance(v, Integral) and v >= 1
 
 
 @dataclass
@@ -398,8 +403,8 @@ def config_from_dict(d: dict, base_dir=None) -> ExperimentConfig:
         n_list = [int(v) for v in _require(d, "n_list", "config")]
         runs_per_n = int(_require(d, "runs_per_n", "config"))
         master_seed = int(_require(d, "master_seed", "config"))
-        solver = SolverOptions(**(d.get("solver") or {}))
-        optimizer = EstimateOptions(**(d.get("optimizer") or {}))
+        solver = _options(SolverOptions, d, "solver")
+        optimizer = _options(EstimateOptions, d, "optimizer")
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -415,6 +420,23 @@ def config_from_dict(d: dict, base_dir=None) -> ExperimentConfig:
         solver=solver,
         optimizer=optimizer,
     )
+
+
+def _options(cls, d: dict, key: str):
+    """``cls`` built from the mapping ``d[key]``. A string that spells a
+    number is read as one: PyYAML reads ``1e-9``, which has no dot, as a
+    string. Any other value is passed on for ``validate`` to judge."""
+    return cls(**{k: _number(v) for k, v in dict(d.get(key) or {}).items()})
+
+
+def _number(v):
+    if isinstance(v, str):
+        for kind in (int, float):
+            try:
+                return kind(v)
+            except ValueError:
+                pass
+    return v
 
 
 def load_config(path) -> ExperimentConfig:

@@ -1,10 +1,12 @@
 """Shared fixtures: the four-community benchmark instance used throughout
-the suite, plus a couple of small hand-checkable games."""
+the suite, a couple of small hand-checkable games, and the benchmark's
+100-cell grid kernel."""
 
 import numpy as np
 import pytest
 
 from graphongames import (
+    GridGraphon,
     LQHomogeneous,
     LQSBM,
     ParameterBox,
@@ -28,6 +30,14 @@ ETA4 = np.array([0.8, 0.6, 1.0, 0.8])
 # Two-community instance small enough to solve by hand.
 Q2 = np.array([[0.8, 0.2], [0.2, 0.4]])
 PI2 = np.array([0.5, 0.5])
+
+
+def smooth_grid_kernel(m=100):
+    """The benchmark's grid kernel: W(x, y) = 0.8 exp(-3 |x - y|)
+    (0.4 + 0.6 sqrt(x y)) at cell centres."""
+    c = (np.arange(m) + 0.5) / m
+    return GridGraphon(0.8 * np.exp(-3.0 * np.abs(c[:, None] - c[None, :]))
+                       * (0.4 + 0.6 * np.sqrt(np.outer(c, c))))
 
 
 @pytest.fixture(scope="session")

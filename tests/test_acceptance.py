@@ -5,11 +5,15 @@ criteria execute. The Monte Carlo sweep is shared between criteria and runs
 once per session.
 """
 
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import yaml
 
 from graphongames import (
     ConstantGraphon,
@@ -44,7 +48,7 @@ from graphongames.harness import (
     summarize_quantiles,
 )
 from graphongames.equilibrium import solve_values
-from conftest import ETA4
+from conftest import ETA4, smooth_grid_kernel
 
 
 @contextmanager
@@ -258,27 +262,54 @@ def test_criterion_11_deterministic_experiment_output(experiment, tmp_path):
             summarize_quantiles(rerun)
         )
 
-        # and across BLAS thread counts, via separate interpreter sessions
-        import os
-        import subprocess
-        import sys
+        # and across BLAS thread counts
+        one, four = results_at_blas_threads("configs/sbm4.yaml", tmp_path)
+        assert one == four
+        assert one == records_to_csv(records, n_params).encode()
 
-        outputs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"threads{threads}.csv"
-            env = dict(
-                os.environ,
-                OMP_NUM_THREADS=threads,
-                OPENBLAS_NUM_THREADS=threads,
-                MKL_NUM_THREADS=threads,
-            )
-            subprocess.run(
-                [
-                    sys.executable, "-m", "graphongames.cli", "experiment",
-                    "--config", "configs/sbm4.yaml", "--out", str(out),
-                ],
-                check=True, env=env, capture_output=True,
-            )
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-        assert outputs[0] == records_to_csv(records, n_params).encode()
+
+def test_criterion_11_grid_kernel_invariant_to_blas_threads(tmp_path):
+    with criterion(11, "grid-kernel experiment CSV is byte-identical across "
+                       "BLAS thread counts"):
+        # the benchmark's 100-cell grid kernel with the homogeneous game
+        np.savetxt(tmp_path / "kernel.csv", smooth_grid_kernel().matrix,
+                   fmt="%.17g", delimiter=",")
+        config = tmp_path / "grid.yaml"
+        config.write_text(yaml.safe_dump({
+            "graphon": {"kind": "grid", "csv": "kernel.csv"},
+            "game": {
+                "kind": "lq_homogeneous",
+                "strategy_set": [0.0, 50.0],
+                "xi": {"lower": [0.1, 0.0], "upper": [2.0, 1.5]},
+            },
+            "eta_true": [1.0, 0.9],
+            "n_list": [200],
+            "runs_per_n": 4,
+            "master_seed": 0,
+        }))
+        one, four = results_at_blas_threads(str(config), tmp_path)
+        assert one == four
+
+
+def results_at_blas_threads(config: str, tmp_path) -> list[bytes]:
+    """The results CSV of ``experiment`` on ``config`` at one and at four
+    BLAS threads, each from its own interpreter session, since the thread
+    count is read when numpy loads."""
+    outputs = []
+    for threads in ("1", "4"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = dict(
+            os.environ,
+            OMP_NUM_THREADS=threads,
+            OPENBLAS_NUM_THREADS=threads,
+            MKL_NUM_THREADS=threads,
+        )
+        subprocess.run(
+            [
+                sys.executable, "-m", "graphongames.cli", "experiment",
+                "--config", config, "--out", str(out),
+            ],
+            check=True, env=env, capture_output=True,
+        )
+        outputs.append(out.read_bytes())
+    return outputs

@@ -42,6 +42,15 @@ class TestValidate:
         assert main(["validate", "--config", SHIPPED, "--seed", "-1"]) == 1
         assert "master_seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gtol, code", [("1e-9", 0), ("fast", 1)])
+    def test_option_read_as_a_number(self, tmp_path, capsys, gtol, code):
+        # PyYAML reads 1e-9, which has no dot, as a string
+        path = write_config(tmp_path)
+        with open(path, "a") as fh:
+            fh.write(f"optimizer: {{gtol: {gtol}}}\n")
+        assert main(["validate", "--config", path]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_missing_file_exits_1(self):
         assert main(["validate", "--config", "no/such/file.yaml"]) == 1
 

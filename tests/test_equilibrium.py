@@ -28,11 +28,13 @@ from graphongames import (
     sup_distance,
 )
 from graphongames.equilibrium import (
+    _kernel_resolvent,
+    _resolvent,
     gradient_values,
     second_derivative_values,
     solve_values,
 )
-from conftest import ETA4, PI2, Q2
+from conftest import ETA4, PI2, Q2, smooth_grid_kernel
 
 # Frozen from the hand 2x2 solve: (I - M) s = 1 with M = [[0.2, 0.05],
 # [0.05, 0.1]] gives s = (0.95, 0.85) / 0.7175.
@@ -343,17 +345,13 @@ def random_block_kernel(k, seed):
     return SBMGraphon((q + q.T) / 2, rng.dirichlet(np.ones(k))), rng
 
 
-def smooth_grid_kernel(m=100):
-    """W(x, y) = 0.8 exp(-3 |x - y|) (0.4 + 0.6 sqrt(x y)) at cell centres."""
-    c = (np.arange(m) + 0.5) / m
-    return GridGraphon(0.8 * np.exp(-3.0 * np.abs(c[:, None] - c[None, :]))
-                       * (0.4 + 0.6 * np.sqrt(np.outer(c, c))))
-
-
 class TestResolventCoreProperties:
-    """fd_check at both orders, an exactly symmetric Hessian, and agreement
-    with the best-response fixed point, for both games on random block
-    kernels and on a smooth 100-cell grid kernel."""
+    """fd_check at both orders, an exactly symmetric Hessian, agreement
+    with the best-response fixed point, and agreement of the kernel solver
+    with the LU core on the operator matrix at every order, for both games
+    on random block kernels and on a smooth 100-cell grid kernel. The
+    homogeneous game takes the eigenbasis route, the community game with
+    more than one community the LU route."""
 
     @staticmethod
     def check(g, spec, eta):
@@ -361,6 +359,11 @@ class TestResolventCoreProperties:
         assert fd_check(g, spec, eta, order=2) <= 1e-4
         s, _, _, hess = second_derivative_values(g, spec, eta)
         assert np.array_equal(hess, hess.transpose(1, 0, 2))
+        solve = _kernel_resolvent(g, spec)
+        for order in range(3):
+            lu = _resolvent(g.operator_matrix(), spec.affine_maps(g), eta, order)
+            for got, ref in zip(solve(eta, order), lu, strict=True):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         iterated = solve_fixed_point(g, spec, eta, tol=1e-12).strategy.values
         assert np.max(np.abs(iterated - s)) <= 1e-10
 

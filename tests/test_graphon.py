@@ -7,9 +7,11 @@ from graphongames import (
     OutOfDomain,
     PiecewiseConstantFn,
     SBMGraphon,
+    estimate,
+    model_equilibrium_fn,
     sup_distance,
 )
-from conftest import ETA4, PI4, Q2, PI2, Q4
+from conftest import ETA4, PI4, Q2, PI2, Q4, smooth_grid_kernel
 
 
 def random_sbm(rng, k=None):
@@ -114,15 +116,22 @@ class TestLambdaMax:
             grid = GridGraphon.from_kernel(g, res)
             assert grid.lambda_max() == pytest.approx(g.lambda_max(), abs=1e-9)
 
-    def test_one_eigensolve_per_instance(self, monkeypatch):
+    def test_one_eigensolve_per_instance(self, monkeypatch, homogeneous_game):
         calls = []
-        eigvalsh = np.linalg.eigvalsh
+        eigh = np.linalg.eigh
         monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m)
+            np.linalg, "eigh", lambda m: calls.append(m) or eigh(m)
         )
         g = SBMGraphon(Q4, PI4)
         assert g.lambda_max() == g.lambda_max()
         assert len(calls) == 1
+        # the estimator's every evaluation reads the grid kernel's one
+        # cached eigenbasis
+        grid = smooth_grid_kernel()
+        observed = model_equilibrium_fn(grid, homogeneous_game, [1.0, 0.9])
+        assert estimate(observed, grid, homogeneous_game).converged
+        assert grid.lambda_max() == grid.eigen()[0][-1]
+        assert len(calls) == 2
 
     def test_zero_kernel(self):
         assert ConstantGraphon(0.0).lambda_max() == 0.0

@@ -79,6 +79,9 @@ class TestConfig:
             ("solver", "tol", 0.0),
             ("solver", "tol", float("nan")),
             ("solver", "max_iter", 0),
+            ("optimizer", "gtol", True),
+            ("optimizer", "max_iter", True),
+            ("optimizer", "margin_buffer", False),
         ],
     )
     def test_out_of_range_numbers_flagged(self, section, key, value):
@@ -87,6 +90,30 @@ class TestConfig:
         bad[section] = {key: value}
         problems = config_from_dict(bad).validate()
         assert len(problems) == 1 and problems[0].startswith(f"{section}.{key} ")
+
+    def test_exponent_without_dot_read_as_a_number(self, tmp_path):
+        # PyYAML reads 1e-9 (no dot) as a string
+        import yaml
+
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(SMALL_CONFIG) + (
+            "optimizer: {gtol: 1e-9, max_iter: 300}\n"
+            "solver: {tol: 1e-12}\n"))
+        config = load_config(path)
+        assert config.optimizer.gtol == 1e-9
+        assert config.optimizer.max_iter == 300
+        assert config.solver.tol == 1e-12
+        assert config.validate() == []
+
+    def test_non_number_option_flagged(self, tmp_path):
+        import yaml
+
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(SMALL_CONFIG)
+                        + "optimizer: {gtol: fast}\n")
+        problems = load_config(path).validate()
+        assert problems == ["optimizer.gtol must be positive and finite, "
+                            "got 'fast'"]
 
     def test_eta_true_outside_box_flagged(self):
         bad = dict(SMALL_CONFIG)
