@@ -6,6 +6,10 @@ kernel, so both games share one engine of two private cores:
 * ``_project``, the projected best-response loop, valid whenever the
   best-response map is a contraction. :func:`solve_fixed_point` and
   ``sampling.solve_network_game`` differ only in the operator they apply.
+  On a network it is the route where a strategy bound binds: a certified
+  interior network game is first solved by conjugate gradients on the
+  sparse edges (``sampling._interior_cg``), and the loop runs when that is
+  not certified or not accepted.
 * ``_resolvent``, the interior solve s = (I - diag(theta2) A)^{-1} theta1
   on an operator matrix A, valid where no strategy bound binds, with the
   game's affine maps theta1 = b1 + D1 eta, theta2 = b2 + D2 eta read at its

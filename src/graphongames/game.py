@@ -158,9 +158,9 @@ class LQHomogeneous(GameSpec):
     def affine_maps(self, g: Graphon):
         # theta1 = eta1 * 1, theta2 = eta2 * 1
         n = g.cell_weights().size
-        ones, zeros = np.ones((n, 1)), np.zeros((n, 1))
-        return (np.zeros(n), np.hstack([ones, zeros]),
-                np.zeros(n), np.hstack([zeros, ones]))
+        d1, d2 = np.zeros((n, 2)), np.zeros((n, 2))
+        d1[:, 0] = d2[:, 1] = 1.0
+        return np.zeros(n), d1, np.zeros(n), d2
 
 
 @dataclass

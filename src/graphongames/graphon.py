@@ -186,7 +186,12 @@ class GridGraphon(Graphon):
         return self.matrix.shape[0]
 
     def cell_boundaries(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.resolution + 1)
+        """The uniform grid, computed once per instance and cached
+        read-only, like :meth:`Graphon.eigen`."""
+        if "_bounds" not in self.__dict__:
+            self._bounds = np.linspace(0.0, 1.0, self.resolution + 1)
+            self._bounds.flags.writeable = False
+        return self._bounds
 
     def kernel_matrix(self) -> np.ndarray:
         return self.matrix

@@ -12,9 +12,9 @@ execute in sorted (N, run) order, and per-run seeds come from a documented
 hash, so reruns are byte-identical. Wall-clock timings are inherently not
 reproducible and therefore go to a separate sidecar file, together with
 the time of each stage (sampling, the finite-game solve, estimation) and
-the per-run solver facts (evaluations, best-response iterations, the
-finite game's residual and interior flag, the contraction certificate and
-the class of any failure).
+the per-run solver facts (evaluations, the finite game's solver route and
+its iterations, residual and interior flag, the contraction certificate
+and the class of any failure).
 """
 
 from __future__ import annotations
@@ -141,14 +141,16 @@ class RunRecord:
     wall_time_s: float
     # sidecar only: seconds spent sampling, solving the finite game and
     # estimating (NaN for a stage the run did not complete), estimator
-    # residual evaluations, the finite game's best-response iterations,
-    # residual, interior flag (None when unsolved) and contraction
-    # certificate, and the exception class of a failed run
+    # residual evaluations, the finite game's solver route ("cg" or
+    # "project", "" when unsolved) and its iterations, residual, interior
+    # flag (None when unsolved) and contraction certificate, and the
+    # exception class of a failed run
     sample_s: float = float("nan")
     solve_s: float = float("nan")
     estimate_s: float = float("nan")
     evaluations: int = 0
     br_iterations: int = 0
+    route: str = ""
     residual: float = float("nan")
     interior: bool | None = None
     certificate: str = ""
@@ -231,6 +233,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
                 **times,
                 evaluations=result.iterations_total if result else 0,
                 br_iterations=neq.iterations if neq else 0,
+                route=neq.route if neq else "",
                 residual=neq.residual if neq else nan,
                 interior=neq.interior if neq else None,
                 certificate=neq.certificate if neq else "",
@@ -291,14 +294,15 @@ def timings_to_csv(records: list[RunRecord]) -> str:
     of the deterministic CSV."""
     out = io.StringIO()
     out.write("N,run,wall_time_s,sample_s,solve_s,estimate_s,evaluations,"
-              "br_iterations,residual,interior,certificate,"
+              "br_iterations,route,residual,interior,certificate,"
               "contraction_margin,failure\n")
     interior = {True: "true", False: "false", None: ""}
     for r in records:
         cells = [str(r.n), str(r.run), _fmt(r.wall_time_s), _fmt(r.sample_s),
                  _fmt(r.solve_s), _fmt(r.estimate_s), str(r.evaluations),
-                 str(r.br_iterations), _fmt(r.residual), interior[r.interior],
-                 r.certificate, _fmt(r.contraction_margin), r.failure]
+                 str(r.br_iterations), r.route, _fmt(r.residual),
+                 interior[r.interior], r.certificate,
+                 _fmt(r.contraction_margin), r.failure]
         out.write(",".join(cells) + "\n")
     return out.getvalue()
 

@@ -31,9 +31,10 @@ one kernel cell, where the edge probability is constant, and keeps only
 its row counts and columns. ``EDGE_BLOCK_PAIRS`` bounds the pairs of all
 blocks in flight together (plus one row per block), so the sampler's
 working memory beyond U grows neither with N nor with the thread count.
-The finite-game solve is the equilibrium module's projected loop with
-P = U + U^T applied as the two sparse products U s + U^T s, so no N x N
-array is formed anywhere between sampling and the equilibrium.
+The finite-game solve applies P = U + U^T as the two sparse products
+U s + U^T s, by conjugate gradients on a certified interior game and by the
+equilibrium module's projected loop otherwise, so no N x N array is formed
+anywhere between sampling and the equilibrium.
 """
 
 from __future__ import annotations
@@ -94,7 +95,9 @@ class NetworkEquilibrium:
 
     ``certificate`` names the contraction check that admitted the network
     (``"row_sum"`` or ``"spectral"``) and ``contraction_margin`` is the
-    margin it found, 1 minus the bound, always positive.
+    margin it found, 1 minus the bound, always positive. ``route`` names
+    the solver that produced the strategies (``"cg"`` or ``"project"``),
+    and ``iterations`` counts its steps.
     """
 
     strategies: np.ndarray
@@ -104,6 +107,7 @@ class NetworkEquilibrium:
     residual: float
     certificate: str
     contraction_margin: float
+    route: str
 
 
 def sample_network(g: Graphon, n: int, seed: int) -> SampledNetwork:
@@ -207,8 +211,11 @@ def network_spectral_radius(net: SampledNetwork, rtol: float = 1e-8) -> float:
 def _contraction_certificate(net: SampledNetwork, th2) -> tuple[str, float]:
     """The cheapest check that admits the best-response map as a
     contraction, and its margin. Raises NotAContraction when none does."""
-    n, upper, ones = net.n_agents, net.upper, np.ones(net.n_agents)
-    degrees = upper @ ones + upper.T @ ones  # P 1, exact in float64
+    n, upper = net.n_agents, net.upper
+    # P 1, exact: row i of U counts i's edges to later agents, read off the
+    # CSR structure; column i its edges to earlier ones, one sparse product
+    # (np.bincount of the columns would copy them to int64, 8 bytes an edge)
+    degrees = np.diff(upper.indptr) + upper.T @ np.ones(n)
     margin = 1.0 - float(np.max(np.abs(th2) * degrees)) / n
     if margin > 0.0:
         return "row_sum", margin
@@ -225,26 +232,39 @@ def solve_network_game(net: SampledNetwork, spec: GameSpec, eta,
                        max_iter: int = DEFAULT_MAX_ITER,
                        pi=None) -> NetworkEquilibrium:
     """Equilibrium of the finite game on a sampled network: the graphon game
-    on its empirical kernel P / N, by the loop of ``solve_fixed_point``.
+    on its empirical kernel P / N, to sup-norm error ``tol``.
 
     Agent i's heterogeneity is the game's per-cell pair
     (:meth:`GameSpec.cell_thetas`, which checks ``eta`` against the box) at
     the cell of ``net.graphon`` holding its label t_i. ``pi`` is ignored.
-    The projected best response s <- clamp(theta1 + theta2 * (P s) / N) is
-    iterated from zero to sup-norm tolerance ``tol``, applying P = U + U^T
-    as two sparse products on ``net.upper``.
+    P = U + U^T is applied as two sparse products on ``net.upper``.
 
     Before solving, the network must pass one of two contraction checks,
     tried in this order:
 
     1. ``"row_sum"``: max_i |theta2_i| deg_i / N < 1. This is the
        infinity-norm of diag(theta2) P / N; clamping is nonexpansive in the
-       sup norm, so the iteration contracts, and the norm also bounds the
-       matrix's spectral radius. It needs only the degrees.
+       sup norm, so the best response contracts by 1 - margin, and the norm
+       also bounds the matrix's spectral radius. It needs only the degrees.
     2. ``"spectral"``: max |theta2| * lambda_max(P / N) < 1, by an
        eigensolve, run only when the row-sum check fails.
 
     ``NotAContraction`` is raised when both fail.
+
+    Two routes solve it:
+
+    * ``"cg"``, tried first when the row-sum check passed and every
+      theta2_i > 0: conjugate gradients on the interior system
+      (:func:`_interior_cg`), stopped once the best-response residual is at
+      most ``tol`` * margin, so that by the contraction the error is at
+      most ``tol``. Its result is accepted only if it is interior and its
+      projected residual |s - clamp(theta1 + theta2 * (P s) / N)| passes
+      the same test.
+    * ``"project"`` otherwise, or when CG is not accepted or takes
+      ``max_iter`` steps: the projected best response
+      s <- clamp(theta1 + theta2 * (P s) / N) iterated from zero until the
+      sup-norm change is at most ``tol``. It is the route where a strategy
+      bound binds.
     """
     # pi is ignored but kept: perfbench/bench.py still passes it (ROADMAP item 1)
     th1, th2 = spec.cell_thetas(net.graphon, eta)
@@ -254,19 +274,65 @@ def solve_network_game(net: SampledNetwork, spec: GameSpec, eta,
     certificate, margin = _contraction_certificate(net, th2)
     u, ut = net.upper, net.upper.T
     lo, hi = spec.strategy_set.lower, spec.strategy_set.upper
+
+    def aggregate(x):
+        return (u @ x + ut @ x) / n
+
+    def equilibrium(s, iterations: int, route: str) -> NetworkEquilibrium:
+        z = aggregate(s)
+        return NetworkEquilibrium(
+            strategies=s,
+            aggregates=z,
+            interior=spec.strategy_set.is_interior(s),
+            iterations=iterations,
+            residual=float(np.max(np.abs(s - np.clip(th1 + th2 * z, lo, hi)))),
+            certificate=certificate,
+            contraction_margin=margin,
+            route=route,
+        )
+
+    if certificate == "row_sum" and np.all(th2 > 0.0):
+        found = _interior_cg(aggregate, th1, th2, tol * margin, max_iter)
+        if found is not None:
+            eq = equilibrium(*found, "cg")
+            if eq.interior and eq.residual <= tol * margin:
+                return eq
     s, iterations = _project(lambda s: th1 + th2 * (u @ s + ut @ s) / n, n,
                              lo, hi, tol, max_iter)
-    z = (u @ s + ut @ s) / n
-    residual = float(np.max(np.abs(s - np.clip(th1 + th2 * z, lo, hi))))
-    return NetworkEquilibrium(
-        strategies=s,
-        aggregates=z,
-        interior=spec.strategy_set.is_interior(s),
-        iterations=iterations,
-        residual=residual,
-        certificate=certificate,
-        contraction_margin=margin,
-    )
+    return equilibrium(s, iterations, "project")
+
+
+def _interior_cg(aggregate, th1, th2, stop: float, max_iter: int):
+    """The interior equilibrium s = theta1 + theta2 * aggregate(s), for a
+    symmetric linear ``aggregate`` = A and every theta2 > 0, by conjugate
+    gradients. The system is put in the symmetric form
+    (diag(1/theta2) - A) s = theta1 / theta2, positive definite when the
+    spectral radius of diag(theta2) A is below 1, preconditioned by
+    diag(theta2) and started from s = theta1.
+
+    The preconditioned residual theta2 * r is the best-response residual
+    theta1 + theta2 * (A s) - s, carried by the CG recursion without a
+    further product. Returns (s, steps) once its sup norm is at most
+    ``stop``, or None after ``max_iter`` steps without. Inner products are
+    numpy's pairwise sums ``(a * b).sum()``, not a BLAS dot, so the result
+    does not depend on the BLAS thread count.
+    """
+    s = th1.copy()
+    r = aggregate(s)  # theta1 / theta2 - (s / theta2 - A s) at s = theta1
+    y = th2 * r
+    p, rho, steps = y, (r * y).sum(), 0
+    while np.max(np.abs(y)) > stop:
+        if steps == max_iter:
+            return None
+        steps += 1
+        q = p / th2 - aggregate(p)
+        alpha = rho / (p * q).sum()
+        s += alpha * p
+        r -= alpha * q
+        y = th2 * r
+        rho, previous = (r * y).sum(), rho
+        p = y + (rho / previous) * p
+    return s, steps
 
 
 def observe(net: SampledNetwork, eq: NetworkEquilibrium) -> PiecewiseConstantFn:

@@ -40,6 +40,14 @@ def smooth_grid_kernel(m=100):
                        * (0.4 + 0.6 * np.sqrt(np.outer(c, c))))
 
 
+def random_block_kernel(k, seed):
+    """A k-community block kernel with uniform random symmetric intensities
+    and Dirichlet weights, and the generator that drew it."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.0, 1.0, size=(k, k))
+    return SBMGraphon((q + q.T) / 2, rng.dirichlet(np.ones(k))), rng
+
+
 @pytest.fixture(scope="session")
 def sbm4():
     return SBMGraphon(Q4, PI4)

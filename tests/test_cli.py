@@ -212,7 +212,7 @@ class TestSampleAndExperiment:
         timing = (tmp_path / "res.csv.timings.csv").read_text()
         assert timing.splitlines()[0] == (
             "N,run,wall_time_s,sample_s,solve_s,estimate_s,evaluations,"
-            "br_iterations,residual,interior,certificate,"
+            "br_iterations,route,residual,interior,certificate,"
             "contraction_margin,failure"
         )
         assert len(timing.splitlines()) == 3

@@ -34,7 +34,7 @@ from graphongames.equilibrium import (
     second_derivative_values,
     solve_values,
 )
-from conftest import ETA4, PI2, Q2, smooth_grid_kernel
+from conftest import ETA4, PI2, Q2, random_block_kernel, smooth_grid_kernel
 
 # Frozen from the hand 2x2 solve: (I - M) s = 1 with M = [[0.2, 0.05],
 # [0.05, 0.1]] gives s = (0.95, 0.85) / 0.7175.
@@ -337,12 +337,6 @@ class TestSecondDerivatives:
         assert grad[:, 1] == pytest.approx(eta[0] * f1, rel=1e-12)
         assert hess[0, 1] == pytest.approx(f1, rel=1e-12)
         assert hess[1, 1] == pytest.approx(eta[0] * f2, rel=1e-12)
-
-
-def random_block_kernel(k, seed):
-    rng = np.random.default_rng(seed)
-    q = rng.uniform(0.0, 1.0, size=(k, k))
-    return SBMGraphon((q + q.T) / 2, rng.dirichlet(np.ones(k))), rng
 
 
 class TestResolventCoreProperties:

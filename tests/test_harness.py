@@ -242,10 +242,10 @@ class TestRunExperiment:
         assert float(row[3]) >= 0.0 and float(row[4]) >= 0.0
         assert np.isnan(float(row[5]))  # estimation never finished
         assert row[6] == "0"
-        assert int(row[7]) > 0 and float(row[8]) <= 1e-10
-        assert row[9] == "true" and row[10] == "row_sum"
-        assert 0.0 < float(row[11]) < 1.0
-        assert row[12] == "NoConvergence"
+        assert int(row[7]) > 0 and row[8] == "cg" and float(row[9]) <= 1e-10
+        assert row[10] == "true" and row[11] == "row_sum"
+        assert 0.0 < float(row[12]) < 1.0
+        assert row[13] == "NoConvergence"
 
     def test_linear_algebra_failure_does_not_abort_the_sweep(self,
                                                              monkeypatch):
@@ -274,7 +274,7 @@ class TestRunExperiment:
         lines = timings_to_csv(records).splitlines()
         assert lines[0].split(",") == [
             "N", "run", "wall_time_s", "sample_s", "solve_s", "estimate_s",
-            "evaluations", "br_iterations", "residual", "interior",
+            "evaluations", "br_iterations", "route", "residual", "interior",
             "certificate", "contraction_margin", "failure",
         ]
         assert len(lines) == len(records) + 1
@@ -288,11 +288,12 @@ class TestRunExperiment:
             assert sum(stages) <= r.wall_time_s
             assert int(cells[6]) == r.evaluations >= 1
             assert int(cells[7]) == r.br_iterations > 0
-            assert float(cells[8]) == r.residual <= 1e-10
-            assert cells[9] == "true" and r.interior is True
-            assert cells[10] == r.certificate == "row_sum"
-            assert float(cells[11]) == r.contraction_margin > 0.0
-            assert cells[12] == r.failure == ""
+            assert cells[8] == r.route == "cg"
+            assert float(cells[9]) == r.residual <= 1e-10
+            assert cells[10] == "true" and r.interior is True
+            assert cells[11] == r.certificate == "row_sum"
+            assert float(cells[12]) == r.contraction_margin > 0.0
+            assert cells[13] == r.failure == ""
 
     def test_csv_bytes_reproducible(self, tmp_path):
         config = small_config()

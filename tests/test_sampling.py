@@ -33,9 +33,9 @@ from graphongames import (
     write_network,
 )
 from graphongames import sampling
-from graphongames.equilibrium import _resolvent
+from graphongames.equilibrium import DEFAULT_MAX_ITER, _project, _resolvent
 from graphongames.sampling import EDGE_BLOCK_PAIRS, network_spectral_radius
-from conftest import ETA4, PI4, Q4
+from conftest import ETA4, PI4, Q4, random_block_kernel
 
 
 def wide_homogeneous(eta2_max=2.0):
@@ -85,6 +85,18 @@ def empirical_resolvent(net, spec, eta, order):
     cells = net.graphon.cell_index(net.labels)
     maps = tuple(m[cells] for m in spec.affine_maps(net.graphon))
     return _resolvent(net.adjacency.toarray() / net.n_agents, maps, eta, order)
+
+
+def projected_iterate(net, spec, eta, tol):
+    """(s, iterations) of the projected best-response loop from zero on the
+    network, the finite game's bound-binding route and oracle."""
+    th1, th2 = spec.cell_thetas(net.graphon, eta)
+    cells = net.graphon.cell_index(net.labels)
+    th1, th2, n = th1[cells], th2[cells], net.n_agents
+    u, ut = net.upper, net.upper.T
+    return _project(lambda s: th1 + th2 * (u @ s + ut @ s) / n, n,
+                    spec.strategy_set.lower, spec.strategy_set.upper, tol,
+                    DEFAULT_MAX_ITER)
 
 
 def assert_upper_csr(net):
@@ -391,6 +403,78 @@ class TestSolveNetworkGame:
         without = solve_network_game(net, sbm4_game, ETA4, tol=1e-10,
                                      max_iter=1000)
         assert np.array_equal(with_pi.strategies, without.strategies)
+
+
+class TestSolverRoute:
+    """A certified interior game with every theta2_i > 0 is solved by
+    conjugate gradients; a binding bound, a spectral-only certificate or a
+    zero theta2_i takes the projected loop, whose iterate is unchanged."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        ratio=st.floats(0.05, 0.75),
+        eta1=st.floats(0.1, 2.0),
+        community=st.booleans(),
+    )
+    def test_cg_matches_projected_loop(self, k, seed, n, ratio, eta1,
+                                       community):
+        g, rng = random_block_kernel(k, seed)
+        net = sample_network(g, n, seed)
+        # max theta2 * max degree / N <= ratio keeps the row-sum certificate
+        scale = max(net.adjacency.sum(axis=1).max() / n, 1e-3)
+        if community:
+            eta = rng.uniform(0.05, 1.0, size=k) * ratio / scale
+            spec = LQSBM(theta1=eta1, strategy_set=StrategySet(0.0, 1e6),
+                         xi=ParameterBox(np.zeros(k), eta + 1.0))
+        else:
+            eta = np.array([eta1, ratio / scale])
+            spec = LQHomogeneous(strategy_set=StrategySet(0.0, 1e6),
+                                 xi=ParameterBox(np.zeros(2), eta + 1.0))
+        tol = 1e-10
+        eq = solve_network_game(net, spec, eta, tol=tol)
+        s, _ = projected_iterate(net, spec, eta, tol)
+        assert eq.route == "cg" and eq.certificate == "row_sum"
+        assert eq.interior and eq.residual <= tol * eq.contraction_margin
+        assert np.abs(eq.strategies - s).max() <= 10 * tol
+
+    def test_cg_takes_under_half_the_projected_steps(self, sbm4, sbm4_game):
+        # P / N is the kernel's few large eigenvalues plus noise, so CG's
+        # step count stays small while the loop's rate is theta2 lambda_max
+        for n in (400, 1600):
+            net = sample_network(sbm4, n, seed=1)
+            eq = solve_network_game(net, sbm4_game, ETA4)
+            _, iterations = projected_iterate(net, sbm4_game, ETA4, 1e-10)
+            assert eq.route == "cg" and 2 * eq.iterations <= iterations
+
+    def assert_projected(self, net, spec, eta):
+        eq = solve_network_game(net, spec, eta)
+        s, iterations = projected_iterate(net, spec, eta, 1e-10)
+        assert eq.route == "project"
+        assert np.array_equal(eq.strategies, s)
+        assert eq.iterations == iterations
+        return eq
+
+    def test_binding_bound_takes_the_projected_loop(self, sbm4):
+        spec = LQSBM(theta1=1.0, strategy_set=StrategySet(0.0, 1.1),
+                     xi=ParameterBox(np.full(4, 0.01), np.full(4, 1.2)))
+        eq = self.assert_projected(sample_network(sbm4, 300, seed=11), spec,
+                                   ETA4)
+        assert eq.certificate == "row_sum" and not eq.interior
+        assert eq.strategies.max() == 1.1
+
+    def test_spectral_certificate_takes_the_projected_loop(self):
+        eq = self.assert_projected(star(50), wide_homogeneous(), [1.0, 1.5])
+        assert eq.certificate == "spectral" and eq.interior
+
+    def test_zero_aggregate_effect_takes_the_projected_loop(self, sbm4):
+        spec = LQSBM(theta1=1.0, strategy_set=StrategySet(0.0, 10.0),
+                     xi=ParameterBox(np.zeros(4), np.full(4, 1.2)))
+        eq = self.assert_projected(sample_network(sbm4, 300, seed=11), spec,
+                                   np.array([0.8, 0.0, 1.0, 0.8]))
+        assert eq.certificate == "row_sum" and eq.interior
 
 
 class TestEmpiricalKernelOracle:
