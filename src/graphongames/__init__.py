@@ -33,7 +33,7 @@ from .graphon import (
     SBMGraphon,
 )
 from .game import (
-    GameSpec,
+    LQAffine,
     LQHomogeneous,
     LQSBM,
     ParameterBox,

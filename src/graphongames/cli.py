@@ -15,7 +15,6 @@ from .diagnostics import homogeneous_identifiability, sbm_identifiability_consta
 from .errors import ConfigError, GraphonGameError, NotInterior
 from .estimator import estimate, model_equilibrium_fn
 from .functionspace import interpolate_equilibrium
-from .game import LQSBM
 from .harness import (
     load_config,
     run_experiment,
@@ -182,7 +181,8 @@ def cmd_experiment(args) -> int:
 def cmd_diagnose(args) -> int:
     config = _load_valid_config(args)
     eta = np.asarray(config.eta_true, dtype=float)
-    if isinstance(config.game, LQSBM):
+    # a known theta1 (D1 = 0) is the community game's shape
+    if not config.game.d1.any():
         report = sbm_identifiability_constant(config.graphon, config.game, eta)
     else:
         report = homogeneous_identifiability(config.graphon, eta)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAggregate, NotInterior
-from .game import GameSpec
+from .game import LQAffine
 from .graphon import Graphon
 from .equilibrium import _kernel_resolvent, solve_lq_homogeneous, solve_values
 
@@ -86,7 +86,7 @@ def homogeneous_identifiability(g: Graphon, eta_bar,
     )
 
 
-def sbm_identifiability_constant(g: Graphon, spec: GameSpec,
+def sbm_identifiability_constant(g: Graphon, spec: LQAffine,
                                  eta_bar) -> IdentifiabilityReport:
     """Stability constant for the community game ``spec`` on the block
     kernel ``g``: L = 2 / (min_i aggregate_i * sqrt(min_k pi_k)), with the
@@ -110,7 +110,7 @@ def sbm_identifiability_constant(g: Graphon, spec: GameSpec,
     )
 
 
-def empirical_identifiability_test(g: Graphon, spec: GameSpec, eta_bar,
+def empirical_identifiability_test(g: Graphon, spec: LQAffine, eta_bar,
                                    constant: float, samples: int = 100,
                                    seed: int = 0) -> int:
     """Count violations of ||eta_bar - eta|| <= L * ||s_eta_bar - s_eta||_L2
@@ -132,7 +132,7 @@ def empirical_identifiability_test(g: Graphon, spec: GameSpec, eta_bar,
     return violations
 
 
-def fd_check(g: Graphon, spec: GameSpec, eta, order: int = 1) -> float:
+def fd_check(g: Graphon, spec: LQAffine, eta, order: int = 1) -> float:
     """Worst relative error of the analytic equilibrium derivatives against
     central finite differences (step 1e-5 for first order, 1e-4 for second).
 

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .functionspace import PiecewiseConstantFn
 from .game import (
-    GameSpec,
+    LQAffine,
     LQHomogeneous,
     ParameterBox,
     StrategySet,
@@ -120,7 +120,7 @@ def _resolvent(a: np.ndarray, maps, eta, order: int):
     return s, z, grad, hess
 
 
-def _kernel_resolvent(g: Graphon, spec: GameSpec):
+def _kernel_resolvent(g: Graphon, spec: LQAffine):
     """The interior solve on ``g``'s natural partition for one game, built
     once: returns ``solve(eta, order)`` with :func:`_resolvent`'s outputs.
     Each call raises :class:`SpectralConditionViolated` when
@@ -213,14 +213,14 @@ def solve_lq_homogeneous(g: Graphon, eta,
     )
 
 
-def solve_fixed_point(g: Graphon, spec: GameSpec, eta,
+def solve_fixed_point(g: Graphon, spec: LQAffine, eta,
                       tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> GraphonEquilibrium:
     """Projected best-response fixed point of a linear-quadratic game.
 
     Iterates s <- clamp(theta1 + theta2 * (W s)) from the zero profile until
     the sup-norm change is at most ``tol``, with the per-cell heterogeneity
-    of :meth:`GameSpec.cell_thetas` (``eta`` must lie in the box). Requires
+    of :meth:`LQAffine.cell_thetas` (``eta`` must lie in the box). Requires
     a positive contraction margin at ``eta``; under that margin the map is
     a contraction and the unique equilibrium is reached from any start.
     """
@@ -250,19 +250,19 @@ def solve_fixed_point(g: Graphon, spec: GameSpec, eta,
 # (interior) system without box or interiority checks. The estimator and
 # the finite-difference checks build the solver once and call it directly.
 
-def solve_values(g: Graphon, spec: GameSpec, eta):
+def solve_values(g: Graphon, spec: LQAffine, eta):
     """(strategy values, aggregate values) of the interior equilibrium on
     the kernel's natural partition."""
     return _kernel_resolvent(g, spec)(eta, 0)
 
 
-def gradient_values(g: Graphon, spec: GameSpec, eta):
+def gradient_values(g: Graphon, spec: LQAffine, eta):
     """(strategy, aggregate, gradient) arrays; gradient has one column per
     parameter coordinate."""
     return _kernel_resolvent(g, spec)(eta, 1)
 
 
-def second_derivative_values(g: Graphon, spec: GameSpec, eta):
+def second_derivative_values(g: Graphon, spec: LQAffine, eta):
     """(strategy, aggregate, gradient, hessian) arrays; hessian has shape
     (n_params, n_params, n_cells) and is exactly symmetric in its first two
     axes."""

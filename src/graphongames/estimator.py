@@ -30,7 +30,7 @@ from scipy.optimize import least_squares
 
 from .errors import InfeasibleParameterSet, NoStart, NotInterior
 from .functionspace import PiecewiseConstantFn, cell_integrals, integrate_product
-from .game import GameSpec, contraction_margin
+from .game import LQAffine, contraction_margin
 from .graphon import Graphon
 from .equilibrium import _kernel_resolvent, solve_values
 
@@ -68,7 +68,7 @@ class HessianInfo:
     min_eigenvalue: float
 
 
-def model_equilibrium_fn(g: Graphon, spec: GameSpec, eta) -> PiecewiseConstantFn:
+def model_equilibrium_fn(g: Graphon, spec: LQAffine, eta) -> PiecewiseConstantFn:
     """Model equilibrium profile at eta as a step function."""
     s, _ = solve_values(g, spec, eta)
     return PiecewiseConstantFn(g.cell_boundaries(), s)
@@ -85,7 +85,7 @@ def _statistic(observed: PiecewiseConstantFn,
     return root_w, target, offset
 
 
-def _j(stat, solve, spec: GameSpec, eta, order: int = 0) -> list:
+def _j(stat, solve, spec: LQAffine, eta, order: int = 0) -> list:
     """[J] at eta, plus its gradient for ``order`` 1 and its Hessian for 2,
     from the solver ``solve`` = ``_kernel_resolvent(g, spec)``.
 
@@ -114,7 +114,7 @@ def _j(stat, solve, spec: GameSpec, eta, order: int = 0) -> list:
     return out
 
 
-def objective(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
+def objective(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
               eta) -> float:
     """J(eta): squared L2 distance between the observation and the model
     equilibrium."""
@@ -122,14 +122,14 @@ def objective(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
 
 
 def objective_gradient(observed: PiecewiseConstantFn, g: Graphon,
-                       spec: GameSpec, eta) -> np.ndarray:
+                       spec: LQAffine, eta) -> np.ndarray:
     """Analytic gradient of J, -2 * integral of (observed - s_eta) *
     ds_eta/deta. Valid only at interior equilibria."""
     return _j(_statistic(observed, g), _kernel_resolvent(g, spec), spec, eta,
               1)[1]
 
 
-def hessian(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
+def hessian(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
             eta) -> HessianInfo:
     """Analytic Hessian of J and its minimum eigenvalue: a gradient
     outer-product term plus a residual-weighted curvature term, which
@@ -140,7 +140,7 @@ def hessian(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
     return HessianInfo(matrix=h, min_eigenvalue=float(np.linalg.eigvalsh(h)[0]))
 
 
-def _certify(stat, solve, spec: GameSpec, eta, grad_j, lo,
+def _certify(stat, solve, spec: LQAffine, eta, grad_j, lo,
              hi) -> tuple[float, float, bool]:
     """(J at eta, smallest eigenvalue of the Hessian of J there, whether eta
     passes the second-order certificate on the box [lo, hi]).
@@ -164,7 +164,7 @@ def _certify(stat, solve, spec: GameSpec, eta, grad_j, lo,
     return j, float(full[0]), bool(eig.size == 0 or eig[0] > floor)
 
 
-def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
+def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
              options: EstimateOptions | None = None) -> EstimationResult:
     """Minimize J over the parameter box by one certified solve.
 
@@ -189,7 +189,7 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: GameSpec,
     lam = g.lambda_max()
     if lam > 0.0:
         cap = (1.0 - opts.margin_buffer) / lam
-        mask = spec.aggregate_mask(g)
+        mask = spec.aggregate_mask()
         hi[mask] = np.minimum(hi[mask], cap)
     if np.any(hi <= lo):
         raise NoStart("margin cap leaves no interior in the parameter box")

@@ -5,10 +5,10 @@ parameter vectors, and a map from the parameter vector to the per-agent
 heterogeneity pair (standalone marginal return, aggregate effect). An
 agent's pair depends on its position only through the cell of the kernel's
 natural partition that holds it, and on those cells the map is affine,
-theta1 = b1 + D1 eta and theta2 = b2 + D2 eta. :meth:`GameSpec.affine_maps`
-describes it once; every solver reads theta there, at the cells of its
-agents or of the partition itself. A new game is its affine maps plus
-validation.
+theta1 = b1 + D1 eta and theta2 = b2 + D2 eta. A game is one value,
+:class:`LQAffine`, holding those maps, which every solver reads at its cells.
+:class:`LQHomogeneous` and :class:`LQSBM` only fill in the maps of the two
+named games; a new game is new maps, not a new class.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class ParameterBox:
             raise ValueError("box bounds must be 1-d arrays of equal length")
         if np.any(lo < 0.0):
             raise ValueError("parameter box must lie in the nonnegative orthant")
-        if not np.all(lo < hi):
-            raise ValueError("box needs lower < upper in every coordinate")
+        if not np.all((lo < hi) & np.isfinite(hi)):
+            raise ValueError("box needs lower < upper < inf in every coordinate")
         self.lower = lo
         self.upper = hi
 
@@ -106,34 +106,67 @@ class ParameterBox:
         return rng.uniform(self.lower, self.upper, size=(size, self.dim))
 
 
-class GameSpec:
-    """Base class for payoff parametrizations; see the two variants below."""
+@dataclass
+class LQAffine:
+    """A linear-quadratic game as data: theta1 = b1 + D1 eta and theta2 =
+    b2 + D2 eta, with one row shared by every cell of any kernel, or K rows,
+    one per community of a K-community block kernel. Checked once: the
+    shapes, theta1, theta2 >= 0 over the box and a nonnegative strategy set.
+    The maps are stored read-only."""
 
     strategy_set: StrategySet
     xi: ParameterBox
+    b1: np.ndarray
+    d1: np.ndarray
+    b2: np.ndarray
+    d2: np.ndarray
 
-    @property
-    def n_params(self) -> int:
-        return self.xi.dim
+    def __post_init__(self):
+        maps = [np.array(m, dtype=float)
+                for m in (self.b1, self.d1, self.b2, self.d2)]
+        r, p = (maps[0].size,), (self.xi.dim,)
+        if not r[0] or [m.shape for m in maps] != [r, r + p, r, r + p]:
+            raise ValueError(f"map shapes {[m.shape for m in maps]} do not "
+                             f"fit a {p[0]}-d parameter box")
+        lo, hi = self.xi.lower, self.xi.upper
+        for b, d in (maps[:2], maps[2:]):
+            # an affine map's minimum over the box, coordinate by coordinate
+            if not np.all(b + np.minimum(d * lo, d * hi).sum(axis=1) >= 0.0):
+                raise ValueError("theta1 or theta2 is negative in the box")
+        if self.strategy_set.lower < 0.0:
+            raise ValueError("the game requires a nonnegative strategy set")
+        for m in maps:
+            m.flags.writeable = False
+        self.b1, self.d1, self.b2, self.d2 = maps
 
     def affine_maps(self, g: Graphon):
         """(b1, D1, b2, D2) on the cells of ``g``'s partition: the per-cell
-        heterogeneity is theta1 = b1 + D1 eta and theta2 = b2 + D2 eta, with
-        b1, b2 of length n_cells and D1, D2 of shape (n_cells, n_params)."""
-        raise NotImplementedError
+        heterogeneity is theta1 = b1 + D1 eta and theta2 = b2 + D2 eta. A
+        shared row is repeated on every cell; K rows raise TypeError on a
+        kernel that is not a block kernel, ValueError on another K."""
+        maps = self.b1, self.d1, self.b2, self.d2
+        k = self.b1.size
+        if k == 1:
+            n = g.kernel_matrix().shape[0]
+            return tuple(m.repeat(n, axis=0) for m in maps)
+        if not isinstance(g, SBMGraphon):
+            raise TypeError("a community game needs a block kernel")
+        if g.n_communities != k:
+            raise ValueError(f"a community game with {k} communities is on a "
+                             f"kernel with {g.n_communities}")
+        return maps
 
-    def aggregate_coefficient(self, g: Graphon, eta) -> float:
+    def aggregate_coefficient(self, eta) -> float:
         """Largest magnitude max |theta2| of the coefficient multiplying the
         local aggregate, at one parameter vector or over a stack of them
         (one per row)."""
-        _, _, b2, d2 = self.affine_maps(g)
-        return float(np.max(np.abs(b2 + np.asarray(eta, dtype=float) @ d2.T)))
+        e = np.asarray(eta, dtype=float)
+        return float(np.max(np.abs(self.b2 + e @ self.d2.T)))
 
-    def aggregate_mask(self, g: Graphon) -> np.ndarray:
+    def aggregate_mask(self) -> np.ndarray:
         """Boolean mask of the parameter coordinates that multiply the
         local aggregate (and hence enter the spectral condition)."""
-        _, _, _, d2 = self.affine_maps(g)
-        return np.any(d2 != 0.0, axis=0)
+        return np.any(self.d2 != 0.0, axis=0)
 
     def cell_thetas(self, g: Graphon, eta):
         """Per-cell heterogeneity (theta1, theta2) on ``g``'s partition at
@@ -143,54 +176,28 @@ class GameSpec:
         return b1 + d1 @ e, b2 + d2 @ e
 
 
-@dataclass
-class LQHomogeneous(GameSpec):
+class LQHomogeneous(LQAffine):
     """Two unknown parameters shared by every agent: eta = (standalone
     marginal return, aggregate effect)."""
 
-    strategy_set: StrategySet
-    xi: ParameterBox
-
-    def __post_init__(self):
-        if self.xi.dim != 2:
-            raise ValueError("homogeneous game takes a 2-d parameter box")
-
-    def affine_maps(self, g: Graphon):
-        # theta1 = eta1 * 1, theta2 = eta2 * 1
-        n = g.cell_weights().size
-        d1, d2 = np.zeros((n, 2)), np.zeros((n, 2))
-        d1[:, 0] = d2[:, 1] = 1.0
-        return np.zeros(n), d1, np.zeros(n), d2
+    def __init__(self, strategy_set: StrategySet, xi: ParameterBox):
+        # theta1 = eta1, theta2 = eta2 on every cell
+        super().__init__(strategy_set, xi, [0.0], [[1.0, 0.0]], [0.0],
+                         [[0.0, 1.0]])
 
 
-@dataclass
-class LQSBM(GameSpec):
+class LQSBM(LQAffine):
     """Known homogeneous standalone return theta1 > 0; one unknown aggregate
-    effect per community, eta in R_+^K. Requires nonnegative strategies."""
+    effect per community, eta in R_+^K."""
 
-    theta1: float
-    strategy_set: StrategySet
-    xi: ParameterBox
-
-    def __post_init__(self):
-        self.theta1 = float(self.theta1)
-        if self.theta1 <= 0.0:
+    def __init__(self, theta1: float, strategy_set: StrategySet,
+                 xi: ParameterBox):
+        # theta1 = theta1 * 1, theta2 = eta, one row per community
+        if not float(theta1) > 0.0:
             raise ValueError("theta1 must be positive")
-        if self.strategy_set.lower < 0.0:
-            raise ValueError("community game requires a nonnegative strategy set")
-
-    def affine_maps(self, g: Graphon):
-        # theta1 = theta1 * 1, theta2 = eta, one cell per community
-        if not isinstance(g, SBMGraphon):
-            raise TypeError(
-                "a community game needs a block kernel carrying the communities"
-            )
-        k = g.n_communities
-        if k != self.xi.dim:
-            raise ValueError(
-                f"kernel has {k} communities, parameter box {self.xi.dim}"
-            )
-        return np.full(k, self.theta1), np.zeros((k, k)), np.zeros(k), np.eye(k)
+        k = xi.dim
+        super().__init__(strategy_set, xi, np.full(k, float(theta1)),
+                         np.zeros((k, k)), np.zeros(k), np.eye(k))
 
 
 def _check_in_box(xi: ParameterBox, eta) -> np.ndarray:
@@ -204,7 +211,7 @@ def _check_in_box(xi: ParameterBox, eta) -> np.ndarray:
     return e
 
 
-def contraction_margin(spec: GameSpec, g: Graphon, eta=None) -> float:
+def contraction_margin(spec: LQAffine, g: Graphon, eta=None) -> float:
     """1 minus lambda_max times the largest aggregate coefficient.
 
     With ``eta`` given, the margin at that parameter; otherwise the worst
@@ -213,4 +220,4 @@ def contraction_margin(spec: GameSpec, g: Graphon, eta=None) -> float:
     be negative; callers decide what to do with a nonpositive margin.
     """
     points = spec.xi.corners() if eta is None else eta
-    return 1.0 - g.lambda_max() * spec.aggregate_coefficient(g, points)
+    return 1.0 - g.lambda_max() * spec.aggregate_coefficient(points)

@@ -34,7 +34,7 @@ from .errors import ConfigError, EmptyGroup, GraphonGameError
 from .estimator import EstimateOptions, estimate, model_equilibrium_fn
 from .functionspace import l2_distance
 from .game import (
-    GameSpec,
+    LQAffine,
     LQHomogeneous,
     LQSBM,
     ParameterBox,
@@ -56,7 +56,7 @@ class SolverOptions:
 @dataclass
 class ExperimentConfig:
     graphon: Graphon
-    game: GameSpec
+    game: LQAffine
     eta_true: np.ndarray
     n_list: list[int]
     runs_per_n: int
@@ -68,14 +68,10 @@ class ExperimentConfig:
     def validate(self) -> list[str]:
         """Structural checks; returns the list of problems (empty = valid)."""
         problems = list(self.graphon.validate())
-        if isinstance(self.game, LQSBM):
-            if not isinstance(self.graphon, SBMGraphon):
-                problems.append("a community game requires an sbm graphon")
-            elif self.graphon.pi.size != self.game.xi.dim:
-                problems.append(
-                    "parameter box dimension must equal the number of "
-                    "communities"
-                )
+        try:
+            self.game.affine_maps(self.graphon)
+        except (TypeError, ValueError) as exc:
+            problems.append(str(exc))
         eta = np.asarray(self.eta_true, dtype=float)
         if eta.shape != (self.game.xi.dim,):
             problems.append(
@@ -379,7 +375,7 @@ def _graphon_from_dict(d: dict, base_dir=None) -> Graphon:
     raise ConfigError(f"unknown graphon kind {kind!r}")
 
 
-def _game_from_dict(d: dict) -> GameSpec:
+def _game_from_dict(d: dict) -> LQAffine:
     kind = str(_require(d, "kind", "game")).lower()
     lo, hi = _require(d, "strategy_set", "game")
     strategy_set = StrategySet(float(lo), float(hi))
@@ -391,11 +387,8 @@ def _game_from_dict(d: dict) -> GameSpec:
     if kind == "lq_homogeneous":
         return LQHomogeneous(strategy_set=strategy_set, xi=xi)
     if kind == "lq_sbm":
-        return LQSBM(
-            theta1=float(_require(d, "theta1", "lq_sbm game")),
-            strategy_set=strategy_set,
-            xi=xi,
-        )
+        theta1 = float(_require(d, "theta1", "lq_sbm game"))
+        return LQSBM(theta1=theta1, strategy_set=strategy_set, xi=xi)
     raise ConfigError(f"unknown game kind {kind!r}")
 
 

@@ -52,7 +52,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL, _project
 from .errors import NoConvergence, NotAContraction
 from .functionspace import PiecewiseConstantFn, interpolate_equilibrium
-from .game import GameSpec
+from .game import LQAffine
 from .graphon import Graphon
 
 # Pair budget of the edge sampler's row blocks in flight together: bounds
@@ -227,7 +227,7 @@ def _contraction_certificate(net: SampledNetwork, th2) -> tuple[str, float]:
     )
 
 
-def solve_network_game(net: SampledNetwork, spec: GameSpec, eta,
+def solve_network_game(net: SampledNetwork, spec: LQAffine, eta,
                        tol: float = DEFAULT_TOL,
                        max_iter: int = DEFAULT_MAX_ITER,
                        pi=None) -> NetworkEquilibrium:
@@ -235,7 +235,7 @@ def solve_network_game(net: SampledNetwork, spec: GameSpec, eta,
     on its empirical kernel P / N, to sup-norm error ``tol``.
 
     Agent i's heterogeneity is the game's per-cell pair
-    (:meth:`GameSpec.cell_thetas`, which checks ``eta`` against the box) at
+    (:meth:`LQAffine.cell_thetas`, which checks ``eta`` against the box) at
     the cell of ``net.graphon`` holding its label t_i. ``pi`` is ignored.
     P = U + U^T is applied as two sparse products on ``net.upper``.
 

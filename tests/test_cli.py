@@ -38,6 +38,16 @@ class TestValidate:
         assert main(["validate", "--config", path]) == 1
         assert "invalid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("graphon", [
+        {"kind": "constant", "value": 0.3},
+        {"kind": "sbm", "q": Q4[:3, :3].tolist(), "pi": [0.25, 0.25, 0.5]},
+    ])
+    def test_community_game_kernel_mismatch_exits_1(self, tmp_path, capsys,
+                                                    graphon):
+        path = write_config(tmp_path, {"graphon": graphon})
+        assert main(["validate", "--config", path]) == 1
+        assert "community game" in capsys.readouterr().err
+
     def test_negative_seed_override_exits_1(self, capsys):
         assert main(["validate", "--config", SHIPPED, "--seed", "-1"]) == 1
         assert "master_seed" in capsys.readouterr().err
@@ -268,3 +278,28 @@ class TestDiagnose:
         out = capsys.readouterr().out
         assert "identifiable = false" in out
         assert "gamma = 1" in out
+
+    def test_one_community_game_takes_the_community_constant(self, tmp_path,
+                                                             capsys):
+        # one community has one row of maps, like a shared game; theta1 is
+        # known (D1 = 0), so the community closed form applies
+        path = write_config(
+            tmp_path,
+            {
+                "graphon": {"kind": "sbm", "q": [[0.5]], "pi": [1.0]},
+                "game": {
+                    "kind": "lq_sbm",
+                    "theta1": 1.0,
+                    "strategy_set": [0.0, 10.0],
+                    "xi": {"lower": [0.01], "upper": [1.2]},
+                },
+                "eta_true": [0.8],
+            },
+        )
+        assert main(["diagnose", "--config", path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "identifiable = true",
+            "constant = 2.3999999999999999",
+            "min_aggregate = 0.83333333333333337",
+            "min_weight = 1",
+        ]

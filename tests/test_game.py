@@ -5,13 +5,19 @@ from hypothesis import strategies as st
 
 from graphongames import (
     ConstantGraphon,
+    LQAffine,
     LQHomogeneous,
     LQSBM,
     ParameterBox,
     StrategySet,
     contraction_margin,
+    estimate,
+    observe,
+    sample_network,
+    solve_network_game,
 )
-from conftest import ETA4, PI4, Q4
+from graphongames.equilibrium import solve_values
+from conftest import ETA4, PI4, Q4, smooth_grid_kernel
 
 
 class TestStrategySet:
@@ -52,6 +58,8 @@ class TestParameterBox:
             ParameterBox(np.array([-0.1, 0.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             ParameterBox(np.array([1.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="inf"):
+            ParameterBox(np.array([0.0]), np.array([np.inf]))
 
 
 class TestBestResponse:
@@ -113,15 +121,15 @@ class TestAffineMaps:
         eta = np.array([0.8, 0.6])
         assert np.array_equal(b1 + d1 @ eta, np.full(4, 0.8))
         assert np.array_equal(b2 + d2 @ eta, np.full(4, 0.6))
-        assert homogeneous_game.aggregate_mask(sbm4).tolist() == [False, True]
-        assert homogeneous_game.aggregate_coefficient(sbm4, eta) == 0.6
+        assert homogeneous_game.aggregate_mask().tolist() == [False, True]
+        assert homogeneous_game.aggregate_coefficient(eta) == 0.6
 
     def test_community_game_one_effect_per_community(self, sbm4_game, sbm4):
         b1, d1, b2, d2 = sbm4_game.affine_maps(sbm4)
         assert np.array_equal(b1 + d1 @ ETA4, np.ones(4))
         assert np.array_equal(b2 + d2 @ ETA4, ETA4)
-        assert sbm4_game.aggregate_mask(sbm4).tolist() == [True] * 4
-        assert sbm4_game.aggregate_coefficient(sbm4, ETA4) == np.max(ETA4)
+        assert sbm4_game.aggregate_mask().tolist() == [True] * 4
+        assert sbm4_game.aggregate_coefficient(ETA4) == np.max(ETA4)
 
     def test_community_count_must_match_the_box(self, sbm4_game, sbm2):
         with pytest.raises(ValueError, match="communities"):
@@ -129,7 +137,7 @@ class TestAffineMaps:
 
     def test_coefficient_over_a_stack_is_the_largest(self, sbm4_game, sbm4):
         stack = np.array([ETA4, 0.5 * ETA4, [0.1, 1.1, 0.2, 0.3]])
-        assert sbm4_game.aggregate_coefficient(sbm4, stack) == 1.1
+        assert sbm4_game.aggregate_coefficient(stack) == 1.1
 
 
 class TestContractionMargin:
@@ -188,3 +196,61 @@ class TestSpecInvariants:
                 strategy_set=StrategySet(0, 10),
                 xi=ParameterBox(np.zeros(3), np.ones(3)),
             )
+
+
+class TestLQAffine:
+    """A game is its affine maps: the same maps written out as data give
+    the named games' values bit for bit, and bad maps are refused."""
+
+    HOMOGENEOUS = ([0.0], [[1.0, 0.0]], [0.0], [[0.0, 1.0]])
+    COMMUNITY = (np.ones(4), np.zeros((4, 4)), np.zeros(4), np.eye(4))
+
+    @pytest.mark.parametrize("name, kernel, maps, eta", [
+        ("homogeneous_game", "sbm4", HOMOGENEOUS, [0.8, 0.6]),
+        ("homogeneous_game", "grid", HOMOGENEOUS, [0.8, 0.6]),
+        ("sbm4_game", "sbm4", COMMUNITY, ETA4),
+    ])
+    def test_maps_as_data_match_the_named_game(self, request, sbm4, name,
+                                               kernel, maps, eta):
+        named = request.getfixturevalue(name)
+        data = LQAffine(named.strategy_set, named.xi, *maps)
+        g = sbm4 if kernel == "sbm4" else smooth_grid_kernel()
+        for a, b in zip(solve_values(g, named, eta), solve_values(g, data, eta)):
+            assert np.array_equal(a, b)
+        net = sample_network(g, 200, seed=3)
+        eq_named = solve_network_game(net, named, eta)
+        eq_data = solve_network_game(net, data, eta)
+        assert np.array_equal(eq_named.strategies, eq_data.strategies)
+        obs = observe(net, eq_named)
+        assert np.array_equal(estimate(obs, g, named).eta_hat,
+                              estimate(obs, g, data).eta_hat)
+
+    def test_mismatched_map_shapes(self, homogeneous_game):
+        ss, xi = homogeneous_game.strategy_set, homogeneous_game.xi
+        with pytest.raises(ValueError, match="shapes"):
+            LQAffine(ss, xi, [0.0], [[1.0, 0.0, 0.0]], [0.0], [[0.0, 1.0]])
+        with pytest.raises(ValueError, match="shapes"):
+            LQAffine(ss, xi, [0.0, 0.0], [[1.0, 0.0]], [0.0], [[0.0, 1.0]])
+        with pytest.raises(ValueError, match="shapes"):
+            LQAffine(ss, xi, [], np.zeros((0, 2)), [], np.zeros((0, 2)))
+
+    def test_theta2_negative_at_a_box_corner(self, homogeneous_game):
+        # theta2 = 1 - eta2 is 1 at eta2 = 0 but -0.5 at the corner eta2 = 1.5
+        ss, xi = homogeneous_game.strategy_set, homogeneous_game.xi
+        with pytest.raises(ValueError, match="negative"):
+            LQAffine(ss, xi, [0.0], [[1.0, 0.0]], [1.0], [[0.0, -1.0]])
+        # 1.5 - eta2 is nonnegative on the whole box
+        LQAffine(ss, xi, [0.0], [[1.0, 0.0]], [1.5], [[0.0, -1.0]])
+
+    def test_homogeneous_game_requires_nonnegative_strategies(self):
+        with pytest.raises(ValueError, match="nonnegative strategy set"):
+            LQHomogeneous(
+                strategy_set=StrategySet(-1.0, 10),
+                xi=ParameterBox(np.zeros(2), np.ones(2)),
+            )
+
+    def test_community_maps_are_read_only(self, sbm4_game, sbm4):
+        for m in sbm4_game.affine_maps(sbm4):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0] = 1.0

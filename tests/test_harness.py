@@ -127,6 +127,13 @@ class TestConfig:
         config = config_from_dict(bad)
         assert any("community game" in p for p in config.validate())
 
+    def test_community_count_mismatch_flagged(self):
+        bad = dict(SMALL_CONFIG)
+        bad["graphon"] = {"kind": "sbm", "q": Q4[:3, :3].tolist(),
+                          "pi": [0.25, 0.25, 0.5]}
+        config = config_from_dict(bad)
+        assert any("community game" in p for p in config.validate())
+
     def test_duplicate_sizes_flagged(self):
         bad = dict(SMALL_CONFIG)
         bad["n_list"] = [30, 30]
