@@ -13,11 +13,21 @@ term 2 (sqrt(w) G)^T (sqrt(w) G) plus the curvature term
 ``hessian`` are thin wrappers over it.
 
 The estimate is one trust-region reflective bounded least-squares solve of
-||r||^2 from the box center with the exact Jacobian sqrt(w) G. It is
-certified by the second-order sufficient condition for bound constraints
-(Nocedal & Wright, Numerical Optimization, Thm 12.6): the gradient points
-strictly out of the box at the active coordinates, and the Hessian on the
-free ones is positive definite beyond rounding. That is a strict local
+||r||^2 with the exact Jacobian sqrt(w) G. It starts at the moment
+estimate: at the observed cell means m = a/w, with z = A m for the
+kernel's operator matrix A, the equilibrium condition m = theta1(eta) +
+theta2(eta) z is affine in eta, and its least-squares solution weighted by
+w, clipped into the box, is the reduced-form moment estimator of
+linear-in-means peer effects (Bramoulle, Djebbari & Fortin 2009, J.
+Econometrics). With one unknown per cell, as in the community game, the
+system is square and its solution makes s_eta equal m up to rounding, so
+it is J's minimizer whenever it lies in the box; the solve then stops at
+its first evaluation, or at its second where rounding leaves the scaled
+gradient above scipy's tolerance. The solve is certified by the
+second-order sufficient condition for bound constraints (Nocedal &
+Wright, Numerical Optimization, Thm 12.6): the gradient points strictly
+out of the box at the active coordinates, and the Hessian on the free
+ones is positive definite beyond rounding. That is a strict local
 minimum, under identifiability the unique one, so nothing runs after it.
 """
 
@@ -29,7 +39,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import InfeasibleParameterSet, NoStart, NotInterior
-from .functionspace import PiecewiseConstantFn, cell_integrals, integrate_product
+from .functionspace import PiecewiseConstantFn, cell_integrals
 from .game import LQAffine, contraction_margin
 from .graphon import Graphon
 from .equilibrium import _kernel_resolvent, solve_values
@@ -81,7 +91,9 @@ def _statistic(observed: PiecewiseConstantFn,
     offset = c, so that J(eta) = ||root_w * s_eta - target||^2 + offset."""
     root_w = np.sqrt(g.cell_weights())
     target = cell_integrals(observed, g.cell_boundaries()) / root_w
-    offset = integrate_product(observed, observed) - float(target @ target)
+    v = observed.values
+    offset = float(np.dot(np.diff(observed.breakpoints), v * v)
+                   - target @ target)
     return root_w, target, offset
 
 
@@ -171,12 +183,12 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
     Every corner of the box must satisfy the spectral condition. Candidate
     parameters are additionally capped so the contraction margin stays at
     least ``margin_buffer``, so no solve leaves the resolvent's domain.
-    The solve runs from the box center with at most ``max_iter`` residual
-    evaluations. ``converged`` is true when its projected-gradient norm is
-    at most ``gtol`` and the certificate (module docstring) holds; a
-    non-identifiable game, whose Hessian is singular, or a solve that
-    stalls above ``gtol`` reports false. ``hessian_min_eig`` is the
-    smallest eigenvalue of the full Hessian.
+    The solve runs from the moment estimate (module docstring) with at
+    most ``max_iter`` residual evaluations. ``converged`` is true when its
+    projected-gradient norm is at most ``gtol`` and the certificate
+    (module docstring) holds; a non-identifiable game, whose Hessian is
+    singular, or a solve that stalls above ``gtol`` reports false.
+    ``hessian_min_eig`` is the smallest eigenvalue of the full Hessian.
     """
     opts = options if options is not None else EstimateOptions()
     margin = contraction_margin(spec, g)
@@ -204,8 +216,14 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
     def jacobian(eta):
         return root_w[:, None] * solve(eta, 1)[2]
 
+    # the moment start: min ||root_w * ((D1 + z D2) eta - (m - b1 - b2 z))||
+    m = target / root_w
+    z = g.operator_matrix() @ m
+    b1, d1, b2, d2 = spec.affine_maps(g)
+    start = np.linalg.lstsq(root_w[:, None] * (d1 + z[:, None] * d2),
+                            root_w * (m - b1 - b2 * z), rcond=None)[0]
     fit = least_squares(
-        residual, 0.5 * (lo + hi), jac=jacobian, bounds=(lo, hi),
+        residual, np.clip(start, lo, hi), jac=jacobian, bounds=(lo, hi),
         method="trf", xtol=LSQ_TOL, ftol=LSQ_TOL, gtol=LSQ_TOL,
         max_nfev=opts.max_iter,
     )

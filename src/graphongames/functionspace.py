@@ -176,12 +176,17 @@ def cell_integrals(f: PiecewiseConstantFn, boundaries: np.ndarray) -> np.ndarray
     """Exact integrals of f over each cell of a partition of [0, 1].
 
     ``boundaries`` must be an increasing array starting at 0 and ending at 1;
-    it need not be related to f's own breakpoints.
+    it need not be related to f's own breakpoints. A cell's integral is f's
+    cumulative integral read at its two ends, without a merged partition:
+    the pieces from the one holding its left end to the one before the one
+    holding its right end, less the part of the first left of the cell,
+    plus the part of the last inside it. The pieces are summed directly,
+    not as a difference of running sums, so a cell whose ends are
+    breakpoints of f gets exactly the sum of its pieces.
     """
-    grid = _merge_sorted(np.union1d(f.breakpoints, boundaries))
-    widths = np.diff(grid)
-    vals = f.resample(grid)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    idx = np.searchsorted(boundaries, mids, side="right") - 1
-    idx = np.clip(idx, 0, boundaries.size - 2)
-    return np.bincount(idx, weights=widths * vals, minlength=boundaries.size - 1)
+    bp, vals = f.breakpoints, f.values
+    j = np.searchsorted(bp, boundaries, side="right") - 1  # j[-1] = n
+    # the part of piece j left of each boundary; 0 at x = 1
+    head = (boundaries - bp[j]) * np.append(vals, 0.0)[j]
+    pieces = np.add.reduceat(np.diff(bp) * vals, j[:-1])
+    return np.where(j[1:] > j[:-1], pieces, 0.0) + np.diff(head)

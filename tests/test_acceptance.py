@@ -177,6 +177,15 @@ def test_criterion_5_estimator_convergence_sweep(experiment):
         assert elapsed <= 300.0
 
 
+def test_moment_start_needs_one_evaluation_at_n1600(experiment):
+    # a count guards estimation cost where a time would drift on a noisy
+    # machine: at N = 1600 the moment start already solves the square
+    # community system, so the trust-region solve stops at its first
+    # residual evaluation (about 8 from the box center)
+    _, records, _ = experiment
+    assert median_by_n(records, "evaluations")[1600] == 1
+
+
 def test_criterion_6_observation_convergence(experiment):
     with criterion(6, "median observation distance decreases in N"):
         _, records, _ = experiment

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from graphongames import (
     ConstantGraphon,
     GridGraphon,
     InfeasibleParameterSet,
     LQHomogeneous,
+    LQSBM,
     NoStart,
     NotInterior,
     ParameterBox,
     PiecewiseConstantFn,
     StrategySet,
+    cell_integrals,
     estimate,
     hessian,
     interpolate_equilibrium,
@@ -19,8 +24,10 @@ from graphongames import (
     objective,
     objective_gradient,
 )
+from graphongames.equilibrium import gradient_values
 from graphongames.estimator import EstimateOptions
-from conftest import ETA4, PI4, Q2, Q4
+from conftest import (ETA4, PI4, Q2, Q4, random_block_kernel,
+                      smooth_grid_kernel)
 
 
 def riemann_objective(observed, g, spec, eta, cells=10**6):
@@ -145,6 +152,8 @@ class TestEstimate:
         assert result.objective <= 1e-12
         assert result.converged
         assert result.starts == 1
+        # the moment start solves the square community system: one evaluation
+        assert result.iterations_total == 1
         assert sbm4_game.xi.contains(result.eta_hat)
 
     def test_deterministic(self, sbm4, sbm4_game):
@@ -244,7 +253,7 @@ class TestEstimate:
     def test_tied_starts_report_a_converged_one(self):
         # grid-kernel run on which solves from other starting points reach
         # the same J up to rounding, two of them stalling just above gtol;
-        # the box-center solve converges and is certified
+        # the solve from the moment start converges and is certified
         from graphongames import (
             GridGraphon,
             derive_run_seed,
@@ -294,11 +303,11 @@ class TestEstimate:
 
 
 class TestCertifiedStart:
-    """The box-center solve is the estimate. It is converged when its
-    projected-gradient norm is at most gtol and the Hessian on the free
-    coordinates is positive definite beyond rounding, with the gradient
-    pointing strictly out of the box at the active ones; otherwise it is
-    reported not converged."""
+    """The solve from the moment start is the estimate. It is converged
+    when its projected-gradient norm is at most gtol and the Hessian on the
+    free coordinates is positive definite beyond rounding, with the
+    gradient pointing strictly out of the box at the active ones; otherwise
+    it is reported not converged."""
 
     def test_certified_center_is_the_estimate(self, sbm4, sbm4_game):
         obs = model_equilibrium_fn(sbm4, sbm4_game, ETA4) + 0.05
@@ -328,18 +337,22 @@ class TestCertifiedStart:
         assert result.gradient_norm <= EstimateOptions().gtol
         assert not result.converged
 
-    def test_stalled_center_falls_back(self, homogeneous_game):
-        # the solve stops at projected-gradient norm 1.5e-9, above gtol,
-        # although its Hessian is positive definite; its estimate stays
-        # within 1e-7 of the minimum that other starts reach
+    def test_stalled_solve_falls_back(self, homogeneous_game):
+        # the minimum has the aggregate effect at its lower bound 0, where
+        # every cell plays theta1 = eta1, so J(eta1, 0) = ||obs - eta1||^2
+        # and eta1 is the observation's mean. From the clipped moment start
+        # the solve creeps along that bound and stops at projected-gradient
+        # norm 4.2e-9, above gtol, although its Hessian is positive
+        # definite; its estimate stays within 1e-7 of the minimum
         g = GridGraphon(np.kron(Q2, np.ones((3, 3))))
         obs = interpolate_equilibrium(
-            np.random.default_rng(46).uniform(0, 4, 40)
+            np.random.default_rng(192).uniform(0, 4, 40)
         )
         result = estimate(obs, g, homogeneous_game)
         assert not result.converged and result.hessian_min_eig > 0.0
         assert result.gradient_norm > EstimateOptions().gtol
-        minimum = np.array([1.8393849852272086, 0.19498575007584903])
+        minimum = np.array([obs.integral(), 0.0])
+        assert objective_gradient(obs, g, homogeneous_game, minimum)[1] > 0.0
         assert np.abs(result.eta_hat - minimum).max() <= 1e-7
 
     def test_indefinite_hessian_falls_back(self, sbm4, sbm4_game):
@@ -355,6 +368,84 @@ class TestCertifiedStart:
         assert result.hessian_min_eig < 0.0
         assert np.allclose(result.eta_hat, sbm4_game.xi.upper, rtol=0,
                            atol=1e-12)
+
+
+def box_center_oracle(observed, g, spec):
+    """J's minimizer by scipy's bounded least squares from the box center,
+    on the residual sqrt(w) s_eta - a / sqrt(w) written out from the cell
+    integrals a of the observation and the resolvent's values and
+    gradient; with whether it is certified: projected-gradient norm at
+    most gtol and a positive definite Hessian of J."""
+    root_w = np.sqrt(g.cell_weights())
+    target = cell_integrals(observed, g.cell_boundaries()) / root_w
+    lo, hi = spec.xi.lower, spec.xi.upper
+    fit = least_squares(
+        lambda e: root_w * gradient_values(g, spec, e)[0] - target,
+        spec.xi.center(),
+        jac=lambda e: root_w[:, None] * gradient_values(g, spec, e)[2],
+        bounds=(lo, hi), method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+    )
+    grad = objective_gradient(observed, g, spec, fit.x)
+    pgnorm = np.linalg.norm(fit.x - np.clip(fit.x - grad, lo, hi))
+    certified = (pgnorm <= EstimateOptions().gtol
+                 and hessian(observed, g, spec, fit.x).min_eigenvalue > 0.0)
+    return fit.x, certified
+
+
+class TestMomentStart:
+    """The solve starts at the weighted least-squares solution of the
+    equilibrium condition at the observed cell means, clipped into the box.
+    With one unknown per community that system is square, so a noise-free
+    observation is solved by the start itself."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_random_block_kernels(self, k, seed):
+        # the start is the generator up to rounding; where that rounding
+        # leaves trust-region reflective's scaled gradient above its own
+        # tolerance (about 1 draw in 8), it takes one more evaluation,
+        # which does not move the estimate beyond rounding
+        g, rng = random_block_kernel(k, seed)
+        lam = g.lambda_max()
+        spec = LQSBM(theta1=1.0, strategy_set=StrategySet(0.0, 50.0),
+                     xi=ParameterBox(np.full(k, 0.01 / lam),
+                                     np.full(k, 0.9 / lam)))
+        eta = rng.uniform(0.05, 0.85, size=k) / lam
+        result = estimate(model_equilibrium_fn(g, spec, eta), g, spec)
+        assert result.converged
+        assert result.iterations_total <= 2
+        assert np.abs(result.eta_hat - eta).max() <= 1e-10
+
+    @pytest.mark.parametrize("shipped", ["sbm4", "grid"])
+    def test_agrees_with_box_center_solve(self, shipped, sbm4, sbm4_game):
+        if shipped == "sbm4":
+            g, spec = sbm4, sbm4_game
+        else:
+            g = smooth_grid_kernel()
+            spec = LQHomogeneous(
+                strategy_set=StrategySet(0.0, 50.0),
+                xi=ParameterBox(np.array([0.1, 0.0]), np.array([2.0, 1.5])),
+            )
+        # the margin cap does not bind, so the oracle's box is the game's
+        buffer = EstimateOptions().margin_buffer
+        assert g.lambda_max() * spec.xi.upper[spec.aggregate_mask()].max() \
+            < 1.0 - buffer
+        rng = np.random.default_rng(53)
+        compared = 0
+        for _ in range(12):
+            eta = spec.xi.lower + rng.uniform(0.2, 0.8, spec.xi.dim) * (
+                spec.xi.upper - spec.xi.lower)
+            n = int(rng.choice([100, 400, 1600]))
+            xs = (np.arange(n) + 0.5) / n
+            clean = model_equilibrium_fn(g, spec, eta)(xs)
+            obs = interpolate_equilibrium(
+                clean + rng.normal(0.0, 0.2, n))
+            result = estimate(obs, g, spec)
+            oracle, certified = box_center_oracle(obs, g, spec)
+            if result.converged and certified:
+                compared += 1
+                assert np.abs(result.eta_hat - oracle).max() <= 1e-7
+        assert compared >= 10
 
 
 def test_estimate_leaves_scipy_stats_unloaded():
