@@ -23,7 +23,6 @@ from .functionspace import (
     integrate_product,
     interpolate_equilibrium,
     l2_distance,
-    merge_breakpoints,
     sup_distance,
 )
 from .graphon import (
@@ -43,7 +42,6 @@ from .game import (
 from .equilibrium import (
     GraphonEquilibrium,
     solve_fixed_point,
-    solve_lq_homogeneous,
 )
 from .sampling import (
     NetworkEquilibrium,

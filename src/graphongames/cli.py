@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 
 import numpy as np
 
@@ -16,6 +15,7 @@ from .errors import ConfigError, GraphonGameError, NotInterior
 from .estimator import estimate, model_equilibrium_fn
 from .functionspace import interpolate_equilibrium
 from .harness import (
+    _fmt,
     load_config,
     run_experiment,
     summarize_quantiles,
@@ -23,11 +23,8 @@ from .harness import (
     write_records_csv,
     write_timings_csv,
 )
-from .sampling import observe, sample_network, solve_network_game, write_network
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+from .sampling import (_loadtxt, observe, sample_network, solve_network_game,
+                       write_network)
 
 
 def _parse_eta(text: str, dim: int) -> np.ndarray:
@@ -43,9 +40,7 @@ def _parse_eta(text: str, dim: int) -> np.ndarray:
 def _load_observation(path) -> np.ndarray:
     """One finite observed strategy per line, at least one line."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # empty: caught below
-            values = np.loadtxt(path, dtype=float, ndmin=1)
+        values = _loadtxt(path, float, 1)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)):
@@ -164,6 +159,8 @@ def _print_progress(record) -> None:
 
 def cmd_experiment(args) -> int:
     config = _load_valid_config(args)
+    if config.runs_per_n == 0:
+        raise ConfigError("runs_per_n is 0: the sweep has no runs")
     out = args.out or config.output
     records = run_experiment(config, _print_progress if args.progress else None)
     n_params = config.game.xi.dim
@@ -182,10 +179,9 @@ def cmd_diagnose(args) -> int:
     config = _load_valid_config(args)
     eta = np.asarray(config.eta_true, dtype=float)
     # a known theta1 (D1 = 0) is the community game's shape
-    if not config.game.d1.any():
-        report = sbm_identifiability_constant(config.graphon, config.game, eta)
-    else:
-        report = homogeneous_identifiability(config.graphon, eta)
+    closed_form = (homogeneous_identifiability if config.game.d1.any()
+                   else sbm_identifiability_constant)
+    report = closed_form(config.graphon, config.game, eta)
     print(f"identifiable = {'true' if report.identifiable else 'false'}")
     if report.constant is not None:
         print(f"constant = {_fmt(report.constant)}")

@@ -3,7 +3,8 @@
 Identifiability here means a quantitative stability bound: the parameter
 distance is controlled by an explicit constant L times the L2 distance of
 the corresponding equilibria. The two shipped game families admit closed
-forms for L; an empirical sampler can stress-test any supplied constant.
+forms for L, each read off the game's equilibrium aggregate; an empirical
+sampler can stress-test any supplied constant.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import numpy as np
 from .errors import DegenerateAggregate, NotInterior
 from .game import LQAffine
 from .graphon import Graphon
-from .equilibrium import _kernel_resolvent, solve_lq_homogeneous, solve_values
+from .equilibrium import _kernel_resolvent, solve_values
 
-# An aggregate whose L2 distance to its own mean is below this counts as
+# An aggregate whose L2 distance to its own mean is at most this counts as
 # constant, which collapses the two homogeneous parameters onto a line.
 CONSTANT_AGGREGATE_TOL = 1e-10
 
@@ -38,14 +39,15 @@ class IdentifiabilityReport:
     detail: dict
 
 
-def homogeneous_identifiability(g: Graphon, eta_bar,
-                                constant_tol: float = CONSTANT_AGGREGATE_TOL) -> IdentifiabilityReport:
-    """Identifiability of the two homogeneous parameters at eta_bar.
+def homogeneous_identifiability(g: Graphon, spec: LQAffine,
+                                eta_bar) -> IdentifiabilityReport:
+    """Identifiability of the homogeneous game ``spec`` (theta1 = eta1,
+    theta2 = eta2 on every cell) at eta_bar.
 
     Decomposes the equilibrium aggregate z into its mean gamma plus the
-    orthogonal remainder z_perp. A constant aggregate (||z_perp|| below
-    ``constant_tol``) makes only eta1 + gamma * eta2 recoverable. Otherwise
-    the parameters are identifiable with
+    orthogonal remainder z_perp. A constant aggregate (||z_perp|| at most
+    CONSTANT_AGGREGATE_TOL) makes only eta1 + gamma * eta2 recoverable.
+    Otherwise the parameters are identifiable with
 
         L = 2 / sqrt(lambda_m * nu),
         lambda_m = ((gamma^2 + 2) - sqrt((gamma^2 + 2)^2 - 4)) / 2,
@@ -59,11 +61,11 @@ def homogeneous_identifiability(g: Graphon, eta_bar,
     """
     eta_bar = np.asarray(eta_bar, dtype=float)
     weights = g.cell_weights()
-    z = solve_lq_homogeneous(g, eta_bar).aggregate.values
+    _, z = solve_values(g, spec, eta_bar)
     gamma = float(np.dot(weights, z))
     z_perp = z - gamma
     z_perp_norm = float(np.sqrt(np.dot(weights, z_perp**2)))
-    if z_perp_norm <= constant_tol:
+    if z_perp_norm <= CONSTANT_AGGREGATE_TOL:
         return IdentifiabilityReport(
             identifiable=False,
             constant=None,

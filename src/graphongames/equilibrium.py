@@ -17,11 +17,11 @@ kernel, so both games share one engine of two private cores:
   system, one multi-right-hand-side solve per order, so they are exact at
   machine precision.
 
-Every closed form on a kernel, the estimator's J core included, goes
-through one solver built once per (kernel, game), ``_kernel_resolvent``,
-which checks the spectral condition at every eta. Where theta2 is the same
-on every cell it solves in the kernel's one cached eigenbasis instead of
-calling ``_resolvent``.
+Every closed form on a kernel, for the homogeneous game as for any other,
+goes through one solver built once per (kernel, game),
+``_kernel_resolvent``, which checks the spectral condition at every eta.
+Where theta2 is the same on every cell it solves in the kernel's one
+cached eigenbasis instead of calling ``_resolvent``.
 """
 
 from __future__ import annotations
@@ -36,13 +36,7 @@ from .errors import (
     SpectralConditionViolated,
 )
 from .functionspace import PiecewiseConstantFn
-from .game import (
-    LQAffine,
-    LQHomogeneous,
-    ParameterBox,
-    StrategySet,
-    contraction_margin,
-)
+from .game import LQAffine, contraction_margin
 from .graphon import Graphon
 
 DEFAULT_TOL = 1e-10
@@ -180,37 +174,6 @@ def _kernel_resolvent(g: Graphon, spec: LQAffine):
         return tuple(result)
 
     return solve
-
-
-def solve_lq_homogeneous(g: Graphon, eta,
-                         strategy_set: StrategySet | None = None) -> GraphonEquilibrium:
-    """Interior equilibrium of the homogeneous game by a direct linear solve
-    on the kernel's natural partition.
-
-    The profile is the resolvent image (I - eta2 W)^{-1} eta1 * 1, the
-    scaled Bonacich centrality of each agent position. Intended for interior
-    regimes; pass ``strategy_set`` to have the interior flag and residual
-    checked against actual bounds.
-    """
-    eta = np.asarray(eta, dtype=float)
-    spec = LQHomogeneous(StrategySet(0.0, 1.0),
-                         ParameterBox(np.zeros(2), np.ones(2)))
-    s, z = solve_values(g, spec, eta)
-    bounds = g.cell_boundaries()
-    target = eta[0] + eta[1] * z
-    if strategy_set is not None:
-        interior = strategy_set.is_interior(s)
-        residual = float(np.max(np.abs(s - strategy_set.clamp(target))))
-    else:
-        interior = True
-        residual = float(np.max(np.abs(s - target)))
-    return GraphonEquilibrium(
-        strategy=PiecewiseConstantFn(bounds, s),
-        aggregate=PiecewiseConstantFn(bounds, z),
-        interior=interior,
-        iterations=0,
-        residual=residual,
-    )
 
 
 def solve_fixed_point(g: Graphon, spec: LQAffine, eta,

@@ -58,10 +58,6 @@ class PiecewiseConstantFn:
     def constant(cls, value: float) -> "PiecewiseConstantFn":
         return cls(np.array([0.0, 1.0]), np.array([float(value)]))
 
-    @property
-    def n_pieces(self) -> int:
-        return self.values.size
-
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
         if np.any(xs < 0.0) or np.any(xs > 1.0):
@@ -81,15 +77,6 @@ class PiecewiseConstantFn:
         mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
         idx = np.searchsorted(self.breakpoints, mids, side="right") - 1
         return self.values[np.clip(idx, 0, self.values.size - 1)]
-
-    def integral(self) -> float:
-        """Exact value of the integral over [0, 1]."""
-        return float(np.dot(np.diff(self.breakpoints), self.values))
-
-    def l2_norm(self) -> float:
-        return float(
-            np.sqrt(np.dot(np.diff(self.breakpoints), self.values**2))
-        )
 
     # Pointwise arithmetic on the merged partition. Scalars broadcast.
 
@@ -134,21 +121,18 @@ def interpolate_equilibrium(s) -> PiecewiseConstantFn:
     return PiecewiseConstantFn(np.linspace(0.0, 1.0, vals.size + 1), vals)
 
 
-def _merge_sorted(points: np.ndarray) -> np.ndarray:
-    """Coalesce near-duplicates (within MERGE_TOL) in a sorted point set and
-    pin the endpoints to exactly 0 and 1."""
+def merge_breakpoints(f: PiecewiseConstantFn, g: PiecewiseConstantFn) -> np.ndarray:
+    """Common refinement of two partitions: their sorted union with
+    near-duplicates (within MERGE_TOL) coalesced and the endpoints pinned
+    to exactly 0 and 1."""
+    points = np.union1d(f.breakpoints, g.breakpoints)
     keep = np.empty(points.size, dtype=bool)
     keep[0] = True
     keep[1:] = np.diff(points) > MERGE_TOL
-    merged = points[keep].copy()
+    merged = points[keep]
     merged[0] = 0.0
     merged[-1] = 1.0
     return merged
-
-
-def merge_breakpoints(f: PiecewiseConstantFn, g: PiecewiseConstantFn) -> np.ndarray:
-    """Common refinement of two partitions."""
-    return _merge_sorted(np.union1d(f.breakpoints, g.breakpoints))
 
 
 def integrate_product(f: PiecewiseConstantFn, g: PiecewiseConstantFn) -> float:

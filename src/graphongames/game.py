@@ -42,21 +42,17 @@ class StrategySet:
             raise ValueError("strategy set needs lower < upper")
 
     @property
-    def s_max(self) -> float:
-        return max(abs(self.lower), abs(self.upper))
-
-    @property
     def width(self) -> float:
         return self.upper - self.lower
 
     def clamp(self, s):
         return np.clip(s, self.lower, self.upper)
 
-    def is_interior(self, values, rel_tol: float = INTERIOR_REL_TOL) -> bool:
-        """True iff every value keeps a distance > rel_tol * width from
-        both bounds."""
+    def is_interior(self, values) -> bool:
+        """True iff every value keeps a distance > INTERIOR_REL_TOL * width
+        from both bounds."""
         vals = np.asarray(values, dtype=float)
-        band = rel_tol * self.width
+        band = INTERIOR_REL_TOL * self.width
         return bool(
             np.all(vals - self.lower > band) and np.all(self.upper - vals > band)
         )
@@ -92,12 +88,6 @@ class ParameterBox:
     def contains_interior(self, eta) -> bool:
         e = np.asarray(eta, dtype=float)
         return bool(np.all(e > self.lower) and np.all(e < self.upper))
-
-    def clamp(self, eta) -> np.ndarray:
-        return np.clip(np.asarray(eta, dtype=float), self.lower, self.upper)
-
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
 
     def corners(self) -> np.ndarray:
         return np.array(list(itertools.product(*zip(self.lower, self.upper))))

@@ -3,8 +3,8 @@
 Three kernel families are supported: a constant kernel, a block kernel with
 K communities (intensity matrix Q, community weights pi), and a kernel given
 by an M x M matrix on the uniform grid. All three are piecewise constant on
-a product partition, so applying the integral operator to a step function is
-exact.
+a product partition, so on a step function aligned with that partition the
+integral operator is exactly one matrix, :meth:`Graphon.operator_matrix`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomain
-from .functionspace import PiecewiseConstantFn, cell_integrals
 
 
 class Graphon:
@@ -63,13 +62,6 @@ class Graphon:
         j = np.atleast_1d(self.cell_index(ys))
         return self.kernel_matrix()[i[:, None], j[None, :]]
 
-    def apply(self, f: PiecewiseConstantFn) -> PiecewiseConstantFn:
-        """Image of f under the integral operator, x -> integral of
-        W(x, y) f(y) dy. Exact for any step function f."""
-        bounds = self.cell_boundaries()
-        ints = cell_integrals(f, bounds)
-        return PiecewiseConstantFn(bounds, self.kernel_matrix() @ ints)
-
     def eigen(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues in ascending order, orthonormal eigenvectors as
         columns) of the symmetrized cell matrix sqrt(w_i) K_ij sqrt(w_j),
@@ -86,10 +78,6 @@ class Graphon:
         """Largest eigenvalue of the integral operator, the top one of
         :meth:`eigen`."""
         return float(self.eigen()[0][-1])
-
-    def sup_degree(self) -> float:
-        """Essential supremum over x of the degree integral of W(x, y) dy."""
-        return float(self.operator_matrix().sum(axis=1).max())
 
     def validate(self) -> list[str]:
         """Check structural invariants; returns a list of violations
@@ -117,9 +105,6 @@ class ConstantGraphon(Graphon):
 
     def kernel_matrix(self) -> np.ndarray:
         return np.array([[self.value]])
-
-    def sup_degree(self) -> float:
-        return self.value
 
 
 @dataclass

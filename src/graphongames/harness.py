@@ -86,6 +86,8 @@ class ExperimentConfig:
                 problems.append(
                     f"contraction margin over the box corners is {margin:.6g}"
                 )
+        if not self.n_list:
+            problems.append("n_list is empty")
         if any(int(n) < 1 for n in self.n_list):
             problems.append("network sizes must be positive")
         if len(set(self.n_list)) != len(self.n_list):

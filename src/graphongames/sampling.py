@@ -60,6 +60,9 @@ from .graphon import Graphon
 # network size and thread count.
 EDGE_BLOCK_PAIRS = 1 << 18
 
+# Relative accuracy of the spectral contraction check's eigensolve.
+SPECTRAL_RTOL = 1e-8
+
 
 @dataclass
 class SampledNetwork:
@@ -189,9 +192,9 @@ def _upper_csr(row_counts, cols) -> sp.csr_array:
                          indptr), shape=(n, n))
 
 
-def network_spectral_radius(net: SampledNetwork, rtol: float = 1e-8) -> float:
+def network_spectral_radius(net: SampledNetwork) -> float:
     """Largest eigenvalue of the scaled adjacency P/N, to relative
-    accuracy ``rtol``.
+    accuracy ``SPECTRAL_RTOL``.
 
     Lanczos (ARPACK ``eigsh``) for the largest algebraic eigenvalue, started
     from the constant vector; it stays correct when the extreme eigenvalues
@@ -202,7 +205,7 @@ def network_spectral_radius(net: SampledNetwork, rtol: float = 1e-8) -> float:
         return 0.0  # ARPACK rejects a start vector that P maps to zero
     try:
         lam = eigsh(net.adjacency, k=1, which="LA",
-                    v0=np.ones(n), tol=rtol, return_eigenvectors=False)
+                    v0=np.ones(n), tol=SPECTRAL_RTOL, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         raise NoConvergence(f"network eigensolve did not converge: {exc}") from None
     return float(lam[0]) / n

@@ -40,6 +40,15 @@ def smooth_grid_kernel(m=100):
                        * (0.4 + 0.6 * np.sqrt(np.outer(c, c))))
 
 
+def wide_homogeneous(upper=50.0, eta2_max=2.0):
+    """A homogeneous game with strategy set [0, upper] and parameter box
+    [0, 3] x [0, eta2_max]."""
+    return LQHomogeneous(
+        strategy_set=StrategySet(0.0, upper),
+        xi=ParameterBox(np.array([0.0, 0.0]), np.array([3.0, eta2_max])),
+    )
+
+
 def random_block_kernel(k, seed):
     """A k-community block kernel with uniform random symmetric intensities
     and Dirichlet weights, and the generator that drew it."""

@@ -33,7 +33,6 @@ from graphongames import (
     sample_network,
     sbm_identifiability_constant,
     solve_fixed_point,
-    solve_lq_homogeneous,
     solve_network_game,
     sup_distance,
     empirical_identifiability_test,
@@ -100,7 +99,6 @@ def test_criterion_1_oracle_equivalence(sbm4, sbm4_game):
                     strategy_set=StrategySet(0.0, 1e6),
                     xi=ParameterBox(np.zeros(2), eta + 1.0),
                 )
-                closed = solve_lq_homogeneous(g, eta).strategy
             else:
                 eta = rng.uniform(0.05, 0.75 / lam, size=k)
                 spec = LQSBM(
@@ -108,23 +106,23 @@ def test_criterion_1_oracle_equivalence(sbm4, sbm4_game):
                     strategy_set=StrategySet(0.0, 1e6),
                     xi=ParameterBox(np.zeros(k), eta + 1.0),
                 )
-                closed = PiecewiseConstantFn(
-                    g.cell_boundaries(), solve_values(g, spec, eta)[0])
+            closed = model_equilibrium_fn(g, spec, eta)
             iterated = solve_fixed_point(g, spec, eta).strategy
             assert sup_distance(iterated, closed) <= 1e-9
         assert time.perf_counter() - started < 5.0
 
 
-def test_criterion_2_constant_graphon_closed_form():
+def test_criterion_2_constant_graphon_closed_form(homogeneous_game):
     with criterion(2, "constant kernel equilibrium equals eta1/(1 - eta2 c)"):
         for c in (0.1, 0.3, 0.5, 0.7, 0.9):
             for eta1 in (0.2, 1.0, 2.0):
                 for eta2 in (0.0, 0.4, 0.9):
                     if eta2 * c >= 1.0:
                         continue
-                    eq = solve_lq_homogeneous(ConstantGraphon(c), [eta1, eta2])
+                    s, _ = solve_values(ConstantGraphon(c), homogeneous_game,
+                                        [eta1, eta2])
                     expected = eta1 / (1.0 - eta2 * c)
-                    assert abs(eq.strategy.values[0] - expected) <= 1e-12
+                    assert abs(s[0] - expected) <= 1e-12
 
 
 def test_criterion_3_derivative_correctness(sbm4, sbm4_game):
@@ -217,7 +215,7 @@ def test_criterion_8_non_identifiability_counterexample():
         j_b = objective(obs, g, spec, eta_b)
         assert abs(j_a - j_b) <= 1e-12
 
-        report = homogeneous_identifiability(g, eta_a)
+        report = homogeneous_identifiability(g, spec, eta_a)
         assert not report.identifiable
         assert report.gamma == pytest.approx(c * 2.0, abs=1e-12)
 

@@ -3,7 +3,7 @@ import pytest
 import yaml
 
 from graphongames.cli import main
-from conftest import ETA4, PI4, Q4
+from conftest import ETA4, PI2, PI4, Q2, Q4
 
 SHIPPED = "configs/sbm4.yaml"
 
@@ -47,6 +47,11 @@ class TestValidate:
         path = write_config(tmp_path, {"graphon": graphon})
         assert main(["validate", "--config", path]) == 1
         assert "community game" in capsys.readouterr().err
+
+    def test_empty_n_list_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"n_list": []})
+        assert main(["validate", "--config", path]) == 1
+        assert "n_list is empty" in capsys.readouterr().err
 
     def test_negative_seed_override_exits_1(self, capsys):
         assert main(["validate", "--config", SHIPPED, "--seed", "-1"]) == 1
@@ -167,6 +172,8 @@ class TestMalformedInput:
             (["solve", "--samples", "-3"], None, None),
             (["experiment"], None, {"optimizer": {"max_iter": 0}}),
             (["experiment"], None, {"solver": {"max_iter": 0}}),
+            (["sample"], None, {"n_list": []}),
+            (["estimate"], None, {"n_list": []}),
         ],
         ids=[
             "eta-not-a-number",
@@ -183,6 +190,8 @@ class TestMalformedInput:
             "solve-negative-samples",
             "optimizer-zero-iterations",
             "solver-zero-iterations",
+            "sample-empty-n-list",
+            "estimate-empty-n-list",
         ],
     )
     def test_exits_1_without_traceback(self, tmp_path, capsys, command,
@@ -246,6 +255,16 @@ class TestSampleAndExperiment:
             assert (tmp_path / f"streamed.csv{suffix}").read_bytes() == (
                 tmp_path / f"plain.csv{suffix}").read_bytes()
 
+    @pytest.mark.parametrize("overrides", [{"n_list": []}, {"runs_per_n": 0}],
+                             ids=["empty-n-list", "zero-runs"])
+    def test_empty_sweep_exits_1_writing_nothing(self, tmp_path, capsys,
+                                                 overrides):
+        path = write_config(tmp_path, overrides)
+        out = str(tmp_path / "res.csv")
+        assert main(["experiment", "--config", path, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
     def test_experiment_seed_override_changes_output(self, tmp_path):
         path = write_config(tmp_path, {"output": str(tmp_path / "a.csv")})
         main(["experiment", "--config", path])
@@ -278,6 +297,29 @@ class TestDiagnose:
         out = capsys.readouterr().out
         assert "identifiable = false" in out
         assert "gamma = 1" in out
+
+    def test_two_block_homogeneous_game(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {
+                "graphon": {"kind": "sbm", "q": Q2.tolist(), "pi": PI2.tolist()},
+                "game": {
+                    "kind": "lq_homogeneous",
+                    "strategy_set": [0.0, 50.0],
+                    "xi": {"lower": [0.1, 0.0], "upper": [2.0, 1.5]},
+                },
+                "eta_true": [1.0, 0.9],
+            },
+        )
+        assert main(["diagnose", "--config", path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "identifiable = true",
+            "constant = 14.239611584596751",
+            "gamma = 0.65221598606541542",
+            "lambda_m = 0.52667248260543975",
+            "nu = 0.037456144940897801",
+            "z_perp_norm = 0.19353590090961884",
+        ]
 
     def test_one_community_game_takes_the_community_constant(self, tmp_path,
                                                              capsys):

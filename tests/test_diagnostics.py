@@ -19,14 +19,7 @@ from graphongames import (
     solve_network_game,
 )
 from graphongames.equilibrium import solve_values
-from conftest import ETA4, PI2
-
-
-def wide_homogeneous():
-    return LQHomogeneous(
-        strategy_set=StrategySet(0.0, 50.0),
-        xi=ParameterBox(np.array([0.0, 0.0]), np.array([3.0, 2.0])),
-    )
+from conftest import ETA4, PI2, wide_homogeneous
 
 
 def sbm_game(k):
@@ -65,7 +58,8 @@ class TestCheckInterior:
 class TestHomogeneousIdentifiability:
     def test_constant_kernel_not_identifiable(self):
         c, eta = 0.5, np.array([1.0, 1.0])
-        report = homogeneous_identifiability(ConstantGraphon(c), eta)
+        report = homogeneous_identifiability(ConstantGraphon(c),
+                                             wide_homogeneous(), eta)
         assert not report.identifiable
         assert report.constant is None
         expected_gamma = c * eta[0] / (1 - eta[1] * c)
@@ -75,7 +69,8 @@ class TestHomogeneousIdentifiability:
         # oracle: closed-form aggregates (Q diag(pi) s) have unequal entries
         _, z = solve_values(sbm2, sbm_game(2), [0.5, 0.5])
         assert z[0] != pytest.approx(z[1], abs=1e-3)
-        report = homogeneous_identifiability(sbm2, np.array([1.0, 0.5]))
+        report = homogeneous_identifiability(sbm2, wide_homogeneous(),
+                                             np.array([1.0, 0.5]))
         assert report.identifiable
         assert report.constant > 0
         assert report.detail["z_perp_norm"] > 1e-3
@@ -83,18 +78,19 @@ class TestHomogeneousIdentifiability:
     def test_lambda_m_value_at_gamma_zero(self):
         # ((0 + 2) - sqrt(4 - 4)) / 2 = 1: check through a zero-interaction
         # kernel pushed just above the constant-aggregate tolerance
-        report = homogeneous_identifiability(ConstantGraphon(0.0), [1.0, 0.5])
+        report = homogeneous_identifiability(ConstantGraphon(0.0),
+                                             wide_homogeneous(), [1.0, 0.5])
         assert not report.identifiable  # gamma = 0, aggregate exactly constant
         t = 0.0**2 + 2.0
         assert ((t - np.sqrt(t * t - 4.0)) / 2.0) == pytest.approx(1.0)
 
     def test_zero_violations_with_computed_constant(self, sbm2):
         eta_bar = np.array([1.0, 0.5])
-        report = homogeneous_identifiability(sbm2, eta_bar)
         spec = LQHomogeneous(
             strategy_set=StrategySet(0.0, 50.0),
             xi=ParameterBox(np.array([0.5, 0.1]), np.array([1.5, 0.9])),
         )
+        report = homogeneous_identifiability(sbm2, spec, eta_bar)
         count = empirical_identifiability_test(
             sbm2, spec, eta_bar, report.constant, samples=200, seed=12
         )

@@ -13,7 +13,6 @@ from graphongames import (
     NotInterior,
     ParameterBox,
     ParameterOutOfBox,
-    PiecewiseConstantFn,
     SBMGraphon,
     SpectralConditionViolated,
     StrategySet,
@@ -24,7 +23,6 @@ from graphongames import (
     objective,
     objective_gradient,
     solve_fixed_point,
-    solve_lq_homogeneous,
     sup_distance,
 )
 from graphongames.equilibrium import (
@@ -34,18 +32,12 @@ from graphongames.equilibrium import (
     second_derivative_values,
     solve_values,
 )
-from conftest import ETA4, PI2, Q2, random_block_kernel, smooth_grid_kernel
+from conftest import (ETA4, PI2, Q2, random_block_kernel, smooth_grid_kernel,
+                      wide_homogeneous)
 
 # Frozen from the hand 2x2 solve: (I - M) s = 1 with M = [[0.2, 0.05],
 # [0.05, 0.1]] gives s = (0.95, 0.85) / 0.7175.
 HAND_S2 = np.array([0.95 / 0.7175, 0.85 / 0.7175])
-
-
-def wide_homogeneous(upper=50.0):
-    return LQHomogeneous(
-        strategy_set=StrategySet(0.0, upper),
-        xi=ParameterBox(np.array([0.0, 0.0]), np.array([3.0, 2.0])),
-    )
 
 
 def unbounded(spec_cls, eta, **kwargs):
@@ -68,32 +60,28 @@ def fd_gradient(g, spec, eta, h=1e-6):
 
 class TestHomogeneousClosedForm:
     def test_constant_graphon(self):
-        eq = solve_lq_homogeneous(ConstantGraphon(0.5), [1.0, 1.0])
-        assert eq.strategy.values == pytest.approx([2.0], abs=1e-14)
-        assert eq.aggregate.values == pytest.approx([1.0], abs=1e-14)
+        s, z = solve_values(ConstantGraphon(0.5), wide_homogeneous(), [1.0, 1.0])
+        assert s == pytest.approx([2.0], abs=1e-14)
+        assert z == pytest.approx([1.0], abs=1e-14)
 
     def test_zero_standalone_return(self, sbm2):
-        eq = solve_lq_homogeneous(sbm2, [0.0, 0.8])
-        assert np.all(eq.strategy.values == 0.0)
+        s, _ = solve_values(sbm2, wide_homogeneous(), [0.0, 0.8])
+        assert np.all(s == 0.0)
 
     def test_symmetric_blocks_collapse_to_constant(self):
         g = SBMGraphon(np.full((2, 2), 0.5), PI2)
-        eq = solve_lq_homogeneous(g, [1.0, 0.5])
-        assert eq.strategy.values == pytest.approx([4.0 / 3.0, 4.0 / 3.0], abs=1e-13)
+        s, _ = solve_values(g, wide_homogeneous(), [1.0, 0.5])
+        assert s == pytest.approx([4.0 / 3.0, 4.0 / 3.0], abs=1e-13)
 
     def test_spectral_violation(self):
         with pytest.raises(SpectralConditionViolated):
-            solve_lq_homogeneous(ConstantGraphon(0.8), [1.0, 1.3])
+            solve_values(ConstantGraphon(0.8), wide_homogeneous(), [1.0, 1.3])
 
     def test_interior_flag_against_strategy_set(self):
-        eq = solve_lq_homogeneous(
-            ConstantGraphon(0.5), [1.0, 1.0], strategy_set=StrategySet(0.0, 1.5)
-        )
-        assert not eq.interior  # the unconstrained value 2 exceeds the bound
-        eq2 = solve_lq_homogeneous(
-            ConstantGraphon(0.5), [1.0, 1.0], strategy_set=StrategySet(0.0, 10.0)
-        )
-        assert eq2.interior and eq2.residual <= 1e-12
+        s, _ = solve_values(ConstantGraphon(0.5), wide_homogeneous(), [1.0, 1.0])
+        # the unconstrained value 2 exceeds the bound 1.5
+        assert not StrategySet(0.0, 1.5).is_interior(s)
+        assert StrategySet(0.0, 10.0).is_interior(s)
 
 
 class TestBlockClosedForm:
@@ -150,8 +138,8 @@ class TestFixedPoint:
 
     def test_aggregate_consistency(self, sbm4, sbm4_game):
         eq = solve_fixed_point(sbm4, sbm4_game, ETA4)
-        recomputed = sbm4.apply(eq.strategy)
-        assert sup_distance(eq.aggregate, recomputed) <= 1e-12
+        recomputed = sbm4.operator_matrix() @ eq.strategy.values
+        assert np.abs(eq.aggregate.values - recomputed).max() <= 1e-12
 
     def test_not_a_contraction(self):
         spec = wide_homogeneous()
@@ -193,7 +181,6 @@ class TestOracleEquivalence:
                     strategy_set=StrategySet(0.0, 1e6),
                     xi=ParameterBox(np.zeros(2), eta + 1.0),
                 )
-                direct = solve_lq_homogeneous(g, eta).strategy
             else:
                 eta = rng.uniform(0.05, 0.75 / lam, size=k)
                 spec = LQSBM(
@@ -201,8 +188,7 @@ class TestOracleEquivalence:
                     strategy_set=StrategySet(0.0, 1e6),
                     xi=ParameterBox(np.zeros(k), eta + 1.0),
                 )
-                direct = PiecewiseConstantFn(
-                    g.cell_boundaries(), solve_values(g, spec, eta)[0])
+            direct = model_equilibrium_fn(g, spec, eta)
             iterated = solve_fixed_point(g, spec, eta, tol=1e-12).strategy
             assert sup_distance(iterated, direct) <= 1e-11
 
@@ -317,7 +303,7 @@ class TestSecondDerivatives:
         spec = wide_homogeneous()
         eta = np.array([0.9, 0.6])
         a = sbm2.operator_matrix()
-        norm_inf = sbm2.sup_degree()
+        norm_inf = a.sum(axis=1).max()
         ones = np.ones(2)
         f0 = np.zeros(2)
         f1 = np.zeros(2)

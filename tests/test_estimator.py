@@ -240,7 +240,7 @@ class TestEstimate:
             xi=ParameterBox(np.array([0.1, 0.0]), np.array([2.0, 1.5])),
         )
         eta_bar = np.array([1.0, 0.5])
-        assert homogeneous_identifiability(sbm2, eta_bar).identifiable
+        assert homogeneous_identifiability(sbm2, spec, eta_bar).identifiable
         errs = []
         for run in range(5):
             net = sample_network(sbm2, 800, derive_run_seed(5150, run, 800))
@@ -351,7 +351,7 @@ class TestCertifiedStart:
         result = estimate(obs, g, homogeneous_game)
         assert not result.converged and result.hessian_min_eig > 0.0
         assert result.gradient_norm > EstimateOptions().gtol
-        minimum = np.array([obs.integral(), 0.0])
+        minimum = np.array([np.dot(np.diff(obs.breakpoints), obs.values), 0.0])
         assert objective_gradient(obs, g, homogeneous_game, minimum)[1] > 0.0
         assert np.abs(result.eta_hat - minimum).max() <= 1e-7
 
@@ -381,7 +381,7 @@ def box_center_oracle(observed, g, spec):
     lo, hi = spec.xi.lower, spec.xi.upper
     fit = least_squares(
         lambda e: root_w * gradient_values(g, spec, e)[0] - target,
-        spec.xi.center(),
+        0.5 * (lo + hi),
         jac=lambda e: root_w[:, None] * gradient_values(g, spec, e)[2],
         bounds=(lo, hi), method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
     )

@@ -12,7 +12,6 @@ from graphongames import (
     integrate_product,
     interpolate_equilibrium,
     l2_distance,
-    merge_breakpoints,
     sup_distance,
 )
 
@@ -98,7 +97,7 @@ class TestMakePiecewise:
 class TestInterpolate:
     def test_single_entry(self):
         f = interpolate_equilibrium([2.0])
-        assert f(0.3) == 2.0 and f.n_pieces == 1
+        assert f(0.3) == 2.0 and f.values.size == 1
 
     def test_two_entries(self):
         f = interpolate_equilibrium([1.0, 3.0])
@@ -190,7 +189,7 @@ class TestMergingAndHelpers:
     def test_merge_coalesces_near_duplicates(self):
         f = PiecewiseConstantFn([0, 0.5, 1], [1.0, 2.0])
         g = PiecewiseConstantFn([0, 0.5 + 1e-13, 1], [5.0, 6.0])
-        merged = merge_breakpoints(f, g)
+        merged = (f + g).breakpoints
         assert merged[0] == 0.0 and merged[-1] == 1.0
         assert np.all(np.diff(merged) > 1e-13)
         assert merged.size == 3
@@ -204,7 +203,7 @@ class TestMergingAndHelpers:
         g = PiecewiseConstantFn([0, 0.25, 1], [10.0, 20.0])
         h = f + g
         assert h(0.1) == 11.0 and h(0.3) == 21.0 and h(0.9) == 22.0
-        assert (f - f).l2_norm() == 0.0
+        assert np.all((f - f).values == 0.0)
         assert (2.0 * f)(0.75) == 4.0
         assert (f + 1.0)(0.1) == 2.0
         assert (-f)(0.1) == -1.0
@@ -222,5 +221,6 @@ class TestMergingAndHelpers:
 
     def test_integral_and_norm(self):
         f = PiecewiseConstantFn([0, 0.5, 1], [1.0, 3.0])
-        assert f.integral() == pytest.approx(2.0, abs=1e-15)
-        assert f.l2_norm() == pytest.approx(np.sqrt(5.0), abs=1e-15)
+        one, zero = PiecewiseConstantFn.constant(1.0), PiecewiseConstantFn.constant(0.0)
+        assert integrate_product(f, one) == pytest.approx(2.0, abs=1e-15)
+        assert l2_distance(f, zero) == pytest.approx(np.sqrt(5.0), abs=1e-15)

@@ -21,10 +21,6 @@ from conftest import ETA4, PI4, Q4, smooth_grid_kernel
 
 
 class TestStrategySet:
-    def test_s_max(self):
-        assert StrategySet(-3.0, 2.0).s_max == 3.0
-        assert StrategySet(0.0, 10.0).s_max == 10.0
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             StrategySet(1.0, 1.0)
@@ -39,14 +35,12 @@ class TestStrategySet:
 
 
 class TestParameterBox:
-    def test_membership_and_clamp(self):
+    def test_membership(self):
         box = ParameterBox(np.array([0.0, 0.1]), np.array([1.0, 2.0]))
         assert box.contains([0.5, 1.0])
         assert box.contains([0.0, 2.0])
         assert not box.contains_interior([0.0, 2.0])
         assert not box.contains([1.5, 1.0])
-        assert np.allclose(box.clamp([2.0, -1.0]), [1.0, 0.1])
-        assert np.allclose(box.center(), [0.5, 1.05])
 
     def test_corners(self):
         box = ParameterBox(np.array([0.0, 0.0]), np.array([1.0, 2.0]))

@@ -15,7 +15,6 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from graphongames import (
     ConstantGraphon,
-    GridGraphon,
     LQHomogeneous,
     LQSBM,
     NoConvergence,
@@ -25,7 +24,9 @@ from graphongames import (
     SampledNetwork,
     SBMGraphon,
     StrategySet,
+    PiecewiseConstantFn,
     interpolate_equilibrium,
+    l2_distance,
     observe,
     read_network,
     sample_network,
@@ -35,14 +36,8 @@ from graphongames import (
 from graphongames import sampling
 from graphongames.equilibrium import DEFAULT_MAX_ITER, _project, _resolvent
 from graphongames.sampling import EDGE_BLOCK_PAIRS, network_spectral_radius
-from conftest import ETA4, PI4, Q4, random_block_kernel
-
-
-def wide_homogeneous(eta2_max=2.0):
-    return LQHomogeneous(
-        strategy_set=StrategySet(0.0, 50.0),
-        xi=ParameterBox(np.array([0.0, 0.0]), np.array([3.0, eta2_max])),
-    )
+from conftest import (ETA4, PI4, Q4, random_block_kernel, smooth_grid_kernel,
+                      wide_homogeneous)
 
 
 def triu_sampler(g, n, seed):
@@ -57,12 +52,6 @@ def triu_sampler(g, n, seed):
     adjacency[iu, ju] = edges
     adjacency[ju, iu] = edges
     return labels, adjacency
-
-
-def smooth_grid_kernel(m=100):
-    c = (np.arange(m) + 0.5) / m
-    return GridGraphon(0.8 * np.exp(-3.0 * np.abs(c[:, None] - c[None, :]))
-                       * (0.4 + 0.6 * np.sqrt(np.outer(c, c))))
 
 
 def upper_csr(adjacency):
@@ -294,12 +283,8 @@ class TestSolveNetworkGame:
 
     def test_not_a_contraction(self):
         net = sample_network(ConstantGraphon(1.0), 50, seed=2)
-        spec = LQHomogeneous(
-            strategy_set=StrategySet(0.0, 50.0),
-            xi=ParameterBox(np.array([0.0, 0.0]), np.array([3.0, 2.0])),
-        )
         with pytest.raises(NotAContraction):
-            solve_network_game(net, spec, [1.0, 1.5])
+            solve_network_game(net, wide_homogeneous(), [1.0, 1.5])
 
     def test_spectral_radius_bounds(self):
         net = sample_network(ConstantGraphon(1.0), 25, seed=2)
@@ -342,7 +327,7 @@ class TestSolveNetworkGame:
                                [1.0, 10.0])
 
     def test_sbm4_certified_by_row_sums(self, monkeypatch, sbm4, sbm4_game):
-        def no_eigensolve(net, rtol=1e-8):
+        def no_eigensolve(net):
             raise AssertionError("spectral fallback reached")
 
         monkeypatch.setattr(sampling, "network_spectral_radius", no_eigensolve)
@@ -546,7 +531,7 @@ class TestObserve:
         net = sample_network(sbm4, 64, seed=8)
         eq = solve_network_game(net, sbm4_game, ETA4)
         obs = observe(net, eq)
-        assert obs.l2_norm() == pytest.approx(
+        assert l2_distance(obs, PiecewiseConstantFn.constant(0.0)) == pytest.approx(
             np.linalg.norm(eq.strategies) / np.sqrt(64), rel=1e-12
         )
 
