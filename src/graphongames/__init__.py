@@ -29,7 +29,6 @@ from .graphon import (
     ConstantGraphon,
     Graphon,
     GridGraphon,
-    SBMGraphon,
 )
 from .game import (
     LQAffine,

@@ -57,8 +57,10 @@ def homogeneous_identifiability(g: Graphon, spec: LQAffine,
     gamma^2 + 1]]. Note nu uses the squared remainder norm: the orthogonal
     expansion of ||a*1 + b*z_perp||^2 bounds it below by min(1,
     ||z_perp||^2) * (a^2 + b^2), and the unsquared variant admits
-    counterexamples.
+    counterexamples. Raises ValueError on any other game.
     """
+    _require_maps(spec, ([0.0], [[1.0, 0.0]], [0.0], [[0.0, 1.0]]),
+                  "theta1 = eta1 and theta2 = eta2 in one shared row")
     eta_bar = np.asarray(eta_bar, dtype=float)
     weights = g.cell_weights()
     _, z = solve_values(g, spec, eta_bar)
@@ -94,7 +96,11 @@ def sbm_identifiability_constant(g: Graphon, spec: LQAffine,
     kernel ``g``: L = 2 / (min_i aggregate_i * sqrt(min_k pi_k)), with the
     aggregates taken at the true parameter. Positive aggregates are
     guaranteed when every community has at least one positive interaction
-    intensity."""
+    intensity. Raises ValueError unless ``spec`` is the community game:
+    a known theta1 (D1 = 0) and theta2 = eta (b2 = 0, D2 = I)."""
+    k = spec.b1.size
+    _require_maps(spec, (spec.b1, np.zeros((k, k)), np.zeros(k), np.eye(k)),
+                  "a known theta1 and theta2 = eta")
     _, aggregates = solve_values(g, spec, eta_bar)
     min_aggregate = float(aggregates.min())
     if min_aggregate <= 0.0:
@@ -110,6 +116,14 @@ def sbm_identifiability_constant(g: Graphon, spec: LQAffine,
         gamma=None,
         detail={"min_aggregate": min_aggregate, "min_weight": min_weight},
     )
+
+
+def _require_maps(spec: LQAffine, maps, game: str) -> None:
+    """Raise ValueError unless ``spec``'s (b1, D1, b2, D2) equal ``maps``."""
+    if not all(map(np.array_equal, (spec.b1, spec.d1, spec.b2, spec.d2),
+                   maps)):
+        raise ValueError(f"this closed form holds only for the game with "
+                         f"{game}")
 
 
 def empirical_identifiability_test(g: Graphon, spec: LQAffine, eta_bar,

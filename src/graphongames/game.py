@@ -4,8 +4,9 @@ A game couples a compact interval strategy set, a box of admissible
 parameter vectors, and a map from the parameter vector to the per-agent
 heterogeneity pair (standalone marginal return, aggregate effect). An
 agent's pair depends on its position only through the cell of the kernel's
-natural partition that holds it, and on those cells the map is affine,
-theta1 = b1 + D1 eta and theta2 = b2 + D2 eta. A game is one value,
+partition that holds it, and on those cells the map is affine, theta1 =
+b1 + D1 eta and theta2 = b2 + D2 eta, with one row shared by every cell or
+one row per cell of a K-cell kernel. A game is one value,
 :class:`LQAffine`, holding those maps, which every solver reads at its cells.
 :class:`LQHomogeneous` and :class:`LQSBM` only fill in the maps of the two
 named games; a new game is new maps, not a new class.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterOutOfBox
-from .graphon import Graphon, SBMGraphon
+from .graphon import Graphon
 
 # Relative width of the band near each strategy bound inside which an
 # equilibrium value counts as touching the bound.
@@ -100,9 +101,9 @@ class ParameterBox:
 class LQAffine:
     """A linear-quadratic game as data: theta1 = b1 + D1 eta and theta2 =
     b2 + D2 eta, with one row shared by every cell of any kernel, or K rows,
-    one per community of a K-community block kernel. Checked once: the
-    shapes, theta1, theta2 >= 0 over the box and a nonnegative strategy set.
-    The maps are stored read-only."""
+    one per cell of a K-cell kernel. Checked once: the shapes, theta1,
+    theta2 >= 0 over the box and a nonnegative strategy set. The maps are
+    stored read-only."""
 
     strategy_set: StrategySet
     xi: ParameterBox
@@ -132,18 +133,15 @@ class LQAffine:
     def affine_maps(self, g: Graphon):
         """(b1, D1, b2, D2) on the cells of ``g``'s partition: the per-cell
         heterogeneity is theta1 = b1 + D1 eta and theta2 = b2 + D2 eta. A
-        shared row is repeated on every cell; K rows raise TypeError on a
-        kernel that is not a block kernel, ValueError on another K."""
+        shared row is repeated on every cell; K rows raise ValueError on a
+        kernel that has not K cells."""
         maps = self.b1, self.d1, self.b2, self.d2
-        k = self.b1.size
+        k, n = self.b1.size, g.pi.size
         if k == 1:
-            n = g.kernel_matrix().shape[0]
             return tuple(m.repeat(n, axis=0) for m in maps)
-        if not isinstance(g, SBMGraphon):
-            raise TypeError("a community game needs a block kernel")
-        if g.n_communities != k:
+        if k != n:
             raise ValueError(f"a community game with {k} communities is on a "
-                             f"kernel with {g.n_communities}")
+                             f"kernel with {n} cells")
         return maps
 
     def aggregate_coefficient(self, eta) -> float:

@@ -1,15 +1,14 @@
 """Interaction kernels on [0, 1]^2 and their integral operators.
 
-Three kernel families are supported: a constant kernel, a block kernel with
-K communities (intensity matrix Q, community weights pi), and a kernel given
-by an M x M matrix on the uniform grid. All three are piecewise constant on
-a product partition, so on a step function aligned with that partition the
-integral operator is exactly one matrix, :meth:`Graphon.operator_matrix`.
+Every kernel is a step graphon, one value :class:`Graphon`: a symmetric
+matrix q on the cells of a partition of [0, 1] with weights pi. A K-block
+model is a K-cell kernel, a constant kernel has one cell and an M x M grid
+kernel M equal cells; :class:`ConstantGraphon` and :class:`GridGraphon`
+only fill in (q, pi). On a step function aligned with the partition the
+integral operator is one matrix, :meth:`Graphon.operator_matrix`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,28 +16,51 @@ from .errors import OutOfDomain
 
 
 class Graphon:
-    """Base class: a symmetric measurable kernel W on [0, 1]^2 taking values
-    in [0, 1], piecewise constant on the product of a cell partition with
-    itself.
+    """The kernel W(x, y) = q[i, j] for x in cell i and y in cell j, cell k
+    being the interval [sum_{l<k} pi_l, sum_{l<=k} pi_l), half-open except
+    for the final cell, which is closed at 1.
 
-    Subclasses provide :meth:`cell_boundaries` (the partition) and
-    :meth:`kernel_matrix` (the per-cell-pair kernel values); everything else
-    is shared. Instances are treated as immutable.
+    Checked once at construction: q is square, symmetric and inside
+    [0, 1], and pi is positive, has one entry per cell and sums to 1 within
+    1e-12; anything else raises ValueError. q, pi and the cell bounds are
+    stored read-only.
     """
 
-    def cell_boundaries(self) -> np.ndarray:
-        raise NotImplementedError
+    def __init__(self, q, pi):
+        q = np.array(q, dtype=float)
+        pi = np.array(pi, dtype=float)
+        if q.ndim != 2 or q.shape[0] != q.shape[1]:
+            raise ValueError("kernel matrix must be square")
+        if pi.shape != q.shape[:1]:
+            raise ValueError("cell weights must match the matrix size")
+        # written so that NaN fails every comparison
+        if not np.all((q >= 0.0) & (q <= 1.0)):
+            raise ValueError("kernel values outside [0, 1]")
+        if not np.array_equal(q, q.T):
+            raise ValueError("asymmetric kernel matrix")
+        if not np.all(pi > 0.0):
+            raise ValueError("cell weights must be positive")
+        if not abs(pi.sum() - 1.0) <= 1e-12:
+            raise ValueError(f"cell weights are not a simplex (sum = {pi.sum()!r})")
+        bounds = np.concatenate([[0.0], np.cumsum(pi)])
+        bounds[-1] = 1.0
+        for a in (q, pi, bounds):
+            a.flags.writeable = False
+        self.q, self.pi, self._bounds = q, pi, bounds
 
-    def kernel_matrix(self) -> np.ndarray:
-        raise NotImplementedError
+    def cell_boundaries(self) -> np.ndarray:
+        return self._bounds
 
     def cell_weights(self) -> np.ndarray:
-        return np.diff(self.cell_boundaries())
+        return self.pi
+
+    def kernel_matrix(self) -> np.ndarray:
+        return self.q
 
     def operator_matrix(self) -> np.ndarray:
         """Matrix of the integral operator acting on step functions aligned
-        with the cell partition: row i is sum_j K_ij * weight_j * f_j."""
-        return self.kernel_matrix() * self.cell_weights()[None, :]
+        with the cell partition: row i is sum_j q_ij * pi_j * f_j."""
+        return self.q * self.pi[None, :]
 
     def cell_index(self, x) -> np.ndarray:
         """Cell of each point. Cells are half-open [left, right) with the
@@ -47,20 +69,19 @@ class Graphon:
         xs = np.asarray(x, dtype=float)
         if not np.all((xs >= 0.0) & (xs <= 1.0)):
             raise OutOfDomain("kernel argument outside [0, 1]")
-        bounds = self.cell_boundaries()
-        idx = np.searchsorted(bounds, xs, side="right") - 1
-        return np.clip(idx, 0, bounds.size - 2)
+        idx = np.searchsorted(self._bounds, xs, side="right") - 1
+        return np.clip(idx, 0, self.pi.size - 1)
 
     def __call__(self, x, y):
         """Kernel value W(x, y)."""
-        val = self.kernel_matrix()[self.cell_index(x), self.cell_index(y)]
+        val = self.q[self.cell_index(x), self.cell_index(y)]
         return float(val) if np.ndim(val) == 0 else val
 
     def pairwise(self, xs, ys) -> np.ndarray:
         """Matrix of kernel values W(xs_i, ys_j)."""
         i = np.atleast_1d(self.cell_index(xs))
         j = np.atleast_1d(self.cell_index(ys))
-        return self.kernel_matrix()[i[:, None], j[None, :]]
+        return self.q[i[:, None], j[None, :]]
 
     def eigen(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues in ascending order, orthonormal eigenvectors as
@@ -69,9 +90,8 @@ class Graphon:
         is diag(1/sqrt(w)) Q diag(lambda) Q^T diag(sqrt(w)). One dense
         symmetric eigensolve, computed once per instance and cached."""
         if "_eigen" not in self.__dict__:
-            root_w = np.sqrt(self.cell_weights())
-            sym = self.kernel_matrix() * np.outer(root_w, root_w)
-            self._eigen = np.linalg.eigh(sym)
+            root_w = np.sqrt(self.pi)
+            self._eigen = np.linalg.eigh(self.q * np.outer(root_w, root_w))
         return self._eigen
 
     def lambda_max(self) -> float:
@@ -79,107 +99,20 @@ class Graphon:
         :meth:`eigen`."""
         return float(self.eigen()[0][-1])
 
-    def validate(self) -> list[str]:
-        """Check structural invariants; returns a list of violations
-        (empty when the kernel is valid). Never raises."""
-        problems = []
-        k = self.kernel_matrix()
-        if not np.array_equal(k, k.T):
-            problems.append("asymmetric kernel matrix")
-        if k.size and (k.min() < 0.0 or k.max() > 1.0):
-            problems.append("kernel values outside [0, 1]")
-        return problems
 
-
-@dataclass
 class ConstantGraphon(Graphon):
-    """W(x, y) = value everywhere."""
+    """W(x, y) = value everywhere: the one-cell kernel."""
 
-    value: float
-
-    def __post_init__(self):
-        self.value = float(self.value)
-
-    def cell_boundaries(self) -> np.ndarray:
-        return np.array([0.0, 1.0])
-
-    def kernel_matrix(self) -> np.ndarray:
-        return np.array([[self.value]])
+    def __init__(self, value: float):
+        super().__init__([[value]], [1.0])
 
 
-@dataclass
-class SBMGraphon(Graphon):
-    """Block kernel: W(x, y) = Q_ij for x in community i, y in community j.
-
-    Community k occupies the interval [sum_{l<k} pi_l, sum_{l<=k} pi_l),
-    half-open except for the final community, which is closed at 1.
-    """
-
-    q: np.ndarray
-    pi: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        pi = np.asarray(self.pi, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError("intensity matrix must be square")
-        if pi.ndim != 1 or pi.size != q.shape[0]:
-            raise ValueError("community weights must match the matrix size")
-        self.q = q
-        self.pi = pi
-
-    @property
-    def n_communities(self) -> int:
-        return self.pi.size
-
-    def cell_boundaries(self) -> np.ndarray:
-        bounds = np.concatenate([[0.0], np.cumsum(self.pi)])
-        bounds[-1] = 1.0
-        return bounds
-
-    def cell_weights(self) -> np.ndarray:
-        return self.pi
-
-    def kernel_matrix(self) -> np.ndarray:
-        return self.q
-
-    def validate(self) -> list[str]:
-        problems = super().validate()
-        if np.any(self.pi <= 0.0):
-            problems.append("community weights must be positive")
-        if abs(self.pi.sum() - 1.0) > 1e-12:
-            problems.append(
-                f"community weights are not a simplex (sum = {self.pi.sum()!r})"
-            )
-        return problems
-
-
-@dataclass
 class GridGraphon(Graphon):
     """Kernel given by an M x M matrix of values on the uniform M-cell grid."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("grid kernel matrix must be square")
-        self.matrix = m
-
-    @property
-    def resolution(self) -> int:
-        return self.matrix.shape[0]
-
-    def cell_boundaries(self) -> np.ndarray:
-        """The uniform grid, computed once per instance and cached
-        read-only, like :meth:`Graphon.eigen`."""
-        if "_bounds" not in self.__dict__:
-            self._bounds = np.linspace(0.0, 1.0, self.resolution + 1)
-            self._bounds.flags.writeable = False
-        return self._bounds
-
-    def kernel_matrix(self) -> np.ndarray:
-        return self.matrix
+    def __init__(self, matrix):
+        m = np.atleast_1d(np.asarray(matrix, dtype=float))
+        super().__init__(m, np.diff(np.linspace(0.0, 1.0, len(m) + 1)))
 
     @classmethod
     def from_csv(cls, path) -> "GridGraphon":
@@ -187,8 +120,8 @@ class GridGraphon(Graphon):
         return cls(np.loadtxt(path, delimiter=",", ndmin=2))
 
     @classmethod
-    def from_kernel(cls, graphon: Graphon, resolution: int = 1000) -> "GridGraphon":
-        """Rasterize another kernel by sampling at cell centers. Exact when
-        the grid refines the source kernel's partition."""
-        centers = (np.arange(resolution) + 0.5) / resolution
+    def from_kernel(cls, graphon: Graphon, m: int = 1000) -> "GridGraphon":
+        """Rasterize another kernel onto the M-cell grid by sampling at cell
+        centers. Exact when the grid refines the source kernel's partition."""
+        centers = (np.arange(m) + 0.5) / m
         return cls(graphon.pairwise(centers, centers))

@@ -41,7 +41,7 @@ from .game import (
     StrategySet,
     contraction_margin,
 )
-from .graphon import ConstantGraphon, Graphon, GridGraphon, SBMGraphon
+from .graphon import ConstantGraphon, Graphon, GridGraphon
 from .sampling import observe, sample_network, solve_network_game
 
 DEFAULT_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -67,15 +67,15 @@ class ExperimentConfig:
 
     def validate(self) -> list[str]:
         """Structural checks; returns the list of problems (empty = valid)."""
-        problems = list(self.graphon.validate())
+        problems = []
         try:
             self.game.affine_maps(self.graphon)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             problems.append(str(exc))
         eta = np.asarray(self.eta_true, dtype=float)
         if eta.shape != (self.game.xi.dim,):
             problems.append(
-                f"eta_true has length {eta.size}, parameter box has "
+                f"eta_true has shape {eta.shape}, parameter box has "
                 f"dimension {self.game.xi.dim}"
             )
         elif not self.game.xi.contains_interior(eta):
@@ -365,10 +365,8 @@ def _graphon_from_dict(d: dict, base_dir=None) -> Graphon:
     if kind == "constant":
         return ConstantGraphon(float(_require(d, "value", "constant graphon")))
     if kind == "sbm":
-        return SBMGraphon(
-            np.asarray(_require(d, "q", "sbm graphon"), dtype=float),
-            np.asarray(_require(d, "pi", "sbm graphon"), dtype=float),
-        )
+        return Graphon(_require(d, "q", "sbm graphon"),
+                       _require(d, "pi", "sbm graphon"))
     if kind == "grid":
         path = _require(d, "csv", "grid graphon")
         if base_dir is not None:
@@ -399,9 +397,9 @@ def config_from_dict(d: dict, base_dir=None) -> ExperimentConfig:
         graphon = _graphon_from_dict(dict(_require(d, "graphon", "config")), base_dir)
         game = _game_from_dict(dict(_require(d, "game", "config")))
         eta_true = np.asarray(_require(d, "eta_true", "config"), dtype=float)
-        n_list = [int(v) for v in _require(d, "n_list", "config")]
-        runs_per_n = int(_require(d, "runs_per_n", "config"))
-        master_seed = int(_require(d, "master_seed", "config"))
+        n_list = [_whole(v) for v in _require(d, "n_list", "config")]
+        runs_per_n = _whole(_require(d, "runs_per_n", "config"))
+        master_seed = _whole(_require(d, "master_seed", "config"))
         solver = _options(SolverOptions, d, "solver")
         optimizer = _options(EstimateOptions, d, "optimizer")
     except ConfigError:
@@ -419,6 +417,13 @@ def config_from_dict(d: dict, base_dir=None) -> ExperimentConfig:
         solver=solver,
         optimizer=optimizer,
     )
+
+
+def _whole(v) -> int:
+    """``v`` as an int, refusing rather than truncating a fraction."""
+    if not float(v).is_integer():
+        raise ValueError(f"{v!r} is not a whole number")
+    return int(v)
 
 
 def _options(cls, d: dict, key: str):

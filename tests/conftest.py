@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from graphongames import (
+    Graphon,
     GridGraphon,
     LQHomogeneous,
     LQSBM,
     ParameterBox,
-    SBMGraphon,
     StrategySet,
 )
 
@@ -54,12 +54,12 @@ def random_block_kernel(k, seed):
     and Dirichlet weights, and the generator that drew it."""
     rng = np.random.default_rng(seed)
     q = rng.uniform(0.0, 1.0, size=(k, k))
-    return SBMGraphon((q + q.T) / 2, rng.dirichlet(np.ones(k))), rng
+    return Graphon((q + q.T) / 2, rng.dirichlet(np.ones(k))), rng
 
 
 @pytest.fixture(scope="session")
 def sbm4():
-    return SBMGraphon(Q4, PI4)
+    return Graphon(Q4, PI4)
 
 
 @pytest.fixture(scope="session")
@@ -73,7 +73,7 @@ def sbm4_game():
 
 @pytest.fixture(scope="session")
 def sbm2():
-    return SBMGraphon(Q2, PI2)
+    return Graphon(Q2, PI2)
 
 
 @pytest.fixture(scope="session")

@@ -17,11 +17,11 @@ import yaml
 
 from graphongames import (
     ConstantGraphon,
+    Graphon,
     LQHomogeneous,
     LQSBM,
     ParameterBox,
     PiecewiseConstantFn,
-    SBMGraphon,
     StrategySet,
     estimate,
     hessian,
@@ -89,7 +89,7 @@ def test_criterion_1_oracle_equivalence(sbm4, sbm4_game):
             k = int(rng.integers(1, 5))
             q = (lambda m: (m + m.T) / 2)(rng.uniform(0, 1, size=(k, k)))
             pi = rng.dirichlet(np.ones(k))
-            g = SBMGraphon(q, pi)
+            g = Graphon(q, pi)
             lam = max(g.lambda_max(), 1e-9)
             if rng.random() < 0.5:
                 eta = np.array(
@@ -279,7 +279,7 @@ def test_criterion_11_grid_kernel_invariant_to_blas_threads(tmp_path):
     with criterion(11, "grid-kernel experiment CSV is byte-identical across "
                        "BLAS thread counts"):
         # the benchmark's 100-cell grid kernel with the homogeneous game
-        np.savetxt(tmp_path / "kernel.csv", smooth_grid_kernel().matrix,
+        np.savetxt(tmp_path / "kernel.csv", smooth_grid_kernel().kernel_matrix(),
                    fmt="%.17g", delimiter=",")
         config = tmp_path / "grid.yaml"
         config.write_text(yaml.safe_dump({

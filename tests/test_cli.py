@@ -48,6 +48,20 @@ class TestValidate:
         assert main(["validate", "--config", path]) == 1
         assert "community game" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, whole, fraction", [
+        ("n_list", [20.0], [20.5]),
+        ("runs_per_n", 2.0, 2.5),
+        ("master_seed", 7.0, 7.5),
+    ])
+    def test_counts_must_be_whole_numbers(self, tmp_path, capsys, key, whole,
+                                          fraction):
+        # 20.0 is 20, but 20.5 is refused rather than truncated to 20
+        path = write_config(tmp_path, {key: whole})
+        assert main(["validate", "--config", path]) == 0
+        path = write_config(tmp_path, {key: fraction}, name="fraction.yaml")
+        assert main(["validate", "--config", path]) == 1
+        assert "is not a whole number" in capsys.readouterr().err
+
     def test_empty_n_list_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, {"n_list": []})
         assert main(["validate", "--config", path]) == 1
@@ -154,6 +168,11 @@ class TestEstimate:
         assert "numerical failure" in capsys.readouterr().err
 
 
+NAN_PI = {"kind": "sbm", "q": Q4.tolist(), "pi": [float("nan")] * 4}
+NAN_Q = {"kind": "sbm", "q": np.where(Q4 == 0.9, np.nan, Q4).tolist(),
+         "pi": PI4.tolist()}
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "command, observation, overrides",
@@ -174,6 +193,10 @@ class TestMalformedInput:
             (["experiment"], None, {"solver": {"max_iter": 0}}),
             (["sample"], None, {"n_list": []}),
             (["estimate"], None, {"n_list": []}),
+            (["validate"], None, {"graphon": NAN_PI}),
+            (["experiment"], None, {"graphon": NAN_PI}),
+            (["validate"], None, {"graphon": NAN_Q}),
+            (["experiment"], None, {"graphon": NAN_Q}),
         ],
         ids=[
             "eta-not-a-number",
@@ -192,6 +215,10 @@ class TestMalformedInput:
             "solver-zero-iterations",
             "sample-empty-n-list",
             "estimate-empty-n-list",
+            "validate-nan-community-weights",
+            "experiment-nan-community-weights",
+            "validate-nan-kernel-value",
+            "experiment-nan-kernel-value",
         ],
     )
     def test_exits_1_without_traceback(self, tmp_path, capsys, command,

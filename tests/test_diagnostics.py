@@ -4,11 +4,11 @@ import pytest
 from graphongames import (
     ConstantGraphon,
     DegenerateAggregate,
+    Graphon,
     LQHomogeneous,
     LQSBM,
     NotInterior,
     ParameterBox,
-    SBMGraphon,
     StrategySet,
     empirical_identifiability_test,
     fd_check,
@@ -96,6 +96,11 @@ class TestHomogeneousIdentifiability:
         )
         assert count == 0
 
+    def test_refuses_the_community_game(self, sbm2):
+        # its constant would bound nothing for theta2 = eta per community
+        with pytest.raises(ValueError, match="theta1 = eta1"):
+            homogeneous_identifiability(sbm2, sbm_game(2), [0.5, 0.5])
+
 
 class TestSBMIdentifiability:
     def test_benchmark_constant(self, sbm4, sbm4_game):
@@ -112,8 +117,12 @@ class TestSBMIdentifiability:
     def test_zero_row_degenerate(self):
         q = np.array([[0.5, 0.0], [0.0, 0.0]])
         with pytest.raises(DegenerateAggregate):
-            sbm_identifiability_constant(SBMGraphon(q, PI2), sbm_game(2),
+            sbm_identifiability_constant(Graphon(q, PI2), sbm_game(2),
                                          [0.1, 0.1])
+
+    def test_refuses_the_homogeneous_game(self, sbm2):
+        with pytest.raises(ValueError, match="known theta1"):
+            sbm_identifiability_constant(sbm2, wide_homogeneous(), [1.0, 0.5])
 
     def test_zero_violations_on_benchmark(self, sbm4, sbm4_game):
         report = sbm_identifiability_constant(sbm4, sbm4_game, ETA4)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from graphongames import (
     ConstantGraphon,
+    Graphon,
     GridGraphon,
     LQHomogeneous,
     LQSBM,
@@ -13,7 +14,6 @@ from graphongames import (
     NotInterior,
     ParameterBox,
     ParameterOutOfBox,
-    SBMGraphon,
     SpectralConditionViolated,
     StrategySet,
     fd_check,
@@ -69,7 +69,7 @@ class TestHomogeneousClosedForm:
         assert np.all(s == 0.0)
 
     def test_symmetric_blocks_collapse_to_constant(self):
-        g = SBMGraphon(np.full((2, 2), 0.5), PI2)
+        g = Graphon(np.full((2, 2), 0.5), PI2)
         s, _ = solve_values(g, wide_homogeneous(), [1.0, 0.5])
         assert s == pytest.approx([4.0 / 3.0, 4.0 / 3.0], abs=1e-13)
 
@@ -103,7 +103,7 @@ class TestBlockClosedForm:
             q = rng.uniform(0.05, 1.0, size=(k, k))
             q = (q + q.T) / 2
             pi = rng.dirichlet(np.ones(k))
-            g = SBMGraphon(q, pi)
+            g = Graphon(q, pi)
             eta = rng.uniform(0.0, 0.8 / g.lambda_max(), size=k)
             _, aggregates = solve_values(g, unbounded(LQSBM, eta, theta1=1.0), eta)
             assert np.all(aggregates > 0.0)
@@ -173,7 +173,7 @@ class TestOracleEquivalence:
             k = int(rng.integers(1, 5))
             q = (lambda m: (m + m.T) / 2)(rng.uniform(0, 1, size=(k, k)))
             pi = rng.dirichlet(np.ones(k))
-            g = SBMGraphon(q, pi)
+            g = Graphon(q, pi)
             lam = max(g.lambda_max(), 1e-6)
             if rng.random() < 0.5:
                 eta = np.array([rng.uniform(0.1, 2.0), rng.uniform(0.0, 0.75 / lam)])
@@ -198,7 +198,7 @@ class TestOracleEquivalence:
             k = int(rng.integers(2, 5))
             q = (lambda m: (m + m.T) / 2)(rng.uniform(0, 1, size=(k, k)))
             pi = rng.dirichlet(np.ones(k))
-            g = SBMGraphon(q, pi)
+            g = Graphon(q, pi)
             lam = g.lambda_max()
             eta = rng.uniform(0.05, 0.7 / lam, size=k)
             spec = unbounded(LQSBM, eta, theta1=1.0)
@@ -234,7 +234,7 @@ class TestGradients:
             assert np.abs(fd[:, i] - analytic[:, i]).max() / scale <= 1e-5
 
     def test_grid_graphon_gradient(self):
-        g = GridGraphon.from_kernel(SBMGraphon(Q2, PI2), 10)
+        g = GridGraphon.from_kernel(Graphon(Q2, PI2), 10)
         spec = wide_homogeneous()
         eta = np.array([1.1, 0.8])
         _, _, analytic = gradient_values(g, spec, eta)
@@ -394,9 +394,13 @@ class TestResolventCoreProperties:
         _, _, grad = gradient_values(g, spec, eta)
         assert np.all(grad >= 0.0)
 
-    def test_community_game_refuses_a_grid_kernel(self, sbm4_game):
-        with pytest.raises(TypeError):
-            solve_values(smooth_grid_kernel(4), sbm4_game, ETA4)
+    def test_community_game_solves_on_a_grid_kernel(self, sbm4_game):
+        # a 4-cell grid kernel is the 4-block kernel with equal weights
+        grid = smooth_grid_kernel(4)
+        block = Graphon(grid.kernel_matrix(), [0.25] * 4)
+        for got, want in zip(solve_values(grid, sbm4_game, ETA4),
+                             solve_values(block, sbm4_game, ETA4)):
+            assert np.array_equal(got, want)
 
 
 def central_differences(f, eta, h):

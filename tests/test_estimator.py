@@ -463,7 +463,7 @@ def test_estimate_leaves_scipy_stats_unloaded():
     )
     code = (
         "import sys, numpy as np, graphongames as gg; "
-        f"g = gg.SBMGraphon(np.array({Q4.tolist()}), np.array({PI4.tolist()})); "
+        f"g = gg.Graphon(np.array({Q4.tolist()}), np.array({PI4.tolist()})); "
         "spec = gg.LQSBM(theta1=1.0, strategy_set=gg.StrategySet(0.0, 10.0), "
         "xi=gg.ParameterBox(np.full(4, 0.01), np.full(4, 1.2))); "
         f"eta = np.array({ETA4.tolist()}); "

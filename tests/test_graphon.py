@@ -3,10 +3,10 @@ import pytest
 
 from graphongames import (
     ConstantGraphon,
+    Graphon,
     GridGraphon,
     OutOfDomain,
     PiecewiseConstantFn,
-    SBMGraphon,
     cell_integrals,
     estimate,
     model_equilibrium_fn,
@@ -19,7 +19,7 @@ def random_sbm(rng, k=None):
     q = rng.uniform(0, 1, size=(k, k))
     q = (q + q.T) / 2
     pi = rng.dirichlet(np.ones(k))
-    return SBMGraphon(q, pi)
+    return Graphon(q, pi)
 
 
 class TestEval:
@@ -93,7 +93,7 @@ class TestApplyOperator:
 
     def test_unaligned_input_exact(self):
         # integrate by hand: community 1 gets 0.8 * int_{[0,0.5)} f + 0.2 * int_{[0.5,1]} f
-        g = SBMGraphon(Q2, PI2)
+        g = Graphon(Q2, PI2)
         f = PiecewiseConstantFn([0, 0.25, 1], [4.0, 8.0])
         out = g.operator_matrix() @ cell_averages(g, f)
         int1 = 4.0 * 0.25 + 8.0 * 0.25  # over [0, 0.5)
@@ -131,7 +131,7 @@ class TestLambdaMax:
         monkeypatch.setattr(
             np.linalg, "eigh", lambda m: calls.append(m) or eigh(m)
         )
-        g = SBMGraphon(Q4, PI4)
+        g = Graphon(Q4, PI4)
         assert g.lambda_max() == g.lambda_max()
         assert len(calls) == 1
         # the estimator's every evaluation reads the grid kernel's one
@@ -170,29 +170,47 @@ class TestSupDegree:
 
 
 class TestValidate:
+    """A kernel is checked once, at construction."""
+
     def test_benchmark_ok(self, sbm4):
-        assert sbm4.validate() == []
+        assert np.array_equal(sbm4.kernel_matrix(), Q4)
+        assert np.array_equal(sbm4.cell_weights(), PI4)
+        for a in (sbm4.kernel_matrix(), sbm4.cell_weights(),
+                  sbm4.cell_boundaries()):
+            assert not a.flags.writeable
 
     def test_asymmetric_flagged(self):
         q = np.array([[0.5, 0.1], [0.2, 0.5]])
-        g = SBMGraphon(q, PI2)
-        assert any("asymmetric" in p for p in g.validate())
+        with pytest.raises(ValueError, match="asymmetric"):
+            Graphon(q, PI2)
 
     def test_not_a_simplex_flagged(self):
-        g = SBMGraphon(Q2, np.array([0.5, 0.6]))
-        assert any("not a simplex" in p for p in g.validate())
+        with pytest.raises(ValueError, match="not a simplex"):
+            Graphon(Q2, np.array([0.5, 0.6]))
 
     def test_out_of_range_flagged(self):
-        g = ConstantGraphon(1.5)
-        assert any("outside [0, 1]" in p for p in g.validate())
-        grid = GridGraphon(np.array([[-0.1]]))
-        assert any("outside [0, 1]" in p for p in grid.validate())
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            ConstantGraphon(1.5)
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            GridGraphon(np.array([[-0.1]]))
+
+    @pytest.mark.parametrize("q, pi, message", [
+        (Q2, [np.nan, np.nan], "positive"),
+        (Q2, [0.5, np.nan], "positive"),
+        ([[np.nan, 0.2], [0.2, 0.4]], PI2, r"outside \[0, 1\]"),
+        ([[0.8, np.nan], [np.nan, 0.4]], PI2, r"outside \[0, 1\]"),
+    ])
+    def test_nan_refused(self, q, pi, message):
+        # NaN fails every comparison, so each check must be written to
+        # fail on it rather than pass
+        with pytest.raises(ValueError, match=message):
+            Graphon(q, pi)
 
     def test_shape_errors_raise(self):
         with pytest.raises(ValueError):
-            SBMGraphon(np.zeros((2, 3)), PI2)
+            Graphon(np.zeros((2, 3)), PI2)
         with pytest.raises(ValueError):
-            SBMGraphon(Q2, np.array([1.0]))
+            Graphon(Q2, np.array([1.0]))
 
 
 class TestGridIO:
@@ -201,11 +219,20 @@ class TestGridIO:
         path = tmp_path / "kernel.csv"
         np.savetxt(path, mat, delimiter=",")
         g = GridGraphon.from_csv(path)
-        assert np.allclose(g.matrix, mat)
-        assert g.resolution == 2
+        assert np.allclose(g.kernel_matrix(), mat)
+        assert g.pi.size == 2
 
     def test_rasterization_values(self, sbm2):
         grid = GridGraphon.from_kernel(sbm2, 4)
-        assert grid.matrix[0, 0] == Q2[0, 0]
-        assert grid.matrix[0, 3] == Q2[0, 1]
-        assert grid.matrix[3, 3] == Q2[1, 1]
+        assert grid.kernel_matrix()[0, 0] == Q2[0, 0]
+        assert grid.kernel_matrix()[0, 3] == Q2[0, 1]
+        assert grid.kernel_matrix()[3, 3] == Q2[1, 1]
+
+    def test_uniform_cells(self):
+        # the grid's bounds are the cumulative cell weights, pinned to end
+        # at 1; they reproduce the uniform grid exactly
+        for m in (1, 3, 7, 10, 100, 999, 1000):
+            g = GridGraphon(np.full((m, m), 0.5))
+            bounds = np.linspace(0.0, 1.0, m + 1)
+            assert np.array_equal(g.cell_boundaries(), bounds)
+            assert np.array_equal(g.cell_weights(), np.diff(bounds))

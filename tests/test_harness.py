@@ -121,6 +121,12 @@ class TestConfig:
         config = config_from_dict(bad)
         assert any("interior" in p for p in config.validate())
 
+    def test_nested_eta_true_reports_its_shape(self):
+        bad = dict(SMALL_CONFIG)
+        bad["eta_true"] = [[1, 2], [3, 4]]
+        assert config_from_dict(bad).validate() == [
+            "eta_true has shape (2, 2), parameter box has dimension 4"]
+
     def test_game_graphon_mismatch_flagged(self):
         bad = dict(SMALL_CONFIG)
         bad["graphon"] = {"kind": "constant", "value": 0.3}
@@ -167,7 +173,9 @@ class TestConfig:
         path = tmp_path / "config.yaml"
         path.write_text(yaml.safe_dump(cfg))
         config = load_config(path)
-        assert config.graphon.resolution == 2
+        assert np.array_equal(config.graphon.kernel_matrix(),
+                              [[0.2, 0.1], [0.1, 0.3]])
+        assert config.graphon.pi.size == 2
 
 
 class TestSeeds:

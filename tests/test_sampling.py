@@ -15,6 +15,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from graphongames import (
     ConstantGraphon,
+    Graphon,
     LQHomogeneous,
     LQSBM,
     NoConvergence,
@@ -22,7 +23,6 @@ from graphongames import (
     ParameterBox,
     ParameterOutOfBox,
     SampledNetwork,
-    SBMGraphon,
     StrategySet,
     PiecewiseConstantFn,
     interpolate_equilibrium,
@@ -219,10 +219,10 @@ class TestRowBlockSampler:
         cpu = min(os.sched_getaffinity(0))
         script = "import hashlib, os\n" + inspect.getsource(network_sha256) + f"""
 import numpy as np
-from graphongames import SBMGraphon, sample_network, sampling
+from graphongames import Graphon, sample_network, sampling
 os.sched_setaffinity(0, {{{cpu}}})
 assert sampling._workers() == 1
-g = SBMGraphon(np.array({Q4.tolist()}), np.array({PI4.tolist()}))
+g = Graphon(np.array({Q4.tolist()}), np.array({PI4.tolist()}))
 print(network_sha256(sample_network(g, 1600, 20240405)))
 """
         out = subprocess.run([sys.executable, "-c", script], check=True,
@@ -342,7 +342,7 @@ class TestSolveNetworkGame:
 
     def test_community_game_needs_block_kernel(self, sbm4_game):
         net = sample_network(smooth_grid_kernel(), 30, seed=4)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="4 communities .* 100 cells"):
             solve_network_game(net, sbm4_game, ETA4)
 
     def test_agents_take_their_label_cells_parameters(self, sbm4, sbm4_game):
@@ -480,7 +480,7 @@ class TestEmpiricalKernelOracle:
     def test_random_block_kernels(self, k, seed, n, ratio, eta1, community):
         rng = np.random.default_rng(seed)
         q = rng.uniform(0.0, 1.0, size=(k, k))
-        net = sample_network(SBMGraphon((q + q.T) / 2, rng.dirichlet(np.ones(k))),
+        net = sample_network(Graphon((q + q.T) / 2, rng.dirichlet(np.ones(k))),
                              n, seed)
         # max |theta2| * max degree / N <= ratio: the sup-norm contraction
         # factor, so an iterate that moved by at most tol is within
