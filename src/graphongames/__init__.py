@@ -20,10 +20,8 @@ from .errors import (
 from .functionspace import (
     PiecewiseConstantFn,
     cell_integrals,
-    integrate_product,
     interpolate_equilibrium,
     l2_distance,
-    sup_distance,
 )
 from .graphon import (
     ConstantGraphon,

@@ -62,11 +62,10 @@ def homogeneous_identifiability(g: Graphon, spec: LQAffine,
     _require_maps(spec, ([0.0], [[1.0, 0.0]], [0.0], [[0.0, 1.0]]),
                   "theta1 = eta1 and theta2 = eta2 in one shared row")
     eta_bar = np.asarray(eta_bar, dtype=float)
-    weights = g.cell_weights()
     _, z = solve_values(g, spec, eta_bar)
-    gamma = float(np.dot(weights, z))
+    gamma = float(np.dot(g.pi, z))
     z_perp = z - gamma
-    z_perp_norm = float(np.sqrt(np.dot(weights, z_perp**2)))
+    z_perp_norm = float(np.sqrt(np.dot(g.pi, z_perp**2)))
     if z_perp_norm <= CONSTANT_AGGREGATE_TOL:
         return IdentifiabilityReport(
             identifiable=False,
@@ -108,7 +107,7 @@ def sbm_identifiability_constant(g: Graphon, spec: LQAffine,
             "a community has non-positive equilibrium aggregate; the "
             "constant is undefined (an isolated community?)"
         )
-    min_weight = float(g.cell_weights().min())
+    min_weight = float(g.pi.min())
     constant = 2.0 / (min_aggregate * np.sqrt(min_weight))
     return IdentifiabilityReport(
         identifiable=True,
@@ -135,14 +134,13 @@ def empirical_identifiability_test(g: Graphon, spec: LQAffine, eta_bar,
     if constant <= 0.0:
         raise ValueError("the stability constant must be positive")
     eta_bar = np.asarray(eta_bar, dtype=float)
-    weights = g.cell_weights()
     solve = _kernel_resolvent(g, spec)
     s_bar, _ = solve(eta_bar, 0)
     rng = np.random.default_rng(seed)
     violations = 0
     for eta in spec.xi.sample(rng, samples):
         s, _ = solve(eta, 0)
-        dist = float(np.sqrt(np.dot(weights, (s - s_bar) ** 2)))
+        dist = float(np.sqrt(np.dot(g.pi, (s - s_bar) ** 2)))
         if float(np.linalg.norm(eta - eta_bar)) > constant * dist:
             violations += 1
     return violations

@@ -35,7 +35,6 @@ from .errors import (
     NotAContraction,
     SpectralConditionViolated,
 )
-from .functionspace import PiecewiseConstantFn
 from .game import LQAffine, contraction_margin
 from .graphon import Graphon
 
@@ -47,15 +46,16 @@ DEFAULT_MAX_ITER = 100_000
 class GraphonEquilibrium:
     """Equilibrium of a graphon game.
 
-    ``strategy`` is the equilibrium profile, ``aggregate`` its image under
-    the graphon operator. ``interior`` records whether every strategy value
-    keeps a relative distance of 1e-9 from both strategy bounds; derivative
-    formulas are only valid in that regime. ``residual`` is the sup-norm
-    defect of the fixed-point equation at the returned profile.
+    ``strategies`` are the equilibrium values on the kernel's cells,
+    ``aggregates`` their image under the operator matrix. ``interior``
+    records whether every strategy value keeps a relative distance of 1e-9
+    from both strategy bounds; derivative formulas are only valid in that
+    regime. ``residual`` is the sup-norm defect of the fixed-point equation
+    at the returned values.
     """
 
-    strategy: PiecewiseConstantFn
-    aggregate: PiecewiseConstantFn
+    strategies: np.ndarray
+    aggregates: np.ndarray
     interior: bool
     iterations: int
     residual: float
@@ -117,8 +117,8 @@ def _resolvent(a: np.ndarray, maps, eta, order: int):
 def _kernel_resolvent(g: Graphon, spec: LQAffine):
     """The interior solve on ``g``'s natural partition for one game, built
     once: returns ``solve(eta, order)`` with :func:`_resolvent`'s outputs.
-    Each call raises :class:`SpectralConditionViolated` when
-    max |theta2| * lambda_max >= 1.
+    Each call raises :class:`SpectralConditionViolated` where the
+    contraction margin at eta is not positive.
 
     When theta2 is the same on every cell for every eta (b2 constant, each
     column of D2 constant), V = I - t A is diagonal in the kernel's cached
@@ -131,14 +131,14 @@ def _kernel_resolvent(g: Graphon, spec: LQAffine):
     """
     maps = spec.affine_maps(g)
     b1, d1, b2, d2 = maps
-    lam = g.lambda_max()
 
     def check(eta):
         eta = np.asarray(eta, dtype=float)
-        coef = float(np.max(np.abs(b2 + d2 @ eta)))
-        if coef * lam >= 1.0:
+        margin = contraction_margin(spec, g, eta)
+        if margin <= 0.0:
             raise SpectralConditionViolated(
-                f"aggregate coefficient {coef} times lambda_max {lam} is >= 1"
+                f"contraction margin {margin} is not positive at "
+                f"eta={eta.tolist()}"
             )
         return eta
 
@@ -147,7 +147,7 @@ def _kernel_resolvent(g: Graphon, spec: LQAffine):
         return lambda eta, order: _resolvent(a, maps, check(eta), order)
 
     evals, q = g.eigen()
-    root_w = np.sqrt(g.cell_weights())
+    root_w = np.sqrt(g.pi)
     proj = q.T @ (root_w[:, None] * np.column_stack([b1, d1]))
     c = d2[0]
 
@@ -198,10 +198,9 @@ def solve_fixed_point(g: Graphon, spec: LQAffine, eta,
     s, iterations = _project(lambda s: th1 + th2 * (a @ s), a.shape[0],
                              lo, hi, tol, max_iter)
     z = a @ s
-    bounds = g.cell_boundaries()
     return GraphonEquilibrium(
-        strategy=PiecewiseConstantFn(bounds, s),
-        aggregate=PiecewiseConstantFn(bounds, z),
+        strategies=s,
+        aggregates=z,
         interior=spec.strategy_set.is_interior(s),
         iterations=iterations,
         residual=float(np.max(np.abs(np.clip(th1 + th2 * z, lo, hi) - s))),

@@ -81,7 +81,7 @@ class HessianInfo:
 def model_equilibrium_fn(g: Graphon, spec: LQAffine, eta) -> PiecewiseConstantFn:
     """Model equilibrium profile at eta as a step function."""
     s, _ = solve_values(g, spec, eta)
-    return PiecewiseConstantFn(g.cell_boundaries(), s)
+    return PiecewiseConstantFn(g.bounds, s)
 
 
 def _statistic(observed: PiecewiseConstantFn,
@@ -89,10 +89,12 @@ def _statistic(observed: PiecewiseConstantFn,
     """The observation's sufficient statistic on ``g``'s cells:
     (root_w, target, offset) with root_w = sqrt(w), target = a / sqrt(w) and
     offset = c, so that J(eta) = ||root_w * s_eta - target||^2 + offset."""
-    root_w = np.sqrt(g.cell_weights())
-    target = cell_integrals(observed, g.cell_boundaries()) / root_w
+    root_w = np.sqrt(g.pi)
+    target = cell_integrals(observed, g.bounds) / root_w
     v = observed.values
-    offset = float(np.dot(np.diff(observed.breakpoints), v * v)
+    # a pairwise sum, not a BLAS dot, so J does not depend on the BLAS
+    # thread count
+    offset = float((np.diff(observed.breakpoints) * v * v).sum()
                    - target @ target)
     return root_w, target, offset
 

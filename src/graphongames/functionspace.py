@@ -1,9 +1,11 @@
 """Piecewise-constant functions on [0, 1] with exact integration.
 
-Every function this library manipulates (block equilibria, interpolated
-network equilibria, local aggregates) is a step function, so L2 distances
-and inner products are computed exactly on the merged partition of the two
-operands instead of by quadrature.
+A function on [0, 1] is data in two places: an observation, the network
+equilibrium embedded on the grid {i/N}, and the model profile that
+``solve`` prints. Everything else lives on the kernel's cells as plain
+arrays. The observation's cell integrals are exact, and
+:func:`l2_distance` is the exact reference distance on the merged
+partition of two step functions, with no quadrature.
 """
 
 from __future__ import annotations
@@ -78,39 +80,6 @@ class PiecewiseConstantFn:
         idx = np.searchsorted(self.breakpoints, mids, side="right") - 1
         return self.values[np.clip(idx, 0, self.values.size - 1)]
 
-    # Pointwise arithmetic on the merged partition. Scalars broadcast.
-
-    def _combine(self, other, op) -> "PiecewiseConstantFn":
-        if isinstance(other, PiecewiseConstantFn):
-            grid = merge_breakpoints(self, other)
-            return PiecewiseConstantFn(
-                grid, op(self.resample(grid), other.resample(grid))
-            )
-        return PiecewiseConstantFn(
-            self.breakpoints, op(self.values, float(other))
-        )
-
-    def __add__(self, other):
-        return self._combine(other, np.add)
-
-    def __radd__(self, other):
-        return self._combine(other, np.add)
-
-    def __sub__(self, other):
-        return self._combine(other, np.subtract)
-
-    def __rsub__(self, other):
-        return (-self)._combine(other, np.add)
-
-    def __mul__(self, other):
-        return self._combine(other, np.multiply)
-
-    def __rmul__(self, other):
-        return self._combine(other, np.multiply)
-
-    def __neg__(self):
-        return PiecewiseConstantFn(self.breakpoints, -self.values)
-
 
 def interpolate_equilibrium(s) -> PiecewiseConstantFn:
     """Embed a length-N strategy vector as a step function on the regular
@@ -135,25 +104,11 @@ def merge_breakpoints(f: PiecewiseConstantFn, g: PiecewiseConstantFn) -> np.ndar
     return merged
 
 
-def integrate_product(f: PiecewiseConstantFn, g: PiecewiseConstantFn) -> float:
-    """Exact inner product: the integral of f(x) g(x) over [0, 1]."""
-    grid = merge_breakpoints(f, g)
-    return float(
-        np.dot(np.diff(grid) * f.resample(grid), g.resample(grid))
-    )
-
-
 def l2_distance(f: PiecewiseConstantFn, g: PiecewiseConstantFn) -> float:
     """Exact L2 distance sqrt(integral of (f - g)^2)."""
     grid = merge_breakpoints(f, g)
     diff = f.resample(grid) - g.resample(grid)
     return float(np.sqrt(np.dot(np.diff(grid), diff * diff)))
-
-
-def sup_distance(f: PiecewiseConstantFn, g: PiecewiseConstantFn) -> float:
-    """Sup-norm distance, exact for step functions."""
-    grid = merge_breakpoints(f, g)
-    return float(np.max(np.abs(f.resample(grid) - g.resample(grid))))
 
 
 def cell_integrals(f: PiecewiseConstantFn, boundaries: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ class Graphon:
 
     Checked once at construction: q is square, symmetric and inside
     [0, 1], and pi is positive, has one entry per cell and sums to 1 within
-    1e-12; anything else raises ValueError. q, pi and the cell bounds are
-    stored read-only.
+    1e-12; anything else raises ValueError. q, pi and the cell bounds
+    ``bounds`` are stored read-only.
     """
 
     def __init__(self, q, pi):
@@ -46,16 +46,7 @@ class Graphon:
         bounds[-1] = 1.0
         for a in (q, pi, bounds):
             a.flags.writeable = False
-        self.q, self.pi, self._bounds = q, pi, bounds
-
-    def cell_boundaries(self) -> np.ndarray:
-        return self._bounds
-
-    def cell_weights(self) -> np.ndarray:
-        return self.pi
-
-    def kernel_matrix(self) -> np.ndarray:
-        return self.q
+        self.q, self.pi, self.bounds = q, pi, bounds
 
     def operator_matrix(self) -> np.ndarray:
         """Matrix of the integral operator acting on step functions aligned
@@ -69,7 +60,7 @@ class Graphon:
         xs = np.asarray(x, dtype=float)
         if not np.all((xs >= 0.0) & (xs <= 1.0)):
             raise OutOfDomain("kernel argument outside [0, 1]")
-        idx = np.searchsorted(self._bounds, xs, side="right") - 1
+        idx = np.searchsorted(self.bounds, xs, side="right") - 1
         return np.clip(idx, 0, self.pi.size - 1)
 
     def __call__(self, x, y):

@@ -31,8 +31,8 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, EmptyGroup, GraphonGameError
-from .estimator import EstimateOptions, estimate, model_equilibrium_fn
-from .functionspace import l2_distance
+from .equilibrium import solve_values
+from .estimator import EstimateOptions, _statistic, estimate
 from .game import (
     LQAffine,
     LQHomogeneous,
@@ -190,7 +190,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
     g = config.graphon
     game = config.game
     eta_true = np.asarray(config.eta_true, dtype=float)
-    true_fn = model_equilibrium_fn(g, game, eta_true)
+    # the model equilibrium at eta_true on the kernel's cells
+    s_true, _ = solve_values(g, game, eta_true)
     n_params = game.xi.dim
     records: list[RunRecord] = []
     for n in sorted(int(v) for v in config.n_list):
@@ -210,7 +211,10 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
                         tol=config.solver.tol, max_iter=config.solver.max_iter,
                     )
                 obs = observe(net, neq)
-                l2 = l2_distance(obs, true_fn)
+                # ||obs - s_true||_L2 from the statistic J reads
+                root_w, target, offset = _statistic(obs, g)
+                r = root_w * s_true - target
+                l2 = math.sqrt(max(float(r @ r) + offset, 0.0))
                 with _timed(times, "estimate_s"):
                     result = estimate(obs, g, game, config.optimizer)
             except (GraphonGameError, np.linalg.LinAlgError, ValueError) as exc:
@@ -444,10 +448,10 @@ def _number(v):
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path} does not contain a configuration mapping")

@@ -121,9 +121,8 @@ def sample_network(g: Graphon, n: int, seed: int) -> SampledNetwork:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     labels = np.sort(rng.random(n))
     cells = g.cell_index(labels)
-    kernel = g.kernel_matrix()
     # agents cut[c]..cut[c+1]-1 hold cell c: labels are sorted
-    cut = np.searchsorted(cells, np.arange(kernel.shape[0] + 1))
+    cut = np.searchsorted(cells, np.arange(g.pi.size + 1))
     # before[i] pairs precede row i, which pairs with columns i+1..n-1
     before = np.arange(n + 1)
     before = before * (2 * n - 1 - before) // 2
@@ -132,7 +131,7 @@ def sample_network(g: Graphon, n: int, seed: int) -> SampledNetwork:
     share = max(1, EDGE_BLOCK_PAIRS // workers)
     starts = np.searchsorted(before, np.arange(0, before[-1], share))
     bounds = np.union1d(starts, [0, n])
-    block = partial(_edge_block, seed, kernel, cells, cut, before)
+    block = partial(_edge_block, seed, g.q, cells, cut, before)
     threads = min(workers, bounds.size - 1)
     if threads > 1:
         with ThreadPoolExecutor(threads) as pool:

@@ -11,6 +11,7 @@ from graphongames import (
     LQHomogeneous,
     LQSBM,
     ParameterBox,
+    PiecewiseConstantFn,
     StrategySet,
 )
 
@@ -38,6 +39,11 @@ def smooth_grid_kernel(m=100):
     c = (np.arange(m) + 0.5) / m
     return GridGraphon(0.8 * np.exp(-3.0 * np.abs(c[:, None] - c[None, :]))
                        * (0.4 + 0.6 * np.sqrt(np.outer(c, c))))
+
+
+def shifted(f, c):
+    """The step function f + c, on f's partition."""
+    return PiecewiseConstantFn(f.breakpoints, f.values + c)
 
 
 def wide_homogeneous(upper=50.0, eta2_max=2.0):

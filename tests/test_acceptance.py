@@ -21,7 +21,6 @@ from graphongames import (
     LQHomogeneous,
     LQSBM,
     ParameterBox,
-    PiecewiseConstantFn,
     StrategySet,
     estimate,
     hessian,
@@ -34,7 +33,6 @@ from graphongames import (
     sbm_identifiability_constant,
     solve_fixed_point,
     solve_network_game,
-    sup_distance,
     empirical_identifiability_test,
     fd_check,
 )
@@ -47,7 +45,7 @@ from graphongames.harness import (
     summarize_quantiles,
 )
 from graphongames.equilibrium import solve_values
-from conftest import ETA4, smooth_grid_kernel
+from conftest import ETA4, shifted, smooth_grid_kernel
 
 
 @contextmanager
@@ -80,9 +78,8 @@ def test_criterion_1_oracle_equivalence(sbm4, sbm4_game):
     with criterion(1, "fixed point matches closed forms to 1e-9 sup-norm"):
         started = time.perf_counter()
         eq = solve_fixed_point(sbm4, sbm4_game, ETA4)
-        closed = PiecewiseConstantFn(sbm4.cell_boundaries(),
-                                     solve_values(sbm4, sbm4_game, ETA4)[0])
-        assert sup_distance(eq.strategy, closed) <= 1e-9
+        closed, _ = solve_values(sbm4, sbm4_game, ETA4)
+        assert np.max(np.abs(eq.strategies - closed)) <= 1e-9
 
         rng = np.random.default_rng(2024)
         for _ in range(20):
@@ -106,9 +103,9 @@ def test_criterion_1_oracle_equivalence(sbm4, sbm4_game):
                     strategy_set=StrategySet(0.0, 1e6),
                     xi=ParameterBox(np.zeros(k), eta + 1.0),
                 )
-            closed = model_equilibrium_fn(g, spec, eta)
-            iterated = solve_fixed_point(g, spec, eta).strategy
-            assert sup_distance(iterated, closed) <= 1e-9
+            closed, _ = solve_values(g, spec, eta)
+            iterated = solve_fixed_point(g, spec, eta).strategies
+            assert np.max(np.abs(iterated - closed)) <= 1e-9
         assert time.perf_counter() - started < 5.0
 
 
@@ -136,7 +133,7 @@ def test_criterion_3_derivative_correctness(sbm4, sbm4_game):
         assert fd_check(sbm4, sbm4_game, ETA4, order=1) <= 1e-5
         assert fd_check(sbm4, sbm4_game, ETA4, order=2) <= 1e-4
 
-        obs = model_equilibrium_fn(sbm4, sbm4_game, ETA4) + 0.1
+        obs = shifted(model_equilibrium_fn(sbm4, sbm4_game, ETA4), 0.1)
         rng = np.random.default_rng(99)
         h = 1e-6
         for _ in range(3):
@@ -279,7 +276,7 @@ def test_criterion_11_grid_kernel_invariant_to_blas_threads(tmp_path):
     with criterion(11, "grid-kernel experiment CSV is byte-identical across "
                        "BLAS thread counts"):
         # the benchmark's 100-cell grid kernel with the homogeneous game
-        np.savetxt(tmp_path / "kernel.csv", smooth_grid_kernel().kernel_matrix(),
+        np.savetxt(tmp_path / "kernel.csv", smooth_grid_kernel().q,
                    fmt="%.17g", delimiter=",")
         config = tmp_path / "grid.yaml"
         config.write_text(yaml.safe_dump({
@@ -298,6 +295,35 @@ def test_criterion_11_grid_kernel_invariant_to_blas_threads(tmp_path):
         assert one == four
 
 
+def test_criterion_11_objective_invariant_to_blas_threads_at_large_n(tmp_path):
+    with criterion(11, "estimate on a 20,000-value observation prints the "
+                       "same bytes at one and four BLAS threads"):
+        # above OpenBLAS's threading threshold for a dot product
+        config = load_config("configs/sbm4.yaml")
+        n = 20_000
+        model = model_equilibrium_fn(config.graphon, config.game,
+                                     config.eta_true)
+        noise = np.random.default_rng(5).normal(0.0, 0.3, n)
+        obs = tmp_path / "obs.txt"
+        np.savetxt(obs, model((np.arange(n) + 0.5) / n) + noise, fmt="%.17g")
+        one, four = (
+            subprocess.run(
+                [sys.executable, "-m", "graphongames.cli", "estimate",
+                 "--config", "configs/sbm4.yaml", "--observation", str(obs)],
+                check=True, capture_output=True, env=blas_env(threads),
+            ).stdout
+            for threads in ("1", "4")
+        )
+        assert b"objective = " in one
+        assert one == four
+
+
+def blas_env(threads: str) -> dict:
+    """The environment with every BLAS thread count set to ``threads``."""
+    return dict(os.environ, OMP_NUM_THREADS=threads,
+                OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+
+
 def results_at_blas_threads(config: str, tmp_path) -> list[bytes]:
     """The results CSV of ``experiment`` on ``config`` at one and at four
     BLAS threads, each from its own interpreter session, since the thread
@@ -305,18 +331,12 @@ def results_at_blas_threads(config: str, tmp_path) -> list[bytes]:
     outputs = []
     for threads in ("1", "4"):
         out = tmp_path / f"threads{threads}.csv"
-        env = dict(
-            os.environ,
-            OMP_NUM_THREADS=threads,
-            OPENBLAS_NUM_THREADS=threads,
-            MKL_NUM_THREADS=threads,
-        )
         subprocess.run(
             [
                 sys.executable, "-m", "graphongames.cli", "experiment",
                 "--config", config, "--out", str(out),
             ],
-            check=True, env=env, capture_output=True,
+            check=True, env=blas_env(threads), capture_output=True,
         )
         outputs.append(out.read_bytes())
     return outputs

@@ -88,6 +88,13 @@ class TestValidate:
         bad.write_text("::: not yaml :::")
         assert main(["validate", "--config", str(bad)]) == 1
 
+    def test_config_not_utf8_exits_1(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark is not UTF-8
+        bad = tmp_path / "utf16.yaml"
+        bad.write_bytes(b"\xff\xfe" + "master_seed: 7\n".encode("utf-16-le"))
+        assert main(["validate", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot parse")
+
 
 class TestSolve:
     def test_prints_piecewise_function(self, capsys):

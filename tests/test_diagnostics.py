@@ -40,13 +40,13 @@ class TestCheckInterior:
 
     def test_agrees_with_solver_flag(self, sbm4, sbm4_game):
         eq = solve_fixed_point(sbm4, sbm4_game, ETA4)
-        assert sbm4_game.strategy_set.is_interior(eq.strategy.values) == eq.interior
+        assert sbm4_game.strategy_set.is_interior(eq.strategies) == eq.interior
         narrow = LQHomogeneous(
             strategy_set=StrategySet(0.0, 1.5),
             xi=ParameterBox(np.array([0.0, 0.0]), np.array([3.0, 1.5])),
         )
         eq2 = solve_fixed_point(ConstantGraphon(0.5), narrow, [1.0, 1.0])
-        assert narrow.strategy_set.is_interior(eq2.strategy.values) == eq2.interior is False
+        assert narrow.strategy_set.is_interior(eq2.strategies) == eq2.interior is False
         net = sample_network(sbm4, 100, seed=3)
         neq = solve_network_game(net, sbm4_game, ETA4)
         assert sbm4_game.strategy_set.is_interior(neq.strategies) == neq.interior is True
@@ -136,7 +136,7 @@ class TestSBMIdentifiability:
         # the threshold is the largest ratio ||eta - eta_bar|| / ||s - s_bar||
         # over the very draws the test makes: any smaller constant must be
         # caught, and a constant just above it never is
-        weights = sbm4.cell_weights()
+        weights = sbm4.pi
         s_bar, _ = solve_values(sbm4, sbm4_game, ETA4)
         ratios = []
         for eta in sbm4_game.xi.sample(np.random.default_rng(1), 200):

@@ -26,7 +26,7 @@ from graphongames import (
 )
 from graphongames.equilibrium import gradient_values
 from graphongames.estimator import EstimateOptions
-from conftest import (ETA4, PI4, Q2, Q4, random_block_kernel,
+from conftest import (ETA4, PI4, Q2, Q4, random_block_kernel, shifted,
                       smooth_grid_kernel)
 
 
@@ -42,7 +42,7 @@ class TestObjective:
         assert objective(obs, sbm4, sbm4_game, ETA4) == 0.0
 
     def test_constant_shift(self, sbm4, sbm4_game):
-        obs = model_equilibrium_fn(sbm4, sbm4_game, ETA4) + 0.37
+        obs = shifted(model_equilibrium_fn(sbm4, sbm4_game, ETA4), 0.37)
         assert objective(obs, sbm4, sbm4_game, ETA4) == pytest.approx(
             0.37**2, abs=1e-14
         )
@@ -69,7 +69,7 @@ class TestObjectiveGradient:
 
     def test_matches_finite_differences(self, sbm4, sbm4_game):
         rng = np.random.default_rng(31)
-        obs = model_equilibrium_fn(sbm4, sbm4_game, ETA4) + 0.1
+        obs = shifted(model_equilibrium_fn(sbm4, sbm4_game, ETA4), 0.1)
         h = 1e-6
         for _ in range(3):
             eta = rng.uniform(0.3, 1.1, size=4)
@@ -105,12 +105,12 @@ class TestHessian:
         )
 
     def test_exact_symmetry(self, sbm4, sbm4_game):
-        obs = model_equilibrium_fn(sbm4, sbm4_game, ETA4) + 0.2
+        obs = shifted(model_equilibrium_fn(sbm4, sbm4_game, ETA4), 0.2)
         info = hessian(obs, sbm4, sbm4_game, np.array([0.7, 0.5, 0.9, 0.7]))
         assert np.array_equal(info.matrix, info.matrix.T)
 
     def test_matches_objective_curvature(self, sbm4, sbm4_game):
-        obs = model_equilibrium_fn(sbm4, sbm4_game, ETA4) + 0.05
+        obs = shifted(model_equilibrium_fn(sbm4, sbm4_game, ETA4), 0.05)
         eta = np.array([0.7, 0.5, 0.9, 0.7])
         info = hessian(obs, sbm4, sbm4_game, eta)
         h = 1e-4
@@ -157,7 +157,7 @@ class TestEstimate:
         assert sbm4_game.xi.contains(result.eta_hat)
 
     def test_deterministic(self, sbm4, sbm4_game):
-        obs = model_equilibrium_fn(sbm4, sbm4_game, ETA4) + 0.05
+        obs = shifted(model_equilibrium_fn(sbm4, sbm4_game, ETA4), 0.05)
         r1 = estimate(obs, sbm4, sbm4_game)
         r2 = estimate(obs, sbm4, sbm4_game)
         assert np.array_equal(r1.eta_hat, r2.eta_hat)
@@ -276,7 +276,7 @@ class TestEstimate:
         assert result.converged == (result.gradient_norm <= gtol)
 
     def test_no_converged_start_reports_not_converged(self, sbm4, sbm4_game):
-        obs = model_equilibrium_fn(sbm4, sbm4_game, ETA4) + 0.05
+        obs = shifted(model_equilibrium_fn(sbm4, sbm4_game, ETA4), 0.05)
         opts = EstimateOptions(max_iter=1)
         result = estimate(obs, sbm4, sbm4_game, opts)
         assert not result.converged
@@ -284,7 +284,7 @@ class TestEstimate:
 
     def test_gradient_smoothness_bounded_quotients(self, sbm4, sbm4_game):
         rng = np.random.default_rng(41)
-        obs = model_equilibrium_fn(sbm4, sbm4_game, ETA4) + 0.1
+        obs = shifted(model_equilibrium_fn(sbm4, sbm4_game, ETA4), 0.1)
         quotients = []
         for _ in range(20):
             e1 = rng.uniform(0.2, 1.1, size=4)
@@ -310,7 +310,7 @@ class TestCertifiedStart:
     it is reported not converged."""
 
     def test_certified_center_is_the_estimate(self, sbm4, sbm4_game):
-        obs = model_equilibrium_fn(sbm4, sbm4_game, ETA4) + 0.05
+        obs = shifted(model_equilibrium_fn(sbm4, sbm4_game, ETA4), 0.05)
         result = estimate(obs, sbm4, sbm4_game)
         assert result.starts == 1
         assert result.converged and result.hessian_min_eig > 0.0
@@ -376,8 +376,8 @@ def box_center_oracle(observed, g, spec):
     integrals a of the observation and the resolvent's values and
     gradient; with whether it is certified: projected-gradient norm at
     most gtol and a positive definite Hessian of J."""
-    root_w = np.sqrt(g.cell_weights())
-    target = cell_integrals(observed, g.cell_boundaries()) / root_w
+    root_w = np.sqrt(g.pi)
+    target = cell_integrals(observed, g.bounds) / root_w
     lo, hi = spec.xi.lower, spec.xi.upper
     fit = least_squares(
         lambda e: root_w * gradient_values(g, spec, e)[0] - target,

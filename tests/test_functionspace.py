@@ -9,22 +9,16 @@ from graphongames import (
     OutOfDomain,
     PiecewiseConstantFn,
     cell_integrals,
-    integrate_product,
     interpolate_equilibrium,
     l2_distance,
-    sup_distance,
 )
+from graphongames.functionspace import merge_breakpoints
 
 
 def riemann_l2_distance(f, g, cells=10**6):
     """Midpoint Riemann oracle; exact when all breakpoints lie on the grid."""
     xs = (np.arange(cells) + 0.5) / cells
     return float(np.sqrt(np.mean((f(xs) - g(xs)) ** 2)))
-
-
-def riemann_product(f, g, cells=10**6):
-    xs = (np.arange(cells) + 0.5) / cells
-    return float(np.mean(f(xs) * g(xs)))
 
 
 def grid_fn(rng, pieces):
@@ -134,26 +128,6 @@ class TestL2Distance:
             )
 
 
-class TestIntegrateProduct:
-    def test_normalization(self):
-        one = PiecewiseConstantFn.constant(1.0)
-        assert integrate_product(one, one) == 1.0
-
-    def test_mean_of_step(self):
-        one = PiecewiseConstantFn.constant(1.0)
-        step = PiecewiseConstantFn([0, 0.5, 1], [1.0, 3.0])
-        assert integrate_product(one, step) == pytest.approx(2.0, abs=1e-15)
-
-    def test_random_vs_riemann_oracle(self):
-        rng = np.random.default_rng(21)
-        for _ in range(5):
-            f = grid_fn(rng, 8)
-            g = grid_fn(rng, 11)
-            assert integrate_product(f, g) == pytest.approx(
-                riemann_product(f, g), abs=1e-12
-            )
-
-
 class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(fn_strategy, fn_strategy)
@@ -169,10 +143,17 @@ class TestProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(fn_strategy, fn_strategy)
-    def test_distance_squared_is_self_product_of_difference(self, f, g):
-        d2 = l2_distance(f, g) ** 2
-        p = integrate_product(f - g, f - g)
-        assert d2 == pytest.approx(p, rel=1e-13, abs=1e-14)
+    def test_distance_squared_from_cell_integrals(self, f, g):
+        # ||f - g||^2 = ||sqrt(w) g - a / sqrt(w)||^2 + int f^2 - sum a^2 / w
+        # with a the integrals of f over g's cells, of widths w: the
+        # statistic the estimator and the harness read
+        w = np.diff(g.breakpoints)
+        a = cell_integrals(f, g.breakpoints)
+        r = np.sqrt(w) * g.values - a / np.sqrt(w)
+        ff = np.dot(np.diff(f.breakpoints), f.values ** 2)
+        d2 = r @ r + ff - np.dot(a / w, a)
+        # abs covers the breakpoints l2_distance coalesces within MERGE_TOL
+        assert l2_distance(f, g) ** 2 == pytest.approx(d2, rel=1e-12, abs=1e-9)
 
     def test_refinement_invariance(self):
         rng = np.random.default_rng(3)
@@ -182,14 +163,15 @@ class TestProperties:
         extra = np.union1d(f.breakpoints, [0.123456, 0.654321, 0.999])
         refined = PiecewiseConstantFn(extra, f.resample(extra))
         assert abs(l2_distance(refined, g) - l2_distance(f, g)) <= 1e-14
-        assert abs(integrate_product(refined, g) - integrate_product(f, g)) <= 1e-14
+        assert np.abs(cell_integrals(refined, g.breakpoints)
+                      - cell_integrals(f, g.breakpoints)).max() <= 1e-14
 
 
 class TestMergingAndHelpers:
     def test_merge_coalesces_near_duplicates(self):
         f = PiecewiseConstantFn([0, 0.5, 1], [1.0, 2.0])
         g = PiecewiseConstantFn([0, 0.5 + 1e-13, 1], [5.0, 6.0])
-        merged = (f + g).breakpoints
+        merged = merge_breakpoints(f, g)
         assert merged[0] == 0.0 and merged[-1] == 1.0
         assert np.all(np.diff(merged) > 1e-13)
         assert merged.size == 3
@@ -197,21 +179,6 @@ class TestMergingAndHelpers:
     def test_value_at_one_is_last_piece(self):
         f = PiecewiseConstantFn([0, 0.25, 1], [5.0, -1.0])
         assert f(1.0) == -1.0
-
-    def test_arithmetic(self):
-        f = PiecewiseConstantFn([0, 0.5, 1], [1.0, 2.0])
-        g = PiecewiseConstantFn([0, 0.25, 1], [10.0, 20.0])
-        h = f + g
-        assert h(0.1) == 11.0 and h(0.3) == 21.0 and h(0.9) == 22.0
-        assert np.all((f - f).values == 0.0)
-        assert (2.0 * f)(0.75) == 4.0
-        assert (f + 1.0)(0.1) == 2.0
-        assert (-f)(0.1) == -1.0
-
-    def test_sup_distance(self):
-        f = PiecewiseConstantFn([0, 0.5, 1], [1.0, 2.0])
-        g = PiecewiseConstantFn.constant(0.0)
-        assert sup_distance(f, g) == 2.0
 
     def test_cell_integrals(self):
         f = PiecewiseConstantFn([0, 0.5, 1], [2.0, 4.0])
@@ -221,6 +188,6 @@ class TestMergingAndHelpers:
 
     def test_integral_and_norm(self):
         f = PiecewiseConstantFn([0, 0.5, 1], [1.0, 3.0])
-        one, zero = PiecewiseConstantFn.constant(1.0), PiecewiseConstantFn.constant(0.0)
-        assert integrate_product(f, one) == pytest.approx(2.0, abs=1e-15)
+        zero = PiecewiseConstantFn.constant(0.0)
+        assert cell_integrals(f, np.array([0.0, 1.0])) == pytest.approx([2.0], abs=1e-15)
         assert l2_distance(f, zero) == pytest.approx(np.sqrt(5.0), abs=1e-15)

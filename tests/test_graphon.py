@@ -55,7 +55,7 @@ class TestEval:
 def cell_averages(g, f):
     """The values on g's cells of the step function aligned with g's
     partition that has f's integral over every cell."""
-    return cell_integrals(f, g.cell_boundaries()) / g.cell_weights()
+    return cell_integrals(f, g.bounds) / g.pi
 
 
 class TestApplyOperator:
@@ -87,7 +87,8 @@ class TestApplyOperator:
             f2 = PiecewiseConstantFn(bp, rng.uniform(-2, 2, 4))
             a, b = rng.uniform(-3, 3, 2)
             a_op = g.operator_matrix()
-            lhs = a_op @ cell_averages(g, a * f1 + b * f2)
+            combo = PiecewiseConstantFn(bp, a * f1.values + b * f2.values)
+            lhs = a_op @ cell_averages(g, combo)
             rhs = a * (a_op @ cell_averages(g, f1)) + b * (a_op @ cell_averages(g, f2))
             assert np.abs(lhs - rhs).max() <= 1e-12
 
@@ -173,10 +174,9 @@ class TestValidate:
     """A kernel is checked once, at construction."""
 
     def test_benchmark_ok(self, sbm4):
-        assert np.array_equal(sbm4.kernel_matrix(), Q4)
-        assert np.array_equal(sbm4.cell_weights(), PI4)
-        for a in (sbm4.kernel_matrix(), sbm4.cell_weights(),
-                  sbm4.cell_boundaries()):
+        assert np.array_equal(sbm4.q, Q4)
+        assert np.array_equal(sbm4.pi, PI4)
+        for a in (sbm4.q, sbm4.pi, sbm4.bounds):
             assert not a.flags.writeable
 
     def test_asymmetric_flagged(self):
@@ -219,14 +219,14 @@ class TestGridIO:
         path = tmp_path / "kernel.csv"
         np.savetxt(path, mat, delimiter=",")
         g = GridGraphon.from_csv(path)
-        assert np.allclose(g.kernel_matrix(), mat)
+        assert np.allclose(g.q, mat)
         assert g.pi.size == 2
 
     def test_rasterization_values(self, sbm2):
         grid = GridGraphon.from_kernel(sbm2, 4)
-        assert grid.kernel_matrix()[0, 0] == Q2[0, 0]
-        assert grid.kernel_matrix()[0, 3] == Q2[0, 1]
-        assert grid.kernel_matrix()[3, 3] == Q2[1, 1]
+        assert grid.q[0, 0] == Q2[0, 0]
+        assert grid.q[0, 3] == Q2[0, 1]
+        assert grid.q[3, 3] == Q2[1, 1]
 
     def test_uniform_cells(self):
         # the grid's bounds are the cumulative cell weights, pinned to end
@@ -234,5 +234,5 @@ class TestGridIO:
         for m in (1, 3, 7, 10, 100, 999, 1000):
             g = GridGraphon(np.full((m, m), 0.5))
             bounds = np.linspace(0.0, 1.0, m + 1)
-            assert np.array_equal(g.cell_boundaries(), bounds)
-            assert np.array_equal(g.cell_weights(), np.diff(bounds))
+            assert np.array_equal(g.bounds, bounds)
+            assert np.array_equal(g.pi, np.diff(bounds))

@@ -4,11 +4,19 @@ import pytest
 from graphongames import (
     ConfigError,
     EmptyGroup,
+    LQHomogeneous,
     LQSBM,
+    ParameterBox,
     RunRecord,
+    StrategySet,
     derive_run_seed,
     estimate,
+    l2_distance,
+    model_equilibrium_fn,
+    observe,
     run_experiment,
+    sample_network,
+    solve_network_game,
     summarize_quantiles,
 )
 from graphongames import GridGraphon
@@ -20,7 +28,7 @@ from graphongames.harness import (
     timings_to_csv,
     write_records_csv,
 )
-from conftest import ETA4, PI2, PI4, Q2, Q4
+from conftest import ETA4, PI2, PI4, Q2, Q4, smooth_grid_kernel
 
 SMALL_CONFIG = {
     "graphon": {"kind": "sbm", "q": Q4.tolist(), "pi": PI4.tolist()},
@@ -173,8 +181,7 @@ class TestConfig:
         path = tmp_path / "config.yaml"
         path.write_text(yaml.safe_dump(cfg))
         config = load_config(path)
-        assert np.array_equal(config.graphon.kernel_matrix(),
-                              [[0.2, 0.1], [0.1, 0.3]])
+        assert np.array_equal(config.graphon.q, [[0.2, 0.1], [0.1, 0.3]])
         assert config.graphon.pi.size == 2
 
 
@@ -236,6 +243,31 @@ class TestRunExperiment:
         assert len(records) == 2
         assert all(r.converged for r in records)
         assert all(np.isfinite(r.err_inf) for r in records)
+
+    @pytest.mark.parametrize("kernel", ["sbm4", "grid"])
+    def test_l2_column_matches_the_reference_distance(self, kernel):
+        # the column is read off J's statistic; l2_distance on the merged
+        # partition of the observation and the model profile is the reference
+        config = small_config()
+        if kernel == "grid":
+            config.graphon = smooth_grid_kernel()
+            config.game = LQHomogeneous(
+                strategy_set=StrategySet(0.0, 50.0),
+                xi=ParameterBox(np.array([0.1, 0.0]), np.array([2.0, 1.5])),
+            )
+            config.eta_true = np.array([1.0, 0.9])
+        config.n_list = [50, 200]
+        records = run_experiment(config)
+        model = model_equilibrium_fn(config.graphon, config.game,
+                                     config.eta_true)
+        for r in records:
+            net = sample_network(config.graphon, r.n, r.seed)
+            neq = solve_network_game(net, config.game, config.eta_true,
+                                     tol=config.solver.tol,
+                                     max_iter=config.solver.max_iter)
+            reference = l2_distance(observe(net, neq), model)
+            assert r.l2_obs_vs_graphon == pytest.approx(reference, rel=1e-10,
+                                                        abs=0.0)
 
     def test_run_failures_become_rows(self, monkeypatch):
         import graphongames.harness as harness
