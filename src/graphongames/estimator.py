@@ -12,8 +12,8 @@ term 2 (sqrt(w) G)^T (sqrt(w) G) plus the curvature term
 2 sum_k sqrt(w_k) r_k d2s_k. ``objective``, ``objective_gradient`` and
 ``hessian`` are thin wrappers over it.
 
-The estimate is one trust-region reflective bounded least-squares solve of
-||r||^2 with the exact Jacobian sqrt(w) G. It starts at the moment
+The estimate is a projected Newton iteration on the box (Bertsekas 1982,
+SIAM J. Control Optim.) with J's exact Hessian. It starts at the moment
 estimate: at the observed cell means m = a/w, with z = A m for the
 kernel's operator matrix A, the equilibrium condition m = theta1(eta) +
 theta2(eta) z is affine in eta, and its least-squares solution weighted by
@@ -21,9 +21,14 @@ w, clipped into the box, is the reduced-form moment estimator of
 linear-in-means peer effects (Bramoulle, Djebbari & Fortin 2009, J.
 Econometrics). With one unknown per cell, as in the community game, the
 system is square and its solution makes s_eta equal m up to rounding, so
-it is J's minimizer whenever it lies in the box; the solve then stops at
-its first evaluation, or at its second where rounding leaves the scaled
-gradient above scipy's tolerance. The solve is certified by the
+it is J's minimizer whenever it lies in the box; the iteration then stops
+at its first evaluation, or after one Newton step where rounding leaves
+the projected gradient above gtol. Each evaluation is one order-2
+resolvent solve, giving J, its gradient and its Hessian. A coordinate at a
+bound with the gradient pointing out of the box is active and stays; the
+free ones step by -H_FF^-1 grad_F, or by the Gauss-Newton step where H_FF
+is not positive definite, halved along the projection arc until J
+decreases enough. The last accepted evaluation is certified by the
 second-order sufficient condition for bound constraints (Nocedal &
 Wright, Numerical Optimization, Thm 12.6): the gradient points strictly
 out of the box at the active coordinates, and the Hessian on the free
@@ -36,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import InfeasibleParameterSet, NoStart, NotInterior
 from .functionspace import PiecewiseConstantFn, cell_integrals
@@ -44,16 +48,19 @@ from .game import LQAffine, contraction_margin
 from .graphon import Graphon
 from .equilibrium import _kernel_resolvent, solve_values
 
-# scipy's xtol, ftol and gtol: the solve runs to the rounding floor or to
-# max_iter; EstimateOptions.gtol and the certificate decide convergence.
-LSQ_TOL = 1e-15
+# the sufficient-decrease fraction of the Armijo backtracking rule, and the
+# relative change of J within which the rule reads J's change off its
+# gradients (Hager & Zhang 2005, SIAM J. Optim., approximate Wolfe)
+ARMIJO = 1e-4
+APPROX_J = 1e-6
 
 
 @dataclass
 class EstimateOptions:
     """Optimizer knobs. Defaults keep estimation deterministic and well
-    inside the resolvent's domain. ``max_iter`` caps the residual
-    evaluations of the trust-region reflective solve."""
+    inside the resolvent's domain. ``max_iter`` caps the resolvent
+    evaluations of the projected Newton iteration, each one order-2
+    solve, backtracking trials included."""
 
     gtol: float = 1e-9
     max_iter: int = 5000
@@ -99,48 +106,53 @@ def _statistic(observed: PiecewiseConstantFn,
     return root_w, target, offset
 
 
-def _j(stat, solve, spec: LQAffine, eta, order: int = 0) -> list:
-    """[J] at eta, plus its gradient for ``order`` 1 and its Hessian for 2,
-    from the solver ``solve`` = ``_kernel_resolvent(g, spec)``.
+def _j(stat, solved) -> list:
+    """[J] from one solve's outputs ``solved`` = (s, z, *derivs) of
+    ``_kernel_resolvent(g, spec)``, plus grad J when they hold G = ds/deta
+    and the Hessian H when they also hold d2s/deta2.
 
-    With r = root_w * s - target and G = ds/deta from the resolvent:
-    J = ||r||^2 + offset (clamped at 0 against rounding), grad J =
-    2 (root_w G)^T r and H = 2 (root_w G)^T (root_w G) + 2 sum_k root_w_k
-    r_k d2s_k. H is exactly symmetric. The derivatives raise
-    :class:`NotInterior` where the equilibrium touches a strategy bound.
+    With r = root_w * s - target: J = ||r||^2 + offset (clamped at 0
+    against rounding), grad J = 2 (root_w G)^T r and H = 2 (root_w G)^T
+    (root_w G) + 2 sum_k root_w_k r_k d2s_k. H is exactly symmetric.
     """
     root_w, target, offset = stat
-    s, _, *derivs = solve(eta, order)
+    s, _, *derivs = solved
     r = root_w * s - target
     out = [max(float(r @ r) + offset, 0.0)]
-    if order == 0:
-        return out
-    if not spec.strategy_set.is_interior(s):
+    if derivs:
+        jac = root_w[:, None] * derivs[0]
+        out.append(2.0 * (jac.T @ r))
+    if len(derivs) == 2:
+        half = jac.T @ jac + derivs[1] @ (root_w * r)
+        out.append(half + half.T)
+    return out
+
+
+def _interior_j(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
+                eta, order: int) -> list:
+    """:func:`_j` at eta from one solve of ``order``. The derivatives raise
+    :class:`NotInterior` where the equilibrium touches a strategy bound."""
+    solved = _kernel_resolvent(g, spec)(eta, order)
+    if order and not spec.strategy_set.is_interior(solved[0]):
         raise NotInterior(
             "equilibrium touches a strategy bound; derivative formulas "
             "are not valid there"
         )
-    jac = root_w[:, None] * derivs[0]
-    out.append(2.0 * (jac.T @ r))
-    if order == 2:
-        half = jac.T @ jac + derivs[1] @ (root_w * r)
-        out.append(half + half.T)
-    return out
+    return _j(_statistic(observed, g), solved)
 
 
 def objective(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
               eta) -> float:
     """J(eta): squared L2 distance between the observation and the model
     equilibrium."""
-    return _j(_statistic(observed, g), _kernel_resolvent(g, spec), spec, eta)[0]
+    return _interior_j(observed, g, spec, eta, 0)[0]
 
 
 def objective_gradient(observed: PiecewiseConstantFn, g: Graphon,
                        spec: LQAffine, eta) -> np.ndarray:
     """Analytic gradient of J, -2 * integral of (observed - s_eta) *
     ds_eta/deta. Valid only at interior equilibria."""
-    return _j(_statistic(observed, g), _kernel_resolvent(g, spec), spec, eta,
-              1)[1]
+    return _interior_j(observed, g, spec, eta, 1)[1]
 
 
 def hessian(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
@@ -149,48 +161,73 @@ def hessian(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
     outer-product term plus a residual-weighted curvature term, which
     vanishes at zero residual and leaves a positive semidefinite matrix.
     Valid only at interior equilibria."""
-    h = _j(_statistic(observed, g), _kernel_resolvent(g, spec), spec, eta,
-           2)[2]
+    h = _interior_j(observed, g, spec, eta, 2)[2]
     return HessianInfo(matrix=h, min_eigenvalue=float(np.linalg.eigvalsh(h)[0]))
 
 
-def _certify(stat, solve, spec: LQAffine, eta, grad_j, lo,
-             hi) -> tuple[float, float, bool]:
-    """(J at eta, smallest eigenvalue of the Hessian of J there, whether eta
+def _newton_step(h, grad_j, jac, free) -> np.ndarray:
+    """The projected Newton direction at a point where J has gradient
+    ``grad_j``, Hessian ``h`` and residual Jacobian ``jac`` = root_w G:
+    -H_FF^-1 grad_F on the ``free`` coordinates and 0 on the others. Where
+    H_FF is not positive definite, the Gauss-Newton matrix 2 jac_F^T jac_F
+    replaces it, solved by least squares: grad_F lies in its range, so even
+    a singular one gives a descent direction."""
+    step = np.zeros_like(grad_j)
+    h_ff = h[np.ix_(free, free)]
+    try:
+        np.linalg.cholesky(h_ff)
+        step[free] = np.linalg.solve(h_ff, -grad_j[free])
+    except np.linalg.LinAlgError:
+        gn = 2.0 * (jac[:, free].T @ jac[:, free])
+        step[free] = np.linalg.lstsq(gn, -grad_j[free], rcond=None)[0]
+    return step
+
+
+def _decreases(j, grad_j, terms, move, predicted: float) -> bool:
+    """Whether a trial point ``move`` away from a point with J = ``j`` and
+    gradient ``grad_j``, where :func:`_j` gave ``terms``, lowers J by at
+    least ARMIJO times the ``predicted`` (negative) first-order change.
+    Where J's change is within APPROX_J * J, rounding can swamp it, and the
+    trapezoid estimate (grad_j + grad J at the trial) . move / 2, exact on
+    a quadratic, stands in for it."""
+    change = terms[0] - j
+    if abs(change) <= APPROX_J * j:
+        change = 0.5 * float((grad_j + terms[1]) @ move)
+    return change <= ARMIJO * predicted
+
+
+def _certify(h, grad_j, eta, lo, hi) -> tuple[float, bool]:
+    """(smallest eigenvalue of the Hessian ``h`` of J at eta, whether eta
     passes the second-order certificate on the box [lo, hi]).
 
     A coordinate is free unless its projected-gradient step eta - grad_j
     is clipped. The Hessian on the q free coordinates must have its
     smallest eigenvalue above q * eps * max |eigenvalue| of that
     sub-matrix, the rounding level of numpy's matrix_rank; an empty free
-    set certifies. The eigenvalue is NaN, and eta not certified, where the
-    model equilibrium touches a strategy bound; J then takes an order-0
-    solve of its own."""
-    try:
-        j, _, h = _j(stat, solve, spec, eta, 2)
-    except NotInterior:
-        return _j(stat, solve, spec, eta)[0], float("nan"), False
+    set certifies."""
     step = eta - grad_j
     free = (step >= lo) & (step <= hi)
     full = np.linalg.eigvalsh(h)
     eig = full if free.all() else np.linalg.eigvalsh(h[np.ix_(free, free)])
     floor = eig.size * np.finfo(float).eps * np.abs(eig).max(initial=0.0)
-    return j, float(full[0]), bool(eig.size == 0 or eig[0] > floor)
+    return float(full[0]), bool(eig.size == 0 or eig[0] > floor)
 
 
 def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
              options: EstimateOptions | None = None) -> EstimationResult:
-    """Minimize J over the parameter box by one certified solve.
+    """Minimize J over the parameter box by projected Newton.
 
     Every corner of the box must satisfy the spectral condition. Candidate
     parameters are additionally capped so the contraction margin stays at
     least ``margin_buffer``, so no solve leaves the resolvent's domain.
-    The solve runs from the moment estimate (module docstring) with at
-    most ``max_iter`` residual evaluations. ``converged`` is true when its
+    The iteration runs from the moment estimate (module docstring) with at
+    most ``max_iter`` resolvent evaluations. ``converged`` is true when its
     projected-gradient norm is at most ``gtol`` and the certificate
     (module docstring) holds; a non-identifiable game, whose Hessian is
-    singular, or a solve that stalls above ``gtol`` reports false.
-    ``hessian_min_eig`` is the smallest eigenvalue of the full Hessian.
+    singular, an equilibrium that touches a strategy bound, or an
+    iteration that stops above ``gtol`` reports false.
+    ``hessian_min_eig`` is the smallest eigenvalue of the full Hessian, NaN
+    where the equilibrium at the estimate touches a strategy bound.
     """
     opts = options if options is not None else EstimateOptions()
     margin = contraction_margin(spec, g)
@@ -212,33 +249,52 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
     root_w, target, _ = stat
     solve = _kernel_resolvent(g, spec)
 
-    def residual(eta):
-        return root_w * solve(eta, 0)[0] - target
-
-    def jacobian(eta):
-        return root_w[:, None] * solve(eta, 1)[2]
-
     # the moment start: min ||root_w * ((D1 + z D2) eta - (m - b1 - b2 z))||
     m = target / root_w
     z = g.operator_matrix() @ m
     b1, d1, b2, d2 = spec.affine_maps(g)
     start = np.linalg.lstsq(root_w[:, None] * (d1 + z[:, None] * d2),
                             root_w * (m - b1 - b2 * z), rcond=None)[0]
-    fit = least_squares(
-        residual, np.clip(start, lo, hi), jac=jacobian, bounds=(lo, hi),
-        method="trf", xtol=LSQ_TOL, ftol=LSQ_TOL, gtol=LSQ_TOL,
-        max_nfev=opts.max_iter,
-    )
-    grad_j = 2.0 * (fit.jac.T @ fit.fun)
-    pgnorm = float(np.linalg.norm(fit.x - np.clip(fit.x - grad_j, lo, hi)))
-    j_hat, min_eig, certified = _certify(stat, solve, spec, fit.x, grad_j,
-                                         lo, hi)
+    # each pass evaluates J, grad J and H at the trial point by one order-2
+    # solve. The start is accepted; a later trial is accepted when it
+    # gives the Armijo decrease, and otherwise alpha halves along the
+    # projection arc clip(eta + alpha * step). The pass that accepts a
+    # point with projected gradient at most gtol, that spends the
+    # max_iter-th evaluation, or whose next trial rounds to the iterate is
+    # the last.
+    eta = trial = np.clip(start, lo, hi)
+    evaluations, alpha = 0, 1.0
+    while True:
+        solved_trial = solve(trial, 2)
+        evaluations += 1
+        terms = _j(stat, solved_trial)
+        if evaluations == 1 or _decreases(j, grad_j, terms, trial - eta,
+                                          alpha * slope):
+            eta, solved, (j, grad_j, h) = trial, solved_trial, terms
+            pgnorm = float(np.linalg.norm(eta - np.clip(eta - grad_j, lo,
+                                                        hi)))
+            if pgnorm <= opts.gtol:
+                break
+            # active: at a bound with the gradient pointing out of the box
+            free = ~(((eta <= lo) & (grad_j > 0.0))
+                     | ((eta >= hi) & (grad_j < 0.0)))
+            step = _newton_step(h, grad_j, root_w[:, None] * solved[2], free)
+            slope, alpha = float(grad_j @ step), 1.0
+        else:
+            alpha *= 0.5
+        trial = np.clip(eta + alpha * step, lo, hi)
+        if evaluations >= opts.max_iter or np.array_equal(trial, eta):
+            break
+    if spec.strategy_set.is_interior(solved[0]):
+        min_eig, certified = _certify(h, grad_j, eta, lo, hi)
+    else:
+        min_eig, certified = float("nan"), False
     return EstimationResult(
-        eta_hat=fit.x,
-        objective=j_hat,
+        eta_hat=eta,
+        objective=j,
         gradient_norm=pgnorm,
         hessian_min_eig=min_eig,
         starts=1,
-        iterations_total=fit.nfev,
+        iterations_total=evaluations,
         converged=pgnorm <= opts.gtol and certified,
     )

@@ -108,7 +108,9 @@ def l2_distance(f: PiecewiseConstantFn, g: PiecewiseConstantFn) -> float:
     """Exact L2 distance sqrt(integral of (f - g)^2)."""
     grid = merge_breakpoints(f, g)
     diff = f.resample(grid) - g.resample(grid)
-    return float(np.sqrt(np.dot(np.diff(grid), diff * diff)))
+    # a pairwise sum, not a BLAS dot, so the distance does not depend on
+    # the BLAS thread count
+    return float(np.sqrt((np.diff(grid) * diff * diff).sum()))
 
 
 def cell_integrals(f: PiecewiseConstantFn, boundaries: np.ndarray) -> np.ndarray:

@@ -139,7 +139,7 @@ class RunRecord:
     wall_time_s: float
     # sidecar only: seconds spent sampling, solving the finite game and
     # estimating (NaN for a stage the run did not complete), estimator
-    # residual evaluations, the finite game's solver route ("cg" or
+    # resolvent evaluations (order-2 solves), the finite game's solver route ("cg" or
     # "project", "" when unsolved) and its iterations, residual, interior
     # flag (None when unsolved) and contraction certificate, and the
     # exception class of a failed run

@@ -175,8 +175,8 @@ def test_criterion_5_estimator_convergence_sweep(experiment):
 def test_moment_start_needs_one_evaluation_at_n1600(experiment):
     # a count guards estimation cost where a time would drift on a noisy
     # machine: at N = 1600 the moment start already solves the square
-    # community system, so the trust-region solve stops at its first
-    # residual evaluation (about 8 from the box center)
+    # community system, so the estimate stops at its first resolvent
+    # evaluation
     _, records, _ = experiment
     assert median_by_n(records, "evaluations")[1600] == 1
 

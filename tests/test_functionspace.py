@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphongames
 from graphongames import (
     EmptyVector,
     MalformedPartition,
@@ -126,6 +131,32 @@ class TestL2Distance:
             assert l2_distance(f, g) == pytest.approx(
                 riemann_l2_distance(f, g), abs=1e-12
             )
+
+
+    def test_invariant_to_blas_threads(self):
+        # 20,000 noisy values against a four-cell model: a BLAS dot
+        # product threads at this length, and its sum then depends on the
+        # thread count (it did for seeds 4 and 5 at one and two threads)
+        code = (
+            "import numpy as np, graphongames as gg; "
+            "model = gg.PiecewiseConstantFn([0.0, 0.2, 0.45, 0.75, 1.0], "
+            "[0.4, 1.3, 1.7, 2.5]); "
+            "xs = (np.arange(20_000) + 0.5) / 20_000; "
+            "print([gg.l2_distance(gg.interpolate_equilibrium(model(xs) + "
+            "np.random.default_rng(s).normal(0.0, 0.3, xs.size)), model) "
+            "for s in range(6)])"
+        )
+        src = os.path.dirname(os.path.dirname(graphongames.__file__))
+        one, two = (
+            subprocess.run(
+                [sys.executable, "-c", code], check=True, capture_output=True,
+                env=dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                         OPENBLAS_NUM_THREADS=threads,
+                         MKL_NUM_THREADS=threads),
+            ).stdout
+            for threads in ("1", "2")
+        )
+        assert one == two
 
 
 class TestProperties:
