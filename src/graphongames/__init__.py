@@ -74,8 +74,6 @@ from .harness import (
     load_config,
     run_experiment,
     summarize_quantiles,
-    write_quantiles_csv,
-    write_records_csv,
 )
 
 __version__ = "0.1.0"

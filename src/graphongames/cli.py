@@ -15,13 +15,14 @@ from .errors import ConfigError, GraphonGameError, NotInterior
 from .estimator import estimate, model_equilibrium_fn
 from .functionspace import interpolate_equilibrium
 from .harness import (
-    _fmt,
+    _cell,
     load_config,
+    quantiles_to_csv,
+    records_to_csv,
     run_experiment,
     summarize_quantiles,
-    write_quantiles_csv,
-    write_records_csv,
-    write_timings_csv,
+    timings_to_csv,
+    write_text,
 )
 from .sampling import (_loadtxt, observe, sample_network, solve_network_game,
                        write_network)
@@ -99,18 +100,17 @@ def cmd_solve(args) -> int:
         )
     if args.samples:
         grid = (np.arange(args.samples) + 0.5) / args.samples
-        lines = [_fmt(v) for v in fn(grid)]
+        lines = [_cell(v) for v in fn(grid)]
     else:
         lines = [
-            f"{_fmt(left)} {_fmt(right)} {_fmt(value)}"
+            f"{_cell(left)} {_cell(right)} {_cell(value)}"
             for left, right, value in zip(
                 fn.breakpoints[:-1], fn.breakpoints[1:], fn.values
             )
         ]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -142,17 +142,16 @@ def cmd_estimate(args) -> int:
         )
         obs = observe(net, neq)
     result = estimate(obs, config.graphon, config.game, config.optimizer)
-    print("eta_hat = " + ",".join(_fmt(v) for v in result.eta_hat))
-    print(f"objective = {_fmt(result.objective)}")
-    print(f"gradient_norm = {_fmt(result.gradient_norm)}")
-    print(f"hessian_min_eig = {_fmt(result.hessian_min_eig)}")
-    print(f"converged = {'true' if result.converged else 'false'}")
+    print("eta_hat = " + ",".join(_cell(v) for v in result.eta_hat))
+    print(f"objective = {_cell(result.objective)}")
+    print(f"gradient_norm = {_cell(result.gradient_norm)}")
+    print(f"hessian_min_eig = {_cell(result.hessian_min_eig)}")
+    print(f"converged = {_cell(result.converged)}")
     return 0
 
 
 def _print_progress(record) -> None:
-    converged = "true" if record.converged else "false"
-    print(f"N={record.n} run={record.run} converged={converged} "
+    print(f"N={record.n} run={record.run} converged={_cell(record.converged)} "
           f"wall_time_s={record.wall_time_s:.3f}",
           file=sys.stderr, flush=True)
 
@@ -163,15 +162,14 @@ def cmd_experiment(args) -> int:
         raise ConfigError("runs_per_n is 0: the sweep has no runs")
     out = args.out or config.output
     records = run_experiment(config, _print_progress if args.progress else None)
-    n_params = config.game.xi.dim
-    write_records_csv(records, out, n_params)
-    rows = summarize_quantiles(records)
-    write_quantiles_csv(rows, f"{out}.quantiles.csv")
-    write_timings_csv(records, f"{out}.timings.csv")
+    write_text(out, records_to_csv(records, config.game.xi.dim))
+    write_text(f"{out}.quantiles.csv",
+               quantiles_to_csv(summarize_quantiles(records)))
+    write_text(f"{out}.timings.csv", timings_to_csv(records))
     print(f"wrote {len(records)} records to {out}")
     for n in sorted({r.n for r in records}):
         errs = np.array([r.err_inf for r in records if r.n == n])
-        print(f"N={n}: median err_inf = {_fmt(np.median(errs))}")
+        print(f"N={n}: median err_inf = {_cell(np.median(errs))}")
     return 0
 
 
@@ -182,13 +180,13 @@ def cmd_diagnose(args) -> int:
     closed_form = (homogeneous_identifiability if config.game.d1.any()
                    else sbm_identifiability_constant)
     report = closed_form(config.graphon, config.game, eta)
-    print(f"identifiable = {'true' if report.identifiable else 'false'}")
+    print(f"identifiable = {_cell(report.identifiable)}")
     if report.constant is not None:
-        print(f"constant = {_fmt(report.constant)}")
+        print(f"constant = {_cell(report.constant)}")
     if report.gamma is not None:
-        print(f"gamma = {_fmt(report.gamma)}")
+        print(f"gamma = {_cell(report.gamma)}")
     for key in sorted(report.detail):
-        print(f"{key} = {_fmt(report.detail[key])}")
+        print(f"{key} = {_cell(report.detail[key])}")
     return 0
 
 

@@ -6,6 +6,13 @@ interpolates the observation and estimates the parameter back. The harness
 sweeps network sizes and seeds and writes one CSV row per run, with a
 quantile summary alongside.
 
+Each run's record is a ``RunRecord``, filled as each stage finishes; a
+stage that did not finish leaves its fields at their defaults. The
+results CSV's columns after ``N, run, seed, eta_hat_*`` are the record
+fields named in ``RESULT_COLUMNS``, and the timing sidecar's after
+``N, run`` are those named in ``TIMING_COLUMNS``: these two tuples are the
+one place where the output columns are declared.
+
 Determinism: every byte of the results and quantile CSVs is a function of
 (config, master_seed). Floats are printed with 17 significant digits, runs
 execute in sorted (N, run) order, and per-run seeds come from a documented
@@ -19,20 +26,19 @@ and the class of any failure).
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
 import yaml
 
 from .errors import ConfigError, EmptyGroup, GraphonGameError
-from .equilibrium import solve_values
-from .estimator import EstimateOptions, _statistic, estimate
+from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL, solve_values
+from .estimator import EstimateOptions, _j, _statistic, estimate
 from .game import (
     LQAffine,
     LQHomogeneous,
@@ -49,8 +55,8 @@ DEFAULT_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 @dataclass
 class SolverOptions:
-    tol: float = 1e-10
-    max_iter: int = 100_000
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
 
 
 @dataclass
@@ -156,6 +162,15 @@ class RunRecord:
     failure: str = ""
 
 
+# The results CSV's columns after N, run, seed and eta_hat_*, and the timing
+# sidecar's after N, run: RunRecord fields, in output order.
+RESULT_COLUMNS = ("err_inf", "err_2", "objective", "l2_obs_vs_graphon",
+                  "hessian_min_eig", "converged")
+TIMING_COLUMNS = ("wall_time_s", "sample_s", "solve_s", "estimate_s",
+                  "evaluations", "br_iterations", "route", "residual",
+                  "interior", "certificate", "contraction_margin", "failure")
+
+
 def derive_run_seed(master_seed: int, run_index: int, n: int) -> int:
     """Per-run stream key: numpy's SeedSequence hashes the entropy tuple
     (master_seed, run_index, n) into one 64-bit word. SeedSequence output is
@@ -191,127 +206,83 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
     game = config.game
     eta_true = np.asarray(config.eta_true, dtype=float)
     # the model equilibrium at eta_true on the kernel's cells
-    s_true, _ = solve_values(g, game, eta_true)
-    n_params = game.xi.dim
+    solved_true = solve_values(g, game, eta_true)
+    nan = float("nan")
     records: list[RunRecord] = []
     for n in sorted(int(v) for v in config.n_list):
         for run in range(config.runs_per_n):
             seed = derive_run_seed(config.master_seed, run, n)
             started = time.perf_counter()
-            neq = result = None
-            failure = ""
-            nan = float("nan")
-            times = dict.fromkeys(("sample_s", "solve_s", "estimate_s"), nan)
+            # RunRecord's fields, updated as each stage finishes
+            rec = dict(n=n, run=run, seed=seed,
+                       eta_hat=np.full(game.xi.dim, nan), objective=nan,
+                       l2_obs_vs_graphon=nan, hessian_min_eig=nan,
+                       converged=False)
             try:
-                with _timed(times, "sample_s"):
+                with _timed(rec, "sample_s"):
                     net = sample_network(g, n, seed)
-                with _timed(times, "solve_s"):
+                with _timed(rec, "solve_s"):
                     neq = solve_network_game(
                         net, game, eta_true,
                         tol=config.solver.tol, max_iter=config.solver.max_iter,
                     )
+                rec.update(br_iterations=neq.iterations, route=neq.route,
+                           residual=neq.residual, interior=neq.interior,
+                           certificate=neq.certificate,
+                           contraction_margin=neq.contraction_margin)
                 obs = observe(net, neq)
-                # ||obs - s_true||_L2 from the statistic J reads
-                root_w, target, offset = _statistic(obs, g)
-                r = root_w * s_true - target
-                l2 = math.sqrt(max(float(r @ r) + offset, 0.0))
-                with _timed(times, "estimate_s"):
+                with _timed(rec, "estimate_s"):
                     result = estimate(obs, g, game, config.optimizer)
+                # ||obs - s_true||_L2 is the square root of J at eta_true
+                rec.update(eta_hat=result.eta_hat, objective=result.objective,
+                           l2_obs_vs_graphon=math.sqrt(
+                               _j(_statistic(obs, g), solved_true)[0]),
+                           hessian_min_eig=result.hessian_min_eig,
+                           converged=result.converged,
+                           evaluations=result.iterations_total)
             except (GraphonGameError, np.linalg.LinAlgError, ValueError) as exc:
-                failure = type(exc).__name__
-            eta_hat = result.eta_hat if result else np.full(n_params, nan)
-            record = RunRecord(
-                n=n,
-                run=run,
-                seed=seed,
-                eta_hat=eta_hat,
-                err_inf=float(np.max(np.abs(eta_hat - eta_true))),
-                err_2=float(np.linalg.norm(eta_hat - eta_true)),
-                objective=result.objective if result else nan,
-                l2_obs_vs_graphon=l2 if result else nan,
-                hessian_min_eig=result.hessian_min_eig if result else nan,
-                converged=bool(result and result.converged),
-                wall_time_s=time.perf_counter() - started,
-                **times,
-                evaluations=result.iterations_total if result else 0,
-                br_iterations=neq.iterations if neq else 0,
-                route=neq.route if neq else "",
-                residual=neq.residual if neq else nan,
-                interior=neq.interior if neq else None,
-                certificate=neq.certificate if neq else "",
-                contraction_margin=neq.contraction_margin if neq else nan,
-                failure=failure,
-            )
+                rec["failure"] = type(exc).__name__
+            err = rec["eta_hat"] - eta_true
+            record = RunRecord(**rec, err_inf=float(np.max(np.abs(err))),
+                               err_2=float(np.linalg.norm(err)),
+                               wall_time_s=time.perf_counter() - started)
             records.append(record)
             if progress is not None:
                 progress(record)
     return records
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _cell(v) -> str:
+    """One CSV or printed cell: floats with 17 significant digits, bools as
+    true/false, None as empty, ints and strings as they are."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, str)):
+        return str(v)
+    return f"{float(v):.17g}"
 
 
-def records_header(n_params: int) -> list[str]:
-    return (
-        ["N", "run", "seed"]
-        + [f"eta_hat_{i + 1}" for i in range(n_params)]
-        + [
-            "err_inf",
-            "err_2",
-            "objective",
-            "l2_obs_vs_graphon",
-            "hessian_min_eig",
-            "converged",
-        ]
-    )
+def _csv(header, rows) -> str:
+    return "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
 
 
 def records_to_csv(records: list[RunRecord], n_params: int) -> str:
     """Deterministic results CSV (no timing column; see module docstring)."""
-    out = io.StringIO()
-    out.write(",".join(records_header(n_params)) + "\n")
-    for r in records:
-        cells = [str(r.n), str(r.run), str(r.seed)]
-        cells += [_fmt(v) for v in r.eta_hat]
-        cells += [
-            _fmt(r.err_inf),
-            _fmt(r.err_2),
-            _fmt(r.objective),
-            _fmt(r.l2_obs_vs_graphon),
-            _fmt(r.hessian_min_eig),
-            "true" if r.converged else "false",
-        ]
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
-
-
-def write_records_csv(records: list[RunRecord], path, n_params: int) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(records_to_csv(records, n_params))
+    header = ["N", "run", "seed",
+              *(f"eta_hat_{i + 1}" for i in range(n_params)), *RESULT_COLUMNS]
+    return _csv(header, ([r.n, r.run, r.seed, *r.eta_hat,
+                          *(getattr(r, c) for c in RESULT_COLUMNS)]
+                         for r in records))
 
 
 def timings_to_csv(records: list[RunRecord]) -> str:
     """Sidecar with measured wall times and per-run solver facts, kept out
     of the deterministic CSV."""
-    out = io.StringIO()
-    out.write("N,run,wall_time_s,sample_s,solve_s,estimate_s,evaluations,"
-              "br_iterations,route,residual,interior,certificate,"
-              "contraction_margin,failure\n")
-    interior = {True: "true", False: "false", None: ""}
-    for r in records:
-        cells = [str(r.n), str(r.run), _fmt(r.wall_time_s), _fmt(r.sample_s),
-                 _fmt(r.solve_s), _fmt(r.estimate_s), str(r.evaluations),
-                 str(r.br_iterations), r.route, _fmt(r.residual),
-                 interior[r.interior], r.certificate,
-                 _fmt(r.contraction_margin), r.failure]
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
-
-
-def write_timings_csv(records: list[RunRecord], path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(timings_to_csv(records))
+    return _csv(["N", "run", *TIMING_COLUMNS],
+                ([r.n, r.run, *(getattr(r, c) for c in TIMING_COLUMNS)]
+                 for r in records))
 
 
 def summarize_quantiles(records: list[RunRecord],
@@ -322,37 +293,27 @@ def summarize_quantiles(records: list[RunRecord],
     (numpy's default "linear" method)."""
     if not records:
         raise EmptyGroup("no records to summarize")
-    n_params = records[0].eta_hat.size
+    names = [f"eta_hat_{i + 1}" for i in range(records[0].eta_hat.size)]
+    names.append("err_inf")
     rows: list[tuple] = []
     for n in sorted({r.n for r in records}):
-        group = [r for r in records if r.n == n]
-        metrics = {
-            f"eta_hat_{i + 1}": np.array([r.eta_hat[i] for r in group])
-            for i in range(n_params)
-        }
-        metrics["err_inf"] = np.array([r.err_inf for r in group])
-        for name in list(metrics):
-            for q in quantiles:
-                value = float(np.quantile(metrics[name], q, method="linear"))
-                rows.append((n, name, float(q), value))
+        table = np.array([[*r.eta_hat, r.err_inf] for r in records if r.n == n])
+        values = np.quantile(table, quantiles, axis=0, method="linear")
+        rows += [(n, name, float(q), float(values[k, j]))
+                 for j, name in enumerate(names)
+                 for k, q in enumerate(quantiles)]
     return rows
 
 
 def quantiles_to_csv(rows: list[tuple]) -> str:
-    out = io.StringIO()
-    out.write(
-        "# quantile definition: inclusive linear interpolation between "
-        "order statistics (numpy method='linear')\n"
-    )
-    out.write("N,metric,quantile,value\n")
-    for n, metric, q, value in rows:
-        out.write(f"{n},{metric},{_fmt(q)},{_fmt(value)}\n")
-    return out.getvalue()
+    return ("# quantile definition: inclusive linear interpolation between "
+            "order statistics (numpy method='linear')\n"
+            + _csv(["N", "metric", "quantile", "value"], rows))
 
 
-def write_quantiles_csv(rows: list[tuple], path) -> None:
+def write_text(path, text: str) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(quantiles_to_csv(rows))
+        fh.write(text)
 
 
 # Configuration parsing. The file is a YAML tree; see configs/sbm4.yaml for
@@ -364,46 +325,65 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _known(mapping: dict, keys, context: str) -> dict:
+    """``mapping``, refusing any key outside ``keys``: a misspelt key would
+    otherwise be ignored."""
+    unknown = [k for k in mapping if k not in keys]
+    if unknown:
+        raise ConfigError(
+            f"unknown key {', '.join(map(repr, unknown))} in {context}")
+    return mapping
+
+
+def _kind(d: dict, section: str, **schema) -> str:
+    """The kind named in ``d``, whose other keys must be those that
+    ``schema`` lists for that kind."""
+    kind = str(_require(d, "kind", section)).lower()
+    if kind not in schema:
+        raise ConfigError(f"unknown {section} kind {kind!r}")
+    _known(d, ("kind", *schema[kind]), f"{kind} {section}")
+    return kind
+
+
 def _graphon_from_dict(d: dict, base_dir=None) -> Graphon:
-    kind = str(_require(d, "kind", "graphon")).lower()
+    kind = _kind(d, "graphon", constant=("value",), sbm=("q", "pi"),
+                 grid=("csv",))
     if kind == "constant":
         return ConstantGraphon(float(_require(d, "value", "constant graphon")))
     if kind == "sbm":
         return Graphon(_require(d, "q", "sbm graphon"),
                        _require(d, "pi", "sbm graphon"))
-    if kind == "grid":
-        path = _require(d, "csv", "grid graphon")
-        if base_dir is not None:
-            path = os.path.join(base_dir, path)
-        return GridGraphon.from_csv(path)
-    raise ConfigError(f"unknown graphon kind {kind!r}")
+    path = _require(d, "csv", "grid graphon")
+    if base_dir is not None:
+        path = os.path.join(base_dir, path)
+    return GridGraphon.from_csv(path)
 
 
 def _game_from_dict(d: dict) -> LQAffine:
-    kind = str(_require(d, "kind", "game")).lower()
+    kind = _kind(d, "game", lq_homogeneous=("strategy_set", "xi"),
+                 lq_sbm=("theta1", "strategy_set", "xi"))
     lo, hi = _require(d, "strategy_set", "game")
     strategy_set = StrategySet(float(lo), float(hi))
-    xi_spec = _require(d, "xi", "game")
+    xi_spec = _known(dict(_require(d, "xi", "game")), ("lower", "upper"), "xi")
     xi = ParameterBox(
         np.asarray(_require(xi_spec, "lower", "xi"), dtype=float),
         np.asarray(_require(xi_spec, "upper", "xi"), dtype=float),
     )
     if kind == "lq_homogeneous":
         return LQHomogeneous(strategy_set=strategy_set, xi=xi)
-    if kind == "lq_sbm":
-        theta1 = float(_require(d, "theta1", "lq_sbm game"))
-        return LQSBM(theta1=theta1, strategy_set=strategy_set, xi=xi)
-    raise ConfigError(f"unknown game kind {kind!r}")
+    theta1 = float(_require(d, "theta1", "lq_sbm game"))
+    return LQSBM(theta1=theta1, strategy_set=strategy_set, xi=xi)
 
 
 def config_from_dict(d: dict, base_dir=None) -> ExperimentConfig:
     try:
+        _known(d, [f.name for f in fields(ExperimentConfig)], "config")
         graphon = _graphon_from_dict(dict(_require(d, "graphon", "config")), base_dir)
         game = _game_from_dict(dict(_require(d, "game", "config")))
         eta_true = np.asarray(_require(d, "eta_true", "config"), dtype=float)
-        n_list = [_whole(v) for v in _require(d, "n_list", "config")]
-        runs_per_n = _whole(_require(d, "runs_per_n", "config"))
-        master_seed = _whole(_require(d, "master_seed", "config"))
+        n_list = [_whole(v, "n_list") for v in _require(d, "n_list", "config")]
+        runs_per_n = _whole(_require(d, "runs_per_n", "config"), "runs_per_n")
+        master_seed = _whole(_require(d, "master_seed", "config"), "master_seed")
         solver = _options(SolverOptions, d, "solver")
         optimizer = _options(EstimateOptions, d, "optimizer")
     except ConfigError:
@@ -417,16 +397,17 @@ def config_from_dict(d: dict, base_dir=None) -> ExperimentConfig:
         n_list=n_list,
         runs_per_n=runs_per_n,
         master_seed=master_seed,
-        output=str(d.get("output", "results.csv")),
+        output=str(d.get("output", ExperimentConfig.output)),
         solver=solver,
         optimizer=optimizer,
     )
 
 
-def _whole(v) -> int:
-    """``v`` as an int, refusing rather than truncating a fraction."""
-    if not float(v).is_integer():
-        raise ValueError(f"{v!r} is not a whole number")
+def _whole(v, key: str) -> int:
+    """``v`` as an int, refusing rather than truncating a fraction, and
+    refusing a bool, which ``float`` would read as 1 or 0."""
+    if isinstance(v, bool) or not float(v).is_integer():
+        raise ValueError(f"{key}: {v!r} is not a whole number")
     return int(v)
 
 
@@ -434,7 +415,9 @@ def _options(cls, d: dict, key: str):
     """``cls`` built from the mapping ``d[key]``. A string that spells a
     number is read as one: PyYAML reads ``1e-9``, which has no dot, as a
     string. Any other value is passed on for ``validate`` to judge."""
-    return cls(**{k: _number(v) for k, v in dict(d.get(key) or {}).items()})
+    spec = _known(dict(d.get(key) or {}),
+                  [f.name for f in fields(cls)], key)
+    return cls(**{k: _number(v) for k, v in spec.items()})
 
 
 def _number(v):

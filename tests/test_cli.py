@@ -8,15 +8,18 @@ from conftest import ETA4, PI2, PI4, Q2, Q4
 SHIPPED = "configs/sbm4.yaml"
 
 
+GAME = {
+    "kind": "lq_sbm",
+    "theta1": 1.0,
+    "strategy_set": [0.0, 10.0],
+    "xi": {"lower": [0.01] * 4, "upper": [1.2] * 4},
+}
+
+
 def write_config(tmp_path, overrides=None, name="config.yaml"):
     cfg = {
         "graphon": {"kind": "sbm", "q": Q4.tolist(), "pi": PI4.tolist()},
-        "game": {
-            "kind": "lq_sbm",
-            "theta1": 1.0,
-            "strategy_set": [0.0, 10.0],
-            "xi": {"lower": [0.01] * 4, "upper": [1.2] * 4},
-        },
+        "game": GAME,
         "eta_true": ETA4.tolist(),
         "n_list": [40],
         "runs_per_n": 2,
@@ -52,15 +55,46 @@ class TestValidate:
         ("n_list", [20.0], [20.5]),
         ("runs_per_n", 2.0, 2.5),
         ("master_seed", 7.0, 7.5),
+        ("n_list", [20], [True]),
+        ("runs_per_n", 2, True),
+        ("master_seed", 7, False),
     ])
     def test_counts_must_be_whole_numbers(self, tmp_path, capsys, key, whole,
                                           fraction):
-        # 20.0 is 20, but 20.5 is refused rather than truncated to 20
+        # 20.0 is 20, but 20.5 is refused rather than truncated to 20, and
+        # YAML's true and false are refused rather than read as 1 and 0
         path = write_config(tmp_path, {key: whole})
         assert main(["validate", "--config", path]) == 0
         path = write_config(tmp_path, {key: fraction}, name="fraction.yaml")
         assert main(["validate", "--config", path]) == 1
-        assert "is not a whole number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{key}: " in err and "is not a whole number" in err
+
+    @pytest.mark.parametrize("overrides, section, key", [
+        ({"outptu": "x.csv"}, "config", "outptu"),
+        ({"optimiser": {"gtol": 1.0e-3}}, "config", "optimiser"),
+        ({"graphon": {"kind": "sbm", "q": Q4.tolist(), "pi": PI4.tolist(),
+                      "p": 0.5}}, "sbm graphon", "p"),
+        ({"graphon": {"kind": "constant", "value": 0.3, "pi": [1.0]}},
+         "constant graphon", "pi"),
+        ({"graphon": {"kind": "grid", "csv": "k.csv", "sep": ","}},
+         "grid graphon", "sep"),
+        ({"game": {**GAME, "thetal": 2.0}}, "lq_sbm game", "thetal"),
+        ({"game": {**GAME, "kind": "lq_homogeneous"}}, "lq_homogeneous game",
+         "theta1"),
+        ({"game": {**GAME, "xi": {"lower": [0.01] * 4, "upper": [1.2] * 4,
+                                  "uper": [1.0] * 4}}}, "xi", "uper"),
+        ({"solver": {"tolerance": 1e-12}}, "solver", "tolerance"),
+        ({"optimizer": {"gtol": 1e-9, "max_iters": 10}}, "optimizer",
+         "max_iters"),
+    ])
+    def test_unknown_key_exits_1(self, tmp_path, capsys, overrides, section,
+                                 key):
+        # a misspelt key would otherwise be ignored
+        path = write_config(tmp_path, overrides)
+        assert main(["validate", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown key {key!r} in {section}\n")
 
     def test_empty_n_list_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, {"n_list": []})

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,7 @@ from graphongames.harness import (
     quantiles_to_csv,
     records_to_csv,
     timings_to_csv,
-    write_records_csv,
+    write_text,
 )
 from conftest import ETA4, PI2, PI4, Q2, Q4, smooth_grid_kernel
 
@@ -269,30 +272,56 @@ class TestRunExperiment:
             assert r.l2_obs_vs_graphon == pytest.approx(reference, rel=1e-10,
                                                         abs=0.0)
 
-    def test_run_failures_become_rows(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "stage", ["sample_network", "solve_network_game", "estimate"])
+    def test_run_failures_become_rows(self, monkeypatch, stage):
         import graphongames.harness as harness
         from graphongames import NoConvergence
 
         def explode(*args, **kwargs):
             raise NoConvergence("synthetic failure")
 
-        monkeypatch.setattr(harness, "estimate", explode)
+        monkeypatch.setattr(harness, stage, explode)
         records = run_experiment(small_config())
         assert len(records) == 4  # never dropped
-        for r in records:
-            assert not r.converged
-            assert np.isnan(r.objective) and np.all(np.isnan(r.eta_hat))
-            assert r.failure == "NoConvergence"
-        # the finite game solved before the estimator failed
-        row = timings_to_csv(records).splitlines()[1].split(",")
-        assert row[:2] == ["30", "0"]
-        assert float(row[3]) >= 0.0 and float(row[4]) >= 0.0
-        assert np.isnan(float(row[5]))  # estimation never finished
-        assert row[6] == "0"
-        assert int(row[7]) > 0 and row[8] == "cg" and float(row[9]) <= 1e-10
-        assert row[10] == "true" and row[11] == "row_sum"
-        assert 0.0 < float(row[12]) < 1.0
-        assert row[13] == "NoConvergence"
+        # the sidecar cells each stage fills, at their values for a stage
+        # that did not finish
+        unfinished = {
+            "sample_network": {"sample_s": "nan"},
+            "solve_network_game": {
+                "solve_s": "nan", "br_iterations": "0", "route": "",
+                "residual": "nan", "interior": "", "certificate": "",
+                "contraction_margin": "nan",
+            },
+            "estimate": {"estimate_s": "nan", "evaluations": "0"},
+        }
+        stages = list(unfinished)
+        expected = {}
+        for name in stages[stages.index(stage):]:
+            expected.update(unfinished[name])
+        results = csv.DictReader(io.StringIO(records_to_csv(records, 4)))
+        timings = csv.DictReader(io.StringIO(timings_to_csv(records)))
+        for r, result, timing in zip(records, results, timings, strict=True):
+            assert not r.converged and r.failure == "NoConvergence"
+            assert [result.pop(k) for k in ("N", "run", "seed")] == [
+                str(r.n), str(r.run), str(r.seed)]
+            assert result == {**dict.fromkeys(result, "nan"),
+                              "converged": "false"}
+            assert timing["failure"] == "NoConvergence"
+            assert float(timing["wall_time_s"]) >= 0.0
+            assert {k: timing[k] for k in expected} == expected
+            # the stages before the failing one finished
+            finished = {k: v for k, v in timing.items() if k not in expected}
+            for key in ("sample_s", "solve_s"):
+                if key in finished:
+                    assert float(finished[key]) >= 0.0
+            if "route" in finished:
+                assert int(finished["br_iterations"]) > 0
+                assert finished["route"] == "cg"
+                assert float(finished["residual"]) <= 1e-10
+                assert finished["interior"] == "true"
+                assert finished["certificate"] == "row_sum"
+                assert 0.0 < float(finished["contraction_margin"]) < 1.0
 
     def test_linear_algebra_failure_does_not_abort_the_sweep(self,
                                                              monkeypatch):
@@ -348,7 +377,7 @@ class TestRunExperiment:
         second = records_to_csv(run_experiment(config), 4)
         assert first == second
         path = tmp_path / "out.csv"
-        write_records_csv(run_experiment(config), path, 4)
+        write_text(path, records_to_csv(run_experiment(config), 4))
         assert path.read_bytes().decode() == first
 
     def test_csv_format(self):
