@@ -130,7 +130,7 @@ def _count(v) -> bool:
     return _real(v) and isinstance(v, Integral) and v >= 1
 
 
-@dataclass
+@dataclass(slots=True)
 class RunRecord:
     n: int
     run: int
@@ -325,6 +325,30 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+@contextmanager
+def _naming(context: str, key: str):
+    """Turn the TypeError or ValueError that a malformed value of ``key``
+    raises into a ConfigError that names the key."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {context}: {key}: {exc}") from exc
+
+
+def _read(mapping: dict, key: str, context: str, convert):
+    """``convert(mapping[key])``; a missing key, or a value ``convert``
+    refuses, is a ConfigError that names the key."""
+    value = _require(mapping, key, context)
+    with _naming(context, key):
+        return convert(value)
+
+
+def _mapping(v) -> dict:
+    if not isinstance(v, dict):
+        raise TypeError(f"expected a mapping, got {v!r}")
+    return v
+
+
 def _known(mapping: dict, keys, context: str) -> dict:
     """``mapping``, refusing any key outside ``keys``: a misspelt key would
     otherwise be ignored."""
@@ -362,52 +386,49 @@ def _graphon_from_dict(d: dict, base_dir=None) -> Graphon:
 def _game_from_dict(d: dict) -> LQAffine:
     kind = _kind(d, "game", lq_homogeneous=("strategy_set", "xi"),
                  lq_sbm=("theta1", "strategy_set", "xi"))
-    lo, hi = _require(d, "strategy_set", "game")
-    strategy_set = StrategySet(float(lo), float(hi))
-    xi_spec = _known(dict(_require(d, "xi", "game")), ("lower", "upper"), "xi")
-    xi = ParameterBox(
-        np.asarray(_require(xi_spec, "lower", "xi"), dtype=float),
-        np.asarray(_require(xi_spec, "upper", "xi"), dtype=float),
-    )
+    with _naming("game", "strategy_set"):
+        lo, hi = _require(d, "strategy_set", "game")
+        strategy_set = StrategySet(float(lo), float(hi))
+    xi = _read(d, "xi", "game", _box)
     if kind == "lq_homogeneous":
         return LQHomogeneous(strategy_set=strategy_set, xi=xi)
-    theta1 = float(_require(d, "theta1", "lq_sbm game"))
+    theta1 = _read(d, "theta1", "lq_sbm game", float)
     return LQSBM(theta1=theta1, strategy_set=strategy_set, xi=xi)
 
 
+def _box(spec) -> ParameterBox:
+    spec = _known(_mapping(spec), ("lower", "upper"), "xi")
+    return ParameterBox(*(np.asarray(_require(spec, k, "xi"), dtype=float)
+                          for k in ("lower", "upper")))
+
+
 def config_from_dict(d: dict, base_dir=None) -> ExperimentConfig:
-    try:
-        _known(d, [f.name for f in fields(ExperimentConfig)], "config")
-        graphon = _graphon_from_dict(dict(_require(d, "graphon", "config")), base_dir)
-        game = _game_from_dict(dict(_require(d, "game", "config")))
-        eta_true = np.asarray(_require(d, "eta_true", "config"), dtype=float)
-        n_list = [_whole(v, "n_list") for v in _require(d, "n_list", "config")]
-        runs_per_n = _whole(_require(d, "runs_per_n", "config"), "runs_per_n")
-        master_seed = _whole(_require(d, "master_seed", "config"), "master_seed")
-        solver = _options(SolverOptions, d, "solver")
-        optimizer = _options(EstimateOptions, d, "optimizer")
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed configuration: {exc}") from exc
+    """The configuration in the YAML tree ``d``. A missing, unknown or
+    malformed key is a ConfigError that names it."""
+    _known(d, [f.name for f in fields(ExperimentConfig)], "config")
+
+    def read(key, convert):
+        return _read(d, key, "config", convert)
+
     return ExperimentConfig(
-        graphon=graphon,
-        game=game,
-        eta_true=eta_true,
-        n_list=n_list,
-        runs_per_n=runs_per_n,
-        master_seed=master_seed,
+        graphon=read("graphon",
+                     lambda v: _graphon_from_dict(_mapping(v), base_dir)),
+        game=read("game", lambda v: _game_from_dict(_mapping(v))),
+        eta_true=read("eta_true", lambda v: np.asarray(v, dtype=float)),
+        n_list=read("n_list", lambda v: [_whole(n) for n in v]),
+        runs_per_n=read("runs_per_n", _whole),
+        master_seed=read("master_seed", _whole),
         output=str(d.get("output", ExperimentConfig.output)),
-        solver=solver,
-        optimizer=optimizer,
+        solver=_options(SolverOptions, d, "solver"),
+        optimizer=_options(EstimateOptions, d, "optimizer"),
     )
 
 
-def _whole(v, key: str) -> int:
+def _whole(v) -> int:
     """``v`` as an int, refusing rather than truncating a fraction, and
     refusing a bool, which ``float`` would read as 1 or 0."""
     if isinstance(v, bool) or not float(v).is_integer():
-        raise ValueError(f"{key}: {v!r} is not a whole number")
+        raise ValueError(f"{v!r} is not a whole number")
     return int(v)
 
 
@@ -415,8 +436,9 @@ def _options(cls, d: dict, key: str):
     """``cls`` built from the mapping ``d[key]``. A string that spells a
     number is read as one: PyYAML reads ``1e-9``, which has no dot, as a
     string. Any other value is passed on for ``validate`` to judge."""
-    spec = _known(dict(d.get(key) or {}),
-                  [f.name for f in fields(cls)], key)
+    with _naming("config", key):
+        spec = _mapping(d.get(key) or {})
+    _known(spec, [f.name for f in fields(cls)], key)
     return cls(**{k: _number(v) for k, v in spec.items()})
 
 

@@ -6,16 +6,24 @@ All draws come from numpy's counter-based Philox generator keyed by a
 ``SeedSequence``. For a given seed the draw order is fixed:
 
 1. the N agent labels, as one uniform block, then sorted ascending;
-2. the N(N-1)/2 edge uniforms, in row-major upper-triangle order (pairs
-   (0,1), (0,2), ..., (N-2,N-1)), so the uniforms of row i begin at offset
-   o = N + sum_{k<i} (N-1-k) of the stream.
+2. the N(N-1)/2 edge draws, in row-major upper-triangle order (pairs
+   (0,1), (0,2), ..., (N-2,N-1)), one 64-bit Philox word x per pair, so
+   the words of row i begin at offset o = N + sum_{k<i} (N-1-k) of the
+   stream.
+
+Pair (i, j) is an edge when u < W(t_i, t_j) for the uniform
+u = (x >> 11) * 2^-53 that ``Generator.random`` makes of its word. The
+sampler decides it on the integer: u < p holds exactly when
+(x >> 11) < ceil(p * 2^53), for every p in [0, 1], so comparing the
+shifted raw word with that threshold makes the same decision as comparing
+the uniform, without forming it.
 
 The edges are drawn in blocks of whole rows of about equal pair counts.
 Philox is counter-based, so a block starting at row i draws on its own: it
-keys a fresh generator with the same ``SeedSequence``, calls
-``Philox.advance(o // 4)`` (one counter step yields four 64-bit draws) and
-discards ``o % 4`` uniforms. Each pair gets the uniform it would get if all
-of them were drawn as one block, whatever the block size and whichever
+keys a fresh bit generator with the same ``SeedSequence``, calls
+``Philox.advance(o // 4)`` (one counter step yields four 64-bit words) and
+discards ``o % 4`` words. Each pair gets the word it would get if all of
+them were drawn as one block, whatever the block size and whichever
 thread draws it. The blocks run on a thread pool sized to the CPUs the
 process may run on; the thread count changes no value.
 
@@ -26,11 +34,17 @@ Storage
 -------
 A network is held only as its edges: the strict upper triangle U of the
 adjacency (pairs i < j, each edge once) as a scipy CSR matrix with float64
-ones. Each row block turns its uniforms into edges by runs of columns in
-one kernel cell, where the edge probability is constant, and keeps only
-its row counts and columns. ``EDGE_BLOCK_PAIRS`` bounds the pairs of all
-blocks in flight together (plus one row per block), so the sampler's
-working memory beyond U grows neither with N nor with the thread count.
+ones. Each row block turns its words into edges by runs of columns in one
+kernel cell, where the edge threshold is constant, and keeps only its row
+counts and columns. ``EDGE_BLOCK_PAIRS`` bounds the pairs of all blocks in
+flight together (plus one row per block), so the sampler's working memory
+beyond U grows neither with N nor with the thread count.
+
+A network whose pairs fit one thread's share of that budget is one block
+on the calling thread. The blocks of a larger one run on one thread pool
+kept for the process, started on first use; a forked child, or a changed
+thread count, starts a fresh one.
+
 The finite-game solve applies P = U + U^T as the two sparse products
 U s + U^T s, by conjugate gradients on a certified interior game and by the
 equilibrium module's projected loop otherwise, so no N x N array is formed
@@ -47,7 +61,6 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL, _project
 from .errors import NoConvergence, NotAContraction
@@ -56,7 +69,7 @@ from .game import LQAffine
 from .graphon import Graphon
 
 # Pair budget of the edge sampler's row blocks in flight together: bounds
-# their probability arrays at 2 MiB, plus a row per block, whatever the
+# their threshold arrays at 2 MiB, plus a row per block, whatever the
 # network size and thread count.
 EDGE_BLOCK_PAIRS = 1 << 18
 
@@ -126,16 +139,16 @@ def sample_network(g: Graphon, n: int, seed: int) -> SampledNetwork:
     # before[i] pairs precede row i, which pairs with columns i+1..n-1
     before = np.arange(n + 1)
     before = before * (2 * n - 1 - before) // 2
+    # u < p exactly when (x >> 11) < ceil(p * 2^53): see the module docstring
+    thresholds = np.ceil(g.q * 2.0 ** 53).astype(np.uint64)
+    block = partial(_edge_block, seed, thresholds, cells, cut, before)
     # row blocks of equal pair counts, each at most a row over its share
     workers = _workers()
     share = max(1, EDGE_BLOCK_PAIRS // workers)
     starts = np.searchsorted(before, np.arange(0, before[-1], share))
     bounds = np.union1d(starts, [0, n])
-    block = partial(_edge_block, seed, g.q, cells, cut, before)
-    threads = min(workers, bounds.size - 1)
-    if threads > 1:
-        with ThreadPoolExecutor(threads) as pool:
-            blocks = list(pool.map(block, bounds[:-1], bounds[1:]))
+    if workers > 1 and bounds.size > 2:
+        blocks = list(_pool(workers).map(block, bounds[:-1], bounds[1:]))
     else:
         blocks = list(map(block, bounds[:-1], bounds[1:]))
     counts, cols = map(np.concatenate, zip(*blocks))
@@ -151,23 +164,40 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _edge_block(seed, kernel, cells, cut, before, start: int, stop: int):
+# The edge sampler's thread pool, as ((process id, threads), pool).
+_kept_pool = None
+
+
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The kept pool of ``threads`` threads, started on first use. A forked
+    child, which has none of its parent's threads, and a changed thread
+    count each start a fresh pool. A replaced pool, or a second one started
+    by a racing thread, ends its threads once no caller holds it."""
+    global _kept_pool
+    key = (os.getpid(), threads)
+    if _kept_pool is None or _kept_pool[0] != key:
+        _kept_pool = key, ThreadPoolExecutor(threads)
+    return _kept_pool[1]
+
+
+def _edge_block(seed, thresholds, cells, cut, before, start: int, stop: int):
     """Edges of rows start..stop-1, as (row counts, columns). A pure
     function of the seed and the rows: it reads the seed's Philox stream
-    from the offset where these rows' uniforms begin."""
+    from the offset where these rows' words begin."""
     n = cells.size
     rows = np.arange(start, stop)
     offset = n + int(before[start])  # the n labels come first
     bits = np.random.Philox(np.random.SeedSequence(seed))
-    bits.advance(offset // 4)  # one counter step is four 64-bit draws
-    rng = np.random.Generator(bits)
-    rng.random(offset % 4)
-    # row i meets cell c in a run of constant probability K[c_i, c]
+    bits.advance(offset // 4)  # one counter step is four 64-bit words
+    bits.random_raw(offset % 4)
+    # row i meets cell c in a run of constant threshold T[c_i, c]
     first = rows[:, None] + 1
     runs = np.maximum(cut[1:], first) - np.maximum(cut[:-1], first)
-    probs = np.repeat(kernel[cells[rows]].ravel(), runs.ravel())
-    hits = np.flatnonzero(rng.random(probs.size) < probs)
-    del probs
+    words = bits.random_raw(int(before[stop] - before[start]))
+    words >>= 11
+    hits = np.flatnonzero(words < np.repeat(thresholds[cells[rows]].ravel(),
+                                            runs.ravel()))
+    del words
     pairs = before[start:stop + 1] - before[start]
     counts = np.diff(np.searchsorted(hits, pairs))
     hits -= np.repeat(pairs[:-1] - first[:, 0], counts)  # pair -> column
@@ -199,6 +229,10 @@ def network_spectral_radius(net: SampledNetwork) -> float:
     from the constant vector; it stays correct when the extreme eigenvalues
     tie in magnitude, as on bipartite networks.
     """
+    # imported here: every sbm4 and grid network is certified by row sums,
+    # and loading ARPACK costs about 30 ms and 10 MB
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
     n = net.n_agents
     if net.upper.nnz == 0:
         return 0.0  # ARPACK rejects a start vector that P maps to zero

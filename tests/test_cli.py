@@ -96,6 +96,20 @@ class TestValidate:
         assert capsys.readouterr().err == (
             f"error: unknown key {key!r} in {section}\n")
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"runs_per_n": "abc"}, "runs_per_n"),
+        ({"n_list": "abc"}, "n_list"),
+        ({"eta_true": "x"}, "eta_true"),
+        ({"game": {**GAME, "xi": [0.1, 0.2]}}, "xi"),
+        ({"graphon": 5}, "graphon"),
+        ({"solver": [1]}, "solver"),
+    ])
+    def test_value_of_the_wrong_type_exits_1(self, tmp_path, capsys,
+                                             overrides, key):
+        path = write_config(tmp_path, overrides)
+        assert main(["validate", "--config", path]) == 1
+        assert f" {key}: " in capsys.readouterr().err
+
     def test_empty_n_list_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, {"n_list": []})
         assert main(["validate", "--config", path]) == 1

@@ -428,3 +428,48 @@ class TestQuantiles:
         assert text.startswith("#")
         assert "linear interpolation" in text.splitlines()[0]
         assert text.splitlines()[1] == "N,metric,quantile,value"
+
+
+def test_records_have_slots():
+    # a sweep keeps every record, so none carries an instance dictionary
+    record = _record(10, 0, 0.5, 1.0)
+    assert not hasattr(record, "__dict__")
+
+
+def test_sweeps_leave_scipy_linalg_unloaded():
+    # every sbm4 and grid network is certified by row sums, so no sweep
+    # needs ARPACK, whose import costs about 30 ms and 10 MB at start-up
+    import inspect
+    import os
+    import subprocess
+    import sys
+
+    import graphongames
+
+    src = os.path.dirname(os.path.dirname(graphongames.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = "import sys\nimport numpy as np\nimport graphongames as gg\n" + (
+        "from graphongames import GridGraphon\n"
+        + inspect.getsource(smooth_grid_kernel) + """
+sbm4 = gg.load_config("configs/sbm4.yaml")
+sbm4.n_list, sbm4.runs_per_n = [100, 1600], 2
+grid = gg.ExperimentConfig(
+    graphon=smooth_grid_kernel(),
+    game=gg.LQHomogeneous(strategy_set=gg.StrategySet(0.0, 50.0),
+                          xi=gg.ParameterBox(np.array([0.1, 0.0]),
+                                             np.array([2.0, 1.5]))),
+    eta_true=np.array([1.0, 0.9]), n_list=[200, 800], runs_per_n=2,
+    master_seed=3)
+for config in (sbm4, grid):
+    records = gg.run_experiment(config)
+    assert all(r.certificate == "row_sum" for r in records)
+loaded = [m for m in ("scipy.sparse.linalg", "scipy.linalg")
+          if m in sys.modules]
+sys.exit(f"loaded: {loaded}" if loaded else 0)
+""")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -3,12 +3,14 @@ import inspect
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from math import isqrt
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -249,6 +251,51 @@ print(network_sha256(sample_network(g, 1600, 20240405)))
         # the budget plus one row per block, at 20 bytes a pair
         assert peak - held < 20 * (budget + workers * n)
 
+    @pytest.mark.parametrize("n", [3, 41, 513])
+    def test_thresholds_decide_as_the_uniforms_do(self, n):
+        # u < p on the uniform is (x >> 11) < ceil(p 2^53) on the raw word,
+        # at the ends of [0, 1] and next to the steps of the uniform's grid
+        values = [0.0, 1.0, 0.5, 2.0 ** -53, 1.0 - 2.0 ** -53,
+                  np.nextafter(0.0, 1.0), np.nextafter(0.3, 0.0)]
+        k = len(values)
+        cell = np.arange(k)
+        g = Graphon(np.array(values)[(cell[:, None] + cell) % k],
+                    np.full(k, 1.0 / k))
+        for seed in (0, 1, 2):
+            labels, adjacency = triu_sampler(g, n, seed)
+            net = sample_network(g, n, seed)
+            assert np.array_equal(net.labels, labels)
+            assert np.array_equal(net.adjacency.toarray(), adjacency)
+
+    def test_thread_pool_is_kept(self, sbm4):
+        started = threading.active_count()
+        for seed in range(50):
+            sample_network(sbm4, 1600, seed)  # ten blocks: threaded
+        assert threading.active_count() <= started + sampling._workers()
+
+    def test_forked_child_samples_on_a_fresh_pool(self, sbm4):
+        # the child has none of its parent's pool threads: sampling on that
+        # pool would wait for ever, so the alarm ends it. In a subprocess,
+        # the fork stays clear of this suite's warning filter.
+        script = "import hashlib, os, signal, sys\n" + inspect.getsource(
+            network_sha256) + f"""
+import numpy as np
+from graphongames import Graphon, sample_network, sampling
+sampling._workers = lambda: 2  # threaded even on one CPU
+g = Graphon(np.array({Q4.tolist()}), np.array({PI4.tolist()}))
+print(network_sha256(sample_network(g, 1600, 20240405)), flush=True)
+if os.fork() == 0:
+    signal.alarm(30)
+    print(network_sha256(sample_network(g, 1600, 20240405)), flush=True)
+    sys.exit(0)
+sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+"""
+        run = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        digest = network_sha256(sample_network(sbm4, 1600, 20240405))
+        assert run.stdout.split() == [digest, digest]
+
 
 class TestSolveNetworkGame:
     def test_empty_graph_decouples(self):
@@ -309,7 +356,7 @@ class TestSolveNetworkGame:
         def stalled(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.array([]), None)
 
-        monkeypatch.setattr(sampling, "eigsh", stalled)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
         with pytest.raises(NoConvergence):
             network_spectral_radius(star(50))
 
