@@ -7,15 +7,12 @@ from .errors import (
     EmptyGroup,
     EmptyVector,
     GraphonGameError,
-    InfeasibleParameterSet,
     MalformedPartition,
     NoConvergence,
-    NoStart,
     NotAContraction,
     NotInterior,
     OutOfDomain,
     ParameterOutOfBox,
-    SpectralConditionViolated,
 )
 from .functionspace import (
     PiecewiseConstantFn,

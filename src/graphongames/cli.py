@@ -28,23 +28,30 @@ from .sampling import (_loadtxt, observe, sample_network, solve_network_game,
                        write_network)
 
 
-def _parse_eta(text: str, dim: int) -> np.ndarray:
+def _parse_eta(text: str, config) -> np.ndarray:
+    """The parameter ``--eta`` spells out. It is not checked against the
+    box, but the game needs theta1, theta2 >= 0 on every cell."""
+    dim = config.game.xi.dim
     try:
         eta = np.array([float(v) for v in text.split(",")])
     except ValueError:
         eta = np.array([])
     if eta.size != dim or not np.all(np.isfinite(eta)):
         raise ConfigError(f"--eta needs {dim} finite comma-separated numbers")
+    b1, d1, b2, d2 = config.game.affine_maps(config.graphon)
+    if np.any(b1 + d1 @ eta < 0.0) or np.any(b2 + d2 @ eta < 0.0):
+        raise ConfigError("--eta must give theta1 >= 0 and theta2 >= 0 on "
+                          "every cell")
     return eta
 
 
 def _load_observation(path) -> np.ndarray:
     """One finite observed strategy per line, at least one line."""
     try:
-        values = _loadtxt(path, float, 1)
+        values = _loadtxt(path, float, 1, "one value")[:, 0]
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)):
+        raise ConfigError(str(exc)) from None
+    if values.size == 0 or not np.all(np.isfinite(values)):
         raise ConfigError(f"{path}: need one finite value per line")
     return values
 
@@ -87,7 +94,7 @@ def cmd_solve(args) -> int:
     if args.samples < 0:
         raise ConfigError("--samples must be nonnegative")
     config = _load_valid_config(args)
-    eta = (_parse_eta(args.eta, config.game.xi.dim) if args.eta
+    eta = (_parse_eta(args.eta, config) if args.eta
            else np.asarray(config.eta_true, float))
     fn = model_equilibrium_fn(config.graphon, config.game, eta)
     bounds = config.game.strategy_set

@@ -30,12 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NoConvergence,
-    NotAContraction,
-    SpectralConditionViolated,
-)
-from .game import LQAffine, contraction_margin
+from .errors import NoConvergence
+from .game import LQAffine, require_contraction
 from .graphon import Graphon
 
 DEFAULT_TOL = 1e-10
@@ -117,8 +113,8 @@ def _resolvent(a: np.ndarray, maps, eta, order: int):
 def _kernel_resolvent(g: Graphon, spec: LQAffine):
     """The interior solve on ``g``'s natural partition for one game, built
     once: returns ``solve(eta, order)`` with :func:`_resolvent`'s outputs.
-    Each call raises :class:`SpectralConditionViolated` where the
-    contraction margin at eta is not positive.
+    Each call raises :class:`NotAContraction` where the contraction margin
+    at eta is not positive (:func:`require_contraction`).
 
     When theta2 is the same on every cell for every eta (b2 constant, each
     column of D2 constant), V = I - t A is diagonal in the kernel's cached
@@ -134,12 +130,7 @@ def _kernel_resolvent(g: Graphon, spec: LQAffine):
 
     def check(eta):
         eta = np.asarray(eta, dtype=float)
-        margin = contraction_margin(spec, g, eta)
-        if margin <= 0.0:
-            raise SpectralConditionViolated(
-                f"contraction margin {margin} is not positive at "
-                f"eta={eta.tolist()}"
-            )
+        require_contraction(spec, g, eta)
         return eta
 
     if not ((d2 == d2[0]).all() and (b2 == b2[0]).all()):
@@ -188,11 +179,7 @@ def solve_fixed_point(g: Graphon, spec: LQAffine, eta,
     a contraction and the unique equilibrium is reached from any start.
     """
     th1, th2 = spec.cell_thetas(g, eta)
-    margin = contraction_margin(spec, g, eta=eta)
-    if margin <= 0.0:
-        raise NotAContraction(
-            f"contraction margin {margin} is not positive at eta={np.asarray(eta).tolist()}"
-        )
+    require_contraction(spec, g, eta)
     lo, hi = spec.strategy_set.lower, spec.strategy_set.upper
     a = g.operator_matrix()
     s, iterations = _project(lambda s: th1 + th2 * (a @ s), a.shape[0],

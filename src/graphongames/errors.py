@@ -26,12 +26,10 @@ class ParameterOutOfBox(GraphonGameError):
 
 
 class NotAContraction(GraphonGameError):
-    """The best-response map has no positive contraction margin."""
-
-
-class SpectralConditionViolated(GraphonGameError):
-    """The resolvent does not exist: aggregate coefficient times the
-    operator's largest eigenvalue is >= 1."""
+    """The best-response map has no positive contraction margin: the
+    largest aggregate coefficient |theta2| times the operator's largest
+    eigenvalue (or, on a network, its certified bound) is >= 1, at one
+    parameter or somewhere in the parameter box."""
 
 
 class NotInterior(GraphonGameError):
@@ -42,14 +40,6 @@ class NotInterior(GraphonGameError):
 class DegenerateAggregate(GraphonGameError):
     """A community has a non-positive equilibrium aggregate, so the
     identifiability constant is undefined."""
-
-
-class InfeasibleParameterSet(GraphonGameError):
-    """Some corner of the parameter box violates the spectral condition."""
-
-
-class NoStart(GraphonGameError):
-    """The feasible parameter region is empty; no start point exists."""
 
 
 class EmptyGroup(GraphonGameError):

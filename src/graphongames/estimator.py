@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleParameterSet, NoStart, NotInterior
+from .errors import NotInterior
 from .functionspace import PiecewiseConstantFn, cell_integrals
-from .game import LQAffine, contraction_margin
+from .game import LQAffine, require_contraction
 from .graphon import Graphon
 from .equilibrium import _kernel_resolvent, solve_values
 
@@ -57,14 +57,13 @@ APPROX_J = 1e-6
 
 @dataclass
 class EstimateOptions:
-    """Optimizer knobs. Defaults keep estimation deterministic and well
-    inside the resolvent's domain. ``max_iter`` caps the resolvent
-    evaluations of the projected Newton iteration, each one order-2
-    solve, backtracking trials included."""
+    """Optimizer knobs. ``gtol`` bounds the projected-gradient norm of a
+    converged estimate; ``max_iter`` caps the resolvent evaluations of the
+    projected Newton iteration, each one order-2 solve, backtracking
+    trials included."""
 
     gtol: float = 1e-9
     max_iter: int = 5000
-    margin_buffer: float = 1e-6  # keep the contraction margin at least this
 
 
 @dataclass
@@ -217,11 +216,11 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
              options: EstimateOptions | None = None) -> EstimationResult:
     """Minimize J over the parameter box by projected Newton.
 
-    Every corner of the box must satisfy the spectral condition. Candidate
-    parameters are additionally capped so the contraction margin stays at
-    least ``margin_buffer``, so no solve leaves the resolvent's domain.
-    The iteration runs from the moment estimate (module docstring) with at
-    most ``max_iter`` resolvent evaluations. ``converged`` is true when its
+    The contraction margin over the box must be positive
+    (:class:`NotAContraction` otherwise); it bounds the margin at every
+    candidate, so no solve leaves the resolvent's domain. The iteration
+    runs from the moment estimate (module docstring) with at most
+    ``max_iter`` resolvent evaluations. ``converged`` is true when its
     projected-gradient norm is at most ``gtol`` and the certificate
     (module docstring) holds; a non-identifiable game, whose Hessian is
     singular, an equilibrium that touches a strategy bound, or an
@@ -230,21 +229,8 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
     where the equilibrium at the estimate touches a strategy bound.
     """
     opts = options if options is not None else EstimateOptions()
-    margin = contraction_margin(spec, g)
-    if margin <= 0.0:
-        raise InfeasibleParameterSet(
-            f"a corner of the parameter box leaves contraction margin {margin}"
-        )
-    lo = spec.xi.lower.copy()
-    hi = spec.xi.upper.copy()
-    lam = g.lambda_max()
-    if lam > 0.0:
-        cap = (1.0 - opts.margin_buffer) / lam
-        mask = spec.aggregate_mask()
-        hi[mask] = np.minimum(hi[mask], cap)
-    if np.any(hi <= lo):
-        raise NoStart("margin cap leaves no interior in the parameter box")
-
+    require_contraction(spec, g)
+    lo, hi = spec.xi.lower, spec.xi.upper
     stat = _statistic(observed, g)
     root_w, target, _ = stat
     solve = _kernel_resolvent(g, spec)

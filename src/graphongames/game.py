@@ -14,12 +14,11 @@ named games; a new game is new maps, not a new class.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterOutOfBox
+from .errors import NotAContraction, ParameterOutOfBox
 from .graphon import Graphon
 
 # Relative width of the band near each strategy bound inside which an
@@ -90,9 +89,6 @@ class ParameterBox:
         e = np.asarray(eta, dtype=float)
         return bool(np.all(e > self.lower) and np.all(e < self.upper))
 
-    def corners(self) -> np.ndarray:
-        return np.array(list(itertools.product(*zip(self.lower, self.upper))))
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.lower, self.upper, size=(size, self.dim))
 
@@ -119,10 +115,8 @@ class LQAffine:
         if not r[0] or [m.shape for m in maps] != [r, r + p, r, r + p]:
             raise ValueError(f"map shapes {[m.shape for m in maps]} do not "
                              f"fit a {p[0]}-d parameter box")
-        lo, hi = self.xi.lower, self.xi.upper
         for b, d in (maps[:2], maps[2:]):
-            # an affine map's minimum over the box, coordinate by coordinate
-            if not np.all(b + np.minimum(d * lo, d * hi).sum(axis=1) >= 0.0):
+            if not np.all(_over_box(np.minimum, b, d, self.xi) >= 0.0):
                 raise ValueError("theta1 or theta2 is negative in the box")
         if self.strategy_set.lower < 0.0:
             raise ValueError("the game requires a nonnegative strategy set")
@@ -143,18 +137,6 @@ class LQAffine:
             raise ValueError(f"a community game with {k} communities is on a "
                              f"kernel with {n} cells")
         return maps
-
-    def aggregate_coefficient(self, eta) -> float:
-        """Largest magnitude max |theta2| of the coefficient multiplying the
-        local aggregate, at one parameter vector or over a stack of them
-        (one per row)."""
-        e = np.asarray(eta, dtype=float)
-        return float(np.max(np.abs(self.b2 + e @ self.d2.T)))
-
-    def aggregate_mask(self) -> np.ndarray:
-        """Boolean mask of the parameter coordinates that multiply the
-        local aggregate (and hence enter the spectral condition)."""
-        return np.any(self.d2 != 0.0, axis=0)
 
     def cell_thetas(self, g: Graphon, eta):
         """Per-cell heterogeneity (theta1, theta2) on ``g``'s partition at
@@ -199,13 +181,37 @@ def _check_in_box(xi: ParameterBox, eta) -> np.ndarray:
     return e
 
 
+def _over_box(pick, b, d, xi: ParameterBox) -> np.ndarray:
+    """The minimum (``pick`` = np.minimum) or maximum (np.maximum) of each
+    row of the affine map b + d eta over the box ``xi``: the row's extreme
+    is reached coordinate by coordinate, at one bound or the other."""
+    return b + pick(d * xi.lower, d * xi.upper).sum(axis=1)
+
+
 def contraction_margin(spec: LQAffine, g: Graphon, eta=None) -> float:
-    """1 minus lambda_max times the largest aggregate coefficient.
+    """1 minus lambda_max times the largest aggregate coefficient |theta2|.
 
     With ``eta`` given, the margin at that parameter; otherwise the worst
-    case over the corners of the parameter box, which certifies existence
+    case over the parameter box. theta2 is affine and, by the game's
+    construction check, nonnegative on the box, so its largest value there
+    is each row's maximum, read in closed form. That margin bounds the
+    margin at every eta in the box, so a positive one certifies existence
     and uniqueness of the equilibrium for every admissible parameter. May
-    be negative; callers decide what to do with a nonpositive margin.
+    be negative; :func:`require_contraction` refuses a nonpositive one.
     """
-    points = spec.xi.corners() if eta is None else eta
-    return 1.0 - g.lambda_max() * spec.aggregate_coefficient(points)
+    if eta is None:
+        theta2 = _over_box(np.maximum, spec.b2, spec.d2, spec.xi)
+    else:
+        theta2 = np.abs(spec.b2 + spec.d2 @ np.asarray(eta, dtype=float))
+    return 1.0 - g.lambda_max() * float(np.max(theta2))
+
+
+def require_contraction(spec: LQAffine, g: Graphon, eta=None) -> None:
+    """Raise :class:`NotAContraction` unless :func:`contraction_margin` at
+    ``eta`` (over the box when ``eta`` is None) is positive."""
+    margin = contraction_margin(spec, g, eta)
+    if not margin > 0.0:
+        where = ("over the parameter box" if eta is None
+                 else f"at eta={np.asarray(eta).tolist()}")
+        raise NotAContraction(
+            f"contraction margin {margin} is not positive {where}")

@@ -90,7 +90,7 @@ class ExperimentConfig:
             margin = contraction_margin(self.game, self.graphon)
             if margin <= 0.0:
                 problems.append(
-                    f"contraction margin over the box corners is {margin:.6g}"
+                    f"contraction margin over the parameter box is {margin:.6g}"
                 )
         if not self.n_list:
             problems.append("n_list is empty")
@@ -107,8 +107,6 @@ class ExperimentConfig:
             ("optimizer.gtol", opt.gtol, _positive_finite,
              "positive and finite"),
             ("optimizer.max_iter", opt.max_iter, _count, "an integer >= 1"),
-            ("optimizer.margin_buffer", opt.margin_buffer,
-             lambda v: _real(v) and 0.0 <= v < 1.0, "in [0, 1)"),
             ("solver.tol", sol.tol, _positive_finite, "positive and finite"),
             ("solver.max_iter", sol.max_iter, _count, "an integer >= 1"),
         ):

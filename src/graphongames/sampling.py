@@ -391,20 +391,31 @@ def write_network(net: SampledNetwork, edges_path, labels_path) -> None:
             fh.write(f"{t:.17g}\n")
 
 
-def _loadtxt(path, dtype, ndmin: int) -> np.ndarray:
-    """``np.loadtxt`` that reads an empty file as an empty array."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # empty: the caller checks
-        return np.loadtxt(path, dtype=dtype, ndmin=ndmin)
+def _loadtxt(path, dtype, per_line: int, what: str) -> np.ndarray:
+    """The (lines, per_line) array of a text file with ``per_line`` values
+    of ``dtype`` on every line; an empty file has no lines. Any other
+    file raises ValueError naming it and ``what`` a line must hold."""
+    malformed = f"{path}: a line does not hold {what}"
+    try:
+        with warnings.catch_warnings():
+            # an empty file: the caller checks
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, dtype=dtype, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{malformed} ({exc})") from None
+    if values.size and values.shape[1] != per_line:
+        raise ValueError(malformed)
+    return values.reshape(-1, per_line)
 
 
 def read_network(edges_path, labels_path, g: Graphon) -> SampledNetwork:
     """Read back what :func:`write_network` wrote, as a network on kernel
-    ``g``. Raises ValueError unless there is at least one label, every label
-    lies in [0, 1], the labels are sorted ascending, every edge line holds
-    two agent indices and the edges are distinct pairs of distinct agents in
-    range. An empty edge file is a network without edges."""
-    labels = _loadtxt(labels_path, float, 1)
+    ``g``. Raises ValueError unless every labels line holds one label,
+    there is at least one, every label lies in [0, 1], the labels are
+    sorted ascending, every edge line holds two agent indices and the edges
+    are distinct pairs of distinct agents in range. An empty edge file is a
+    network without edges."""
+    labels = _loadtxt(labels_path, float, 1, "one label")[:, 0]
     if labels.size == 0:
         raise ValueError(f"{labels_path}: no labels")
     if not np.all((labels >= 0.0) & (labels <= 1.0)):
@@ -412,14 +423,7 @@ def read_network(edges_path, labels_path, g: Graphon) -> SampledNetwork:
     if np.any(np.diff(labels) < 0.0):
         raise ValueError(f"{labels_path}: labels are not sorted ascending")
     n = labels.size
-    malformed = f"{edges_path}: a line does not hold two agent indices"
-    try:
-        pairs = _loadtxt(edges_path, np.int64, 2)
-    except ValueError as exc:
-        raise ValueError(f"{malformed} ({exc})") from None
-    if pairs.size and pairs.shape[1] != 2:
-        raise ValueError(malformed)
-    pairs = pairs.reshape(-1, 2)
+    pairs = _loadtxt(edges_path, np.int64, 2, "two agent indices")
     if pairs.size:
         if pairs.min() < 0 or pairs.max() >= n:
             raise ValueError(f"{edges_path}: agent index outside 0..{n - 1}")

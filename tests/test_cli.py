@@ -176,6 +176,15 @@ class TestSolve:
         assert captured.err.startswith("numerical failure: ")
         assert captured.out == ""
 
+    def test_negative_aggregate_effect_exits_1(self, capsys):
+        # --eta is not box-checked, but the game needs theta2 >= 0: -1
+        # would be community 1's theta2
+        assert main(["solve", "--config", SHIPPED, "--eta=-1,0.5,0.5,0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "theta2 >= 0" in captured.err
+        assert captured.out == ""
+
 
 class TestEstimate:
     def test_self_recovery_from_exported_equilibrium(self, tmp_path, capsys):
@@ -237,6 +246,7 @@ class TestMalformedInput:
             (["estimate"], "0.5\nabc\n0.7\n", None),
             (["estimate"], "", None),
             (["estimate"], "0.5\nnan\n0.7\n", None),
+            (["estimate"], "0.5 0.6\n0.7 0.8\n", None),
             (["experiment", "--seed", "-1"], None, None),
             (["sample", "--seed", "-1"], None, None),
             (["estimate", "--seed", "-1"], None, None),
@@ -259,6 +269,7 @@ class TestMalformedInput:
             "observation-not-a-number",
             "observation-empty",
             "observation-nan",
+            "observation-two-per-line",
             "experiment-negative-seed",
             "sample-negative-seed",
             "estimate-negative-seed",

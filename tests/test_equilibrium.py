@@ -14,7 +14,6 @@ from graphongames import (
     NotInterior,
     ParameterBox,
     ParameterOutOfBox,
-    SpectralConditionViolated,
     StrategySet,
     fd_check,
     hessian,
@@ -73,7 +72,7 @@ class TestHomogeneousClosedForm:
         assert s == pytest.approx([4.0 / 3.0, 4.0 / 3.0], abs=1e-13)
 
     def test_spectral_violation(self):
-        with pytest.raises(SpectralConditionViolated):
+        with pytest.raises(NotAContraction):
             solve_values(ConstantGraphon(0.8), wide_homogeneous(), [1.0, 1.3])
 
     def test_interior_flag_against_strategy_set(self):
@@ -109,7 +108,7 @@ class TestBlockClosedForm:
 
     def test_spectral_violation(self, sbm2):
         eta = np.array([1.1 / sbm2.lambda_max(), 0.1])
-        with pytest.raises(SpectralConditionViolated):
+        with pytest.raises(NotAContraction):
             solve_values(sbm2, unbounded(LQSBM, eta, theta1=1.0), eta)
 
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +10,15 @@ from graphongames import (
     ConstantGraphon,
     ExperimentConfig,
     GridGraphon,
-    InfeasibleParameterSet,
     LQHomogeneous,
     LQSBM,
-    NoStart,
+    NotAContraction,
     NotInterior,
     ParameterBox,
     PiecewiseConstantFn,
     StrategySet,
     cell_integrals,
+    contraction_margin,
     estimate,
     hessian,
     interpolate_equilibrium,
@@ -211,20 +213,29 @@ class TestEstimate:
             xi=ParameterBox(np.array([0.1, 0.0]), np.array([2.0, 2.0])),
         )
         obs = PiecewiseConstantFn.constant(1.0)
-        with pytest.raises(InfeasibleParameterSet):
+        with pytest.raises(NotAContraction):
             estimate(obs, g, spec)
 
-    def test_no_start_when_margin_cap_empties_box(self):
+    def test_box_near_the_margin_is_searched_as_given(self):
+        # the margin over the box is 1 - 0.5 * 1.9999995 = 2.5e-7, positive,
+        # so every eta in the box has a unique equilibrium and the search
+        # runs on the whole box, up to its upper corner
         g = ConstantGraphon(0.5)
         spec = LQHomogeneous(
-            strategy_set=StrategySet(0.0, 10.0),
+            strategy_set=StrategySet(0.0, 1e7),
             xi=ParameterBox(
                 np.array([0.1, 1.999999]), np.array([1.0, 1.9999995])
             ),
         )
-        obs = PiecewiseConstantFn.constant(1.0)
-        with pytest.raises(NoStart):
-            estimate(obs, g, spec)
+        assert contraction_margin(spec, g) == pytest.approx(2.5e-7, rel=1e-8)
+        obs = model_equilibrium_fn(g, spec, [0.5, 1.9999993])
+        result = estimate(obs, g, spec)
+        assert spec.xi.contains(result.eta_hat)
+        assert result.eta_hat[1] == spec.xi.upper[1]
+        # the constant kernel does not identify eta, but the fit is exact
+        assert result.objective == 0.0
+        assert model_equilibrium_fn(g, spec, result.eta_hat).values \
+            == pytest.approx(obs.values, rel=1e-12)
 
     def test_homogeneous_recovery_from_sampled_network(self, sbm2):
         # full loop for the two-parameter game on an identifiable kernel:
@@ -461,10 +472,6 @@ class TestMomentStart:
                 strategy_set=StrategySet(0.0, 50.0),
                 xi=ParameterBox(np.array([0.1, 0.0]), np.array([2.0, 1.5])),
             )
-        # the margin cap does not bind, so the oracle's box is the game's
-        buffer = EstimateOptions().margin_buffer
-        assert g.lambda_max() * spec.xi.upper[spec.aggregate_mask()].max() \
-            < 1.0 - buffer
         rng = np.random.default_rng(53)
         compared = 0
         for _ in range(12):
@@ -481,6 +488,24 @@ class TestMomentStart:
                 compared += 1
                 assert np.abs(result.eta_hat - oracle).max() <= 1e-7
         assert compared >= 10
+
+
+def test_forty_communities_validate_and_estimate_in_under_a_second():
+    # the box's margin is read row by row, not over its 2^40 corners
+    g, rng = random_block_kernel(40, 7)
+    lam = g.lambda_max()
+    spec = LQSBM(theta1=1.0, strategy_set=StrategySet(0.0, 50.0),
+                 xi=ParameterBox(np.full(40, 0.01 / lam),
+                                 np.full(40, 0.9 / lam)))
+    eta = rng.uniform(0.05, 0.85, size=40) / lam
+    config = ExperimentConfig(graphon=g, game=spec, eta_true=eta,
+                              n_list=[100], runs_per_n=1, master_seed=0)
+    started = time.perf_counter()
+    assert config.validate() == []
+    result = estimate(model_equilibrium_fn(g, spec, eta), g, spec)
+    assert time.perf_counter() - started < 1.0
+    assert result.converged
+    assert np.abs(result.eta_hat - eta).max() <= 1e-10
 
 
 def test_grid_game_needs_at_most_five_evaluations_at_n800():

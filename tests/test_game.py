@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphongames import (
@@ -17,7 +19,7 @@ from graphongames import (
     solve_network_game,
 )
 from graphongames.equilibrium import solve_values
-from conftest import ETA4, PI4, Q4, smooth_grid_kernel
+from conftest import ETA4, PI4, Q4, random_block_kernel, smooth_grid_kernel
 
 
 class TestStrategySet:
@@ -41,11 +43,6 @@ class TestParameterBox:
         assert box.contains([0.0, 2.0])
         assert not box.contains_interior([0.0, 2.0])
         assert not box.contains([1.5, 1.0])
-
-    def test_corners(self):
-        box = ParameterBox(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
-        corners = {tuple(c) for c in box.corners()}
-        assert corners == {(0, 0), (0, 2), (1, 0), (1, 2)}
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -115,23 +112,24 @@ class TestAffineMaps:
         eta = np.array([0.8, 0.6])
         assert np.array_equal(b1 + d1 @ eta, np.full(4, 0.8))
         assert np.array_equal(b2 + d2 @ eta, np.full(4, 0.6))
-        assert homogeneous_game.aggregate_mask().tolist() == [False, True]
-        assert homogeneous_game.aggregate_coefficient(eta) == 0.6
+        assert contraction_margin(homogeneous_game, sbm4, eta) \
+            == 1.0 - sbm4.lambda_max() * 0.6
 
     def test_community_game_one_effect_per_community(self, sbm4_game, sbm4):
         b1, d1, b2, d2 = sbm4_game.affine_maps(sbm4)
         assert np.array_equal(b1 + d1 @ ETA4, np.ones(4))
         assert np.array_equal(b2 + d2 @ ETA4, ETA4)
-        assert sbm4_game.aggregate_mask().tolist() == [True] * 4
-        assert sbm4_game.aggregate_coefficient(ETA4) == np.max(ETA4)
+        assert contraction_margin(sbm4_game, sbm4, ETA4) \
+            == 1.0 - sbm4.lambda_max() * np.max(ETA4)
 
     def test_community_count_must_match_the_box(self, sbm4_game, sbm2):
         with pytest.raises(ValueError, match="communities"):
             sbm4_game.affine_maps(sbm2)
 
-    def test_coefficient_over_a_stack_is_the_largest(self, sbm4_game, sbm4):
+    def test_smallest_margin_is_at_the_largest_effect(self, sbm4_game, sbm4):
         stack = np.array([ETA4, 0.5 * ETA4, [0.1, 1.1, 0.2, 0.3]])
-        assert sbm4_game.aggregate_coefficient(stack) == 1.1
+        assert min(contraction_margin(sbm4_game, sbm4, eta) for eta in stack) \
+            == 1.0 - sbm4.lambda_max() * 1.1
 
 
 class TestContractionMargin:
@@ -165,6 +163,55 @@ class TestContractionMargin:
         lam = sbm4.lambda_max()
         margin = contraction_margin(sbm4_game, sbm4, eta=ETA4)
         assert margin == pytest.approx(1.0 - lam * np.max(ETA4), abs=1e-12)
+
+
+def _corner_margin(spec, g) -> float:
+    """The margin over the box by its definition: the smallest margin at a
+    corner, with all 2^p corners listed."""
+    corners = itertools.product(*zip(spec.xi.lower, spec.xi.upper))
+    return min(contraction_margin(spec, g, c) for c in corners)
+
+
+class TestMarginOverTheBox:
+    """The closed-form margin over the box equals the worst corner's, and
+    bounds the margin at every parameter in the box."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared=st.booleans(), p=st.integers(1, 4), k=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_worst_corner(self, shared, p, k, seed):
+        g, rng = random_block_kernel(k, seed)
+        rows = 1 if shared else k
+        lo = rng.uniform(0.0, 1.0, p) * rng.integers(0, 2, p)
+        hi = lo + rng.uniform(0.01, 2.0, p)
+        # D2 of mixed signs, some entries exactly 0; b2 covers the most
+        # negative value D2 eta can take on the box, some rows exactly, so
+        # theta2 >= 0 there up to rounding, which the constructor may refuse
+        d2 = rng.uniform(-1.0, 1.0, (rows, p)) * rng.integers(0, 2, (rows, p))
+        b2 = np.maximum(-d2, 0.0) @ hi + rng.uniform(0.0, 1.0, rows) * \
+            rng.integers(0, 2, rows)
+        try:
+            spec = LQAffine(StrategySet(0.0, 10.0), ParameterBox(lo, hi),
+                            rng.uniform(0.0, 1.0, rows),
+                            rng.uniform(0.0, 1.0, (rows, p)), b2, d2)
+        except ValueError:
+            assume(False)
+        # the margin's scale: lambda_max times the terms theta2 sums
+        scale = max(1.0, g.lambda_max() * float((np.abs(b2)
+                                                 + np.abs(d2) @ hi).max()))
+        tol = 4 * np.finfo(float).eps * scale
+        margin = contraction_margin(spec, g)
+        assert abs(margin - _corner_margin(spec, g)) <= tol
+        for eta in spec.xi.sample(rng, 8):
+            assert contraction_margin(spec, g, eta) >= margin - tol
+
+    def test_benchmark_games_match_the_corners_exactly(self, sbm4_game, sbm4):
+        grid_game = LQHomogeneous(
+            strategy_set=StrategySet(0.0, 50.0),
+            xi=ParameterBox(np.array([0.1, 0.0]), np.array([2.0, 1.5])),
+        )
+        for spec, g in ((sbm4_game, sbm4), (grid_game, smooth_grid_kernel())):
+            assert contraction_margin(spec, g) == _corner_margin(spec, g)
 
 
 class TestSpecInvariants:

@@ -85,14 +85,11 @@ class TestConfig:
             ("optimizer", "gtol", -1.0),
             ("optimizer", "gtol", float("inf")),
             ("optimizer", "max_iter", 0),
-            ("optimizer", "margin_buffer", 1.5),
-            ("optimizer", "margin_buffer", -0.1),
             ("solver", "tol", 0.0),
             ("solver", "tol", float("nan")),
             ("solver", "max_iter", 0),
             ("optimizer", "gtol", True),
             ("optimizer", "max_iter", True),
-            ("optimizer", "margin_buffer", False),
         ],
     )
     def test_out_of_range_numbers_flagged(self, section, key, value):

@@ -659,3 +659,14 @@ class TestNetworkIO:
         labels_path.write_text(labels)
         with pytest.raises(ValueError, match=message):
             read_network(edges_path, labels_path, ConstantGraphon(0.5))
+
+    @pytest.mark.parametrize("labels", ["0.1 0.2\n0.3 0.4\n", "0.1 0.2\n"])
+    def test_labels_file_with_two_values_per_line(self, tmp_path, labels):
+        # read flat, these would be four and two agents
+        edges_path = tmp_path / "edges.txt"
+        labels_path = tmp_path / "labels.txt"
+        edges_path.write_text("0 1\n")
+        labels_path.write_text(labels)
+        with pytest.raises(ValueError,
+                           match="labels.txt: a line does not hold one label"):
+            read_network(edges_path, labels_path, ConstantGraphon(0.5))
