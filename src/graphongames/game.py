@@ -98,8 +98,8 @@ class LQAffine:
     """A linear-quadratic game as data: theta1 = b1 + D1 eta and theta2 =
     b2 + D2 eta, with one row shared by every cell of any kernel, or K rows,
     one per cell of a K-cell kernel. Checked once: the shapes, theta1,
-    theta2 >= 0 over the box and a nonnegative strategy set. The maps are
-    stored read-only."""
+    theta2 >= 0 over the box (to the rounding of their sums) and a
+    nonnegative strategy set. The maps are stored read-only."""
 
     strategy_set: StrategySet
     xi: ParameterBox
@@ -116,7 +116,12 @@ class LQAffine:
             raise ValueError(f"map shapes {[m.shape for m in maps]} do not "
                              f"fit a {p[0]}-d parameter box")
         for b, d in (maps[:2], maps[2:]):
-            if not np.all(_over_box(np.minimum, b, d, self.xi) >= 0.0):
+            # the rounded sum of the minimum's p + 1 terms errs by up to
+            # about (p + 1) / 2 ulp of their magnitudes, so a minimum of
+            # exactly 0 can land just below it: allow twice that
+            slack = (p[0] + 1) * np.finfo(float).eps * (
+                np.abs(b) + np.abs(d) @ self.xi.upper)
+            if not np.all(_over_box(np.minimum, b, d, self.xi) >= -slack):
                 raise ValueError("theta1 or theta2 is negative in the box")
         if self.strategy_set.lower < 0.0:
             raise ValueError("the game requires a nonnegative strategy set")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -142,7 +143,8 @@ class RunRecord:
     converged: bool
     wall_time_s: float
     # sidecar only: seconds spent sampling, solving the finite game and
-    # estimating (NaN for a stage the run did not complete), estimator
+    # estimating (NaN for a stage the run did not complete), the minor page
+    # faults of the process while sampling (None unless sampled), estimator
     # resolvent evaluations (order-2 solves), the finite game's solver route ("cg" or
     # "project", "" when unsolved) and its iterations, residual, interior
     # flag (None when unsolved) and contraction certificate, and the
@@ -150,6 +152,7 @@ class RunRecord:
     sample_s: float = float("nan")
     solve_s: float = float("nan")
     estimate_s: float = float("nan")
+    sample_minflt: int | None = None
     evaluations: int = 0
     br_iterations: int = 0
     route: str = ""
@@ -165,8 +168,9 @@ class RunRecord:
 RESULT_COLUMNS = ("err_inf", "err_2", "objective", "l2_obs_vs_graphon",
                   "hessian_min_eig", "converged")
 TIMING_COLUMNS = ("wall_time_s", "sample_s", "solve_s", "estimate_s",
-                  "evaluations", "br_iterations", "route", "residual",
-                  "interior", "certificate", "contraction_margin", "failure")
+                  "sample_minflt", "evaluations", "br_iterations", "route",
+                  "residual", "interior", "certificate", "contraction_margin",
+                  "failure")
 
 
 def derive_run_seed(master_seed: int, run_index: int, n: int) -> int:
@@ -185,6 +189,11 @@ def _timed(times: dict, stage: str):
     started = time.perf_counter()
     yield
     times[stage] = time.perf_counter() - started
+
+
+def _minor_faults() -> int:
+    """Minor page faults of this process so far, all threads included."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
@@ -217,8 +226,10 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
                        l2_obs_vs_graphon=nan, hessian_min_eig=nan,
                        converged=False)
             try:
+                faults = _minor_faults()
                 with _timed(rec, "sample_s"):
                     net = sample_network(g, n, seed)
+                rec["sample_minflt"] = _minor_faults() - faults
                 with _timed(rec, "solve_s"):
                     neq = solve_network_game(
                         net, game, eta_true,

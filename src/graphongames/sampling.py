@@ -40,6 +40,15 @@ counts and columns. ``EDGE_BLOCK_PAIRS`` bounds the pairs of all blocks in
 flight together (plus one row per block), so the sampler's working memory
 beyond U grows neither with N nor with the thread count.
 
+A block's one fresh per-pair array is its raw words (8 bytes a pair):
+``random_raw`` takes no output buffer. Its thresholds (8 bytes) and hit
+flags (1 byte) go to two buffers that the drawing thread keeps for its life
+(``threading.local``), grown to the largest block it has drawn: at most one
+thread's share of the budget plus a row, at 9 bytes a pair: 1.2 MB a
+thread when two share the default budget. The next block on that thread
+reuses their pages: arrays of that size allocated per block are handed
+back to the OS when freed and faulted in again by the next block.
+
 A network whose pairs fit one thread's share of that budget is one block
 on the calling thread. The blocks of a larger one run on one thread pool
 kept for the process, started on first use; a forked child, or a changed
@@ -54,6 +63,7 @@ anywhere between sampling and the equilibrium.
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -68,9 +78,10 @@ from .functionspace import PiecewiseConstantFn, interpolate_equilibrium
 from .game import LQAffine
 from .graphon import Graphon
 
-# Pair budget of the edge sampler's row blocks in flight together: bounds
-# their threshold arrays at 2 MiB, plus a row per block, whatever the
-# network size and thread count.
+# Pair budget of the edge sampler's row blocks in flight together, plus a
+# row per block, whatever the network size and thread count. It also bounds
+# the buffers each drawing thread keeps (9 bytes a pair): one thread's share
+# of it plus a row.
 EDGE_BLOCK_PAIRS = 1 << 18
 
 # Relative accuracy of the spectral contraction check's eigensolve.
@@ -193,15 +204,33 @@ def _edge_block(seed, thresholds, cells, cut, before, start: int, stop: int):
     # row i meets cell c in a run of constant threshold T[c_i, c]
     first = rows[:, None] + 1
     runs = np.maximum(cut[1:], first) - np.maximum(cut[:-1], first)
-    words = bits.random_raw(int(before[stop] - before[start]))
+    m = int(before[stop] - before[start])
+    thr = _kept("thresholds", np.uint64, m)
+    thr[:] = np.repeat(thresholds[cells[rows]].ravel(), runs.ravel())
+    words = bits.random_raw(m)  # the block's one fresh per-pair array
     words >>= 11
-    hits = np.flatnonzero(words < np.repeat(thresholds[cells[rows]].ravel(),
-                                            runs.ravel()))
+    hit = np.less(words, thr, out=_kept("hit", bool, m))
     del words
+    hits = np.flatnonzero(hit)
     pairs = before[start:stop + 1] - before[start]
     counts = np.diff(np.searchsorted(hits, pairs))
     hits -= np.repeat(pairs[:-1] - first[:, 0], counts)  # pair -> column
     return counts, hits.astype(_index_dtype(n))
+
+
+# Each thread's edge-block buffers, as attributes named after them.
+_buffers = threading.local()
+
+
+def _kept(name: str, dtype, size: int) -> np.ndarray:
+    """The first ``size`` entries of this thread's buffer ``name``, grown
+    to ``size`` if it is smaller. Kept for the thread's life, so a block
+    reuses the pages of the one before it on the same thread."""
+    buf = getattr(_buffers, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        setattr(_buffers, name, buf)
+    return buf[:size]
 
 
 def _index_dtype(n: int):

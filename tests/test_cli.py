@@ -323,11 +323,14 @@ class TestSampleAndExperiment:
         assert "err_inf" in quant
         timing = (tmp_path / "res.csv.timings.csv").read_text()
         assert timing.splitlines()[0] == (
-            "N,run,wall_time_s,sample_s,solve_s,estimate_s,evaluations,"
-            "br_iterations,route,residual,interior,certificate,"
+            "N,run,wall_time_s,sample_s,solve_s,estimate_s,sample_minflt,"
+            "evaluations,br_iterations,route,residual,interior,certificate,"
             "contraction_margin,failure"
         )
         assert len(timing.splitlines()) == 3
+        # the sampling stage's minor page faults: a count
+        for row in timing.splitlines()[1:]:
+            assert int(row.split(",")[6]) >= 0
 
     def test_experiment_progress_leaves_outputs_unchanged(self, tmp_path,
                                                           capsys):

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphongames import (
@@ -172,6 +172,25 @@ def _corner_margin(spec, g) -> float:
     return min(contraction_margin(spec, g, c) for c in corners)
 
 
+def random_admissible_game(shared, p, k, seed):
+    """A random kernel with k cells, a random LQAffine game on it with
+    p parameters and one shared row or k rows, and the generator that drew
+    them. D2 has mixed signs and some entries exactly 0; b2 covers the most
+    negative value D2 eta can take on the box, some rows exactly, so theta2
+    >= 0 there, with minimum 0 up to rounding on those rows."""
+    g, rng = random_block_kernel(k, seed)
+    rows = 1 if shared else k
+    lo = rng.uniform(0.0, 1.0, p) * rng.integers(0, 2, p)
+    hi = lo + rng.uniform(0.01, 2.0, p)
+    d2 = rng.uniform(-1.0, 1.0, (rows, p)) * rng.integers(0, 2, (rows, p))
+    b2 = np.maximum(-d2, 0.0) @ hi + rng.uniform(0.0, 1.0, rows) * \
+        rng.integers(0, 2, rows)
+    spec = LQAffine(StrategySet(0.0, 10.0), ParameterBox(lo, hi),
+                    rng.uniform(0.0, 1.0, rows),
+                    rng.uniform(0.0, 1.0, (rows, p)), b2, d2)
+    return g, spec, rng
+
+
 class TestMarginOverTheBox:
     """The closed-form margin over the box equals the worst corner's, and
     bounds the margin at every parameter in the box."""
@@ -180,30 +199,23 @@ class TestMarginOverTheBox:
     @given(shared=st.booleans(), p=st.integers(1, 4), k=st.integers(1, 5),
            seed=st.integers(0, 2**32 - 1))
     def test_equals_the_worst_corner(self, shared, p, k, seed):
-        g, rng = random_block_kernel(k, seed)
-        rows = 1 if shared else k
-        lo = rng.uniform(0.0, 1.0, p) * rng.integers(0, 2, p)
-        hi = lo + rng.uniform(0.01, 2.0, p)
-        # D2 of mixed signs, some entries exactly 0; b2 covers the most
-        # negative value D2 eta can take on the box, some rows exactly, so
-        # theta2 >= 0 there up to rounding, which the constructor may refuse
-        d2 = rng.uniform(-1.0, 1.0, (rows, p)) * rng.integers(0, 2, (rows, p))
-        b2 = np.maximum(-d2, 0.0) @ hi + rng.uniform(0.0, 1.0, rows) * \
-            rng.integers(0, 2, rows)
-        try:
-            spec = LQAffine(StrategySet(0.0, 10.0), ParameterBox(lo, hi),
-                            rng.uniform(0.0, 1.0, rows),
-                            rng.uniform(0.0, 1.0, (rows, p)), b2, d2)
-        except ValueError:
-            assume(False)
+        g, spec, rng = random_admissible_game(shared, p, k, seed)
         # the margin's scale: lambda_max times the terms theta2 sums
-        scale = max(1.0, g.lambda_max() * float((np.abs(b2)
-                                                 + np.abs(d2) @ hi).max()))
+        scale = max(1.0, g.lambda_max() * float(
+            (np.abs(spec.b2) + np.abs(spec.d2) @ spec.xi.upper).max()))
         tol = 4 * np.finfo(float).eps * scale
         margin = contraction_margin(spec, g)
         assert abs(margin - _corner_margin(spec, g)) <= tol
         for eta in spec.xi.sample(rng, 8):
             assert contraction_margin(spec, g, eta) >= margin - tol
+
+    def test_theta2_minimum_rounded_below_zero_is_admitted(self):
+        # theta2's minimum over the box is 0, summed as about -1e-17
+        g, spec, _ = random_admissible_game(True, 2, 1, 136)
+        lowest = spec.b2 + np.minimum(spec.d2 * spec.xi.lower,
+                                      spec.d2 * spec.xi.upper).sum(axis=1)
+        assert -1e-15 < lowest[0] < 0.0
+        assert contraction_margin(spec, g) == _corner_margin(spec, g)
 
     def test_benchmark_games_match_the_corners_exactly(self, sbm4_game, sbm4):
         grid_game = LQHomogeneous(
@@ -282,6 +294,9 @@ class TestLQAffine:
             LQAffine(ss, xi, [0.0], [[1.0, 0.0]], [1.0], [[0.0, -1.0]])
         # 1.5 - eta2 is nonnegative on the whole box
         LQAffine(ss, xi, [0.0], [[1.0, 0.0]], [1.5], [[0.0, -1.0]])
+        # a minimum of -1e-12 lies far beyond the sum's rounding
+        with pytest.raises(ValueError, match="negative"):
+            LQAffine(ss, xi, [0.0], [[1.0, 0.0]], [1.5 - 1e-12], [[0.0, -1.0]])
 
     def test_homogeneous_game_requires_nonnegative_strategies(self):
         with pytest.raises(ValueError, match="nonnegative strategy set"):

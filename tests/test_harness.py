@@ -284,7 +284,7 @@ class TestRunExperiment:
         # the sidecar cells each stage fills, at their values for a stage
         # that did not finish
         unfinished = {
-            "sample_network": {"sample_s": "nan"},
+            "sample_network": {"sample_s": "nan", "sample_minflt": ""},
             "solve_network_game": {
                 "solve_s": "nan", "br_iterations": "0", "route": "",
                 "residual": "nan", "interior": "", "certificate": "",
@@ -312,6 +312,8 @@ class TestRunExperiment:
             for key in ("sample_s", "solve_s"):
                 if key in finished:
                     assert float(finished[key]) >= 0.0
+            if "sample_s" in finished:
+                assert int(finished["sample_minflt"]) >= 0
             if "route" in finished:
                 assert int(finished["br_iterations"]) > 0
                 assert finished["route"] == "cg"
@@ -347,8 +349,9 @@ class TestRunExperiment:
         lines = timings_to_csv(records).splitlines()
         assert lines[0].split(",") == [
             "N", "run", "wall_time_s", "sample_s", "solve_s", "estimate_s",
-            "evaluations", "br_iterations", "route", "residual", "interior",
-            "certificate", "contraction_margin", "failure",
+            "sample_minflt", "evaluations", "br_iterations", "route",
+            "residual", "interior", "certificate", "contraction_margin",
+            "failure",
         ]
         assert len(lines) == len(records) + 1
         for line, r in zip(lines[1:], records):
@@ -359,14 +362,15 @@ class TestRunExperiment:
             assert [float(c) for c in cells[3:6]] == stages
             assert all(np.isfinite(t) and t >= 0.0 for t in stages)
             assert sum(stages) <= r.wall_time_s
-            assert int(cells[6]) == r.evaluations >= 1
-            assert int(cells[7]) == r.br_iterations > 0
-            assert cells[8] == r.route == "cg"
-            assert float(cells[9]) == r.residual <= 1e-10
-            assert cells[10] == "true" and r.interior is True
-            assert cells[11] == r.certificate == "row_sum"
-            assert float(cells[12]) == r.contraction_margin > 0.0
-            assert cells[13] == r.failure == ""
+            assert int(cells[6]) == r.sample_minflt >= 0
+            assert int(cells[7]) == r.evaluations >= 1
+            assert int(cells[8]) == r.br_iterations > 0
+            assert cells[9] == r.route == "cg"
+            assert float(cells[10]) == r.residual <= 1e-10
+            assert cells[11] == "true" and r.interior is True
+            assert cells[12] == r.certificate == "row_sum"
+            assert float(cells[13]) == r.contraction_margin > 0.0
+            assert cells[14] == r.failure == ""
 
     def test_csv_bytes_reproducible(self, tmp_path):
         config = small_config()

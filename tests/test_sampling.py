@@ -233,7 +233,7 @@ print(network_sha256(sample_network(g, 1600, 20240405)))
                                                             20240405))
 
     def test_blocks_in_flight_share_the_pair_budget(self, monkeypatch, sbm4):
-        # Per pair in flight a block holds its probability and its uniform
+        # Per pair in flight a block holds its threshold and its raw word
         # (8 bytes each), a hit flag (1) and, for the ~15% of pairs that
         # are edges, an 8-byte position: ~18 bytes. A budget large against
         # the network makes the blocks' working memory the peak beyond U.
@@ -250,6 +250,58 @@ print(network_sha256(sample_network(g, 1600, 20240405)))
         held = u.data.nbytes + u.indices.nbytes + u.indptr.nbytes
         # the budget plus one row per block, at 20 bytes a pair
         assert peak - held < 20 * (budget + workers * n)
+
+    def test_warm_blocks_draw_into_kept_buffers(self, monkeypatch):
+        # On one thread the grid kernel at N = 800 is two blocks. A block's
+        # thresholds (8 bytes a pair) and hit flags (1) live in buffers
+        # kept by its thread, so once a call has grown them only its raw
+        # words (8) are fresh; a block that allocated all three would peak
+        # at about 17 bytes a pair of the thread's share.
+        monkeypatch.setattr(sampling, "_workers", lambda: 1)
+        g, n = smooth_grid_kernel(), 800
+        assert n * (n - 1) // 2 > EDGE_BLOCK_PAIRS
+        sample_network(g, n, seed=1)
+        tracemalloc.start()
+        try:
+            net = sample_network(g, n, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        u = net.upper
+        held = u.data.nbytes + u.indices.nbytes + u.indptr.nbytes
+        assert peak - held < 10 * EDGE_BLOCK_PAIRS
+
+    def test_concurrent_callers_get_their_own_networks(self, monkeypatch,
+                                                      sbm4):
+        # 300 agents fit one thread's share and are drawn on the caller's
+        # thread, 1600 on the pool: four callers at once, switching
+        # threads often, each get the networks a lone caller gets
+        monkeypatch.setattr(sampling, "_workers", lambda: 2)
+        cases = [(300, 0), (1600, 1), (300, 2), (1600, 3)]
+        expected = [network_sha256(sample_network(sbm4, *c)) for c in cases]
+        found = [[] for _ in cases]
+
+        def draw(caller):
+            for round_ in range(3):
+                case = cases[(caller + round_) % len(cases)]
+                found[caller].append(network_sha256(sample_network(sbm4,
+                                                                   *case)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=draw, args=(c,))
+                       for c in range(len(cases))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for caller, digests in enumerate(found):
+            assert digests == [expected[(caller + r) % len(cases)]
+                               for r in range(3)]
 
     @pytest.mark.parametrize("n", [3, 41, 513])
     def test_thresholds_decide_as_the_uniforms_do(self, n):
