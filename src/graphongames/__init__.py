@@ -34,11 +34,10 @@ from .game import (
     contraction_margin,
 )
 from .equilibrium import (
-    GraphonEquilibrium,
+    Equilibrium,
     solve_fixed_point,
 )
 from .sampling import (
-    NetworkEquilibrium,
     SampledNetwork,
     observe,
     read_network,

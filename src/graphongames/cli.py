@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -168,6 +169,8 @@ def cmd_experiment(args) -> int:
     if config.runs_per_n == 0:
         raise ConfigError("runs_per_n is 0: the sweep has no runs")
     out = args.out or config.output
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"results path {out}: not a file in a directory")
     records = run_experiment(config, _print_progress if args.progress else None)
     write_text(out, records_to_csv(records, config.game.xi.dim))
     write_text(f"{out}.quantiles.csv",

@@ -1,27 +1,26 @@
 """Nash equilibrium solvers for graphon games.
 
 A finite network game is the graphon game on its network's empirical step
-kernel, so both games share one engine of two private cores:
+kernel, so both games share one engine and return one record,
+:class:`Equilibrium`, built by ``_recorder``. The engine has two cores:
 
 * ``_project``, the projected best-response loop, valid whenever the
   best-response map is a contraction. :func:`solve_fixed_point` and
   ``sampling.solve_network_game`` differ only in the operator they apply.
-  On a network it is the route where a strategy bound binds: a certified
-  interior network game is first solved by conjugate gradients on the
-  sparse edges (``sampling._interior_cg``), and the loop runs when that is
-  not certified or not accepted.
-* ``_resolvent``, the interior solve s = (I - diag(theta2) A)^{-1} theta1
-  on an operator matrix A, valid where no strategy bound binds, with the
-  game's affine maps theta1 = b1 + D1 eta, theta2 = b2 + D2 eta read at its
-  cells. Derivatives in eta come from resolvent identities on the same
-  system, one multi-right-hand-side solve per order, so they are exact at
-  machine precision.
+  On a network it is the route where a strategy bound binds or conjugate
+  gradients (``sampling._interior_cg``) is not certified or not accepted.
+* ``_identities``, the interior solve s = (I - diag(theta2) A)^{-1} theta1,
+  valid where no strategy bound binds, and its derivatives in eta by the
+  resolvent identities, one multi-right-hand-side solve per order, exact
+  at machine precision. They are written once on two operations, "apply
+  V^{-1}" and "apply A": ``_resolvent`` passes an LU solve and a product
+  with an operator matrix (a kernel's, or P / N on a network), a kernel's
+  cached eigenbasis two diagonal scalings.
 
-Every closed form on a kernel, for the homogeneous game as for any other,
-goes through one solver built once per (kernel, game),
-``_kernel_resolvent``, which checks the spectral condition at every eta.
-Where theta2 is the same on every cell it solves in the kernel's one
-cached eigenbasis instead of calling ``_resolvent``.
+Every closed form on a kernel goes through one solver built once per
+(kernel, game), ``_kernel_resolvent``, which checks the spectral condition
+at every eta and takes the eigenbasis where theta2 is the same on every
+cell.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .game import LQAffine, require_contraction
+from .game import LQAffine, StrategySet, require_contraction
 from .graphon import Graphon
 
 DEFAULT_TOL = 1e-10
@@ -39,15 +38,19 @@ DEFAULT_MAX_ITER = 100_000
 
 
 @dataclass
-class GraphonEquilibrium:
-    """Equilibrium of a graphon game.
+class Equilibrium:
+    """Equilibrium of a graphon game or of a finite network game.
 
-    ``strategies`` are the equilibrium values on the kernel's cells,
-    ``aggregates`` their image under the operator matrix. ``interior``
-    records whether every strategy value keeps a relative distance of 1e-9
-    from both strategy bounds; derivative formulas are only valid in that
-    regime. ``residual`` is the sup-norm defect of the fixed-point equation
-    at the returned values.
+    ``strategies`` are the values on the kernel's cells or at the network's
+    agents, ``aggregates`` their image under the operator (the kernel's
+    operator matrix, or P / N). ``interior`` records whether every value
+    keeps a relative distance of 1e-9 from both strategy bounds, the regime
+    of the derivative formulas. ``residual`` is the sup-norm defect of the
+    projected fixed-point equation. ``certificate`` names the contraction
+    check that admitted the game (``"row_sum"``, or ``"spectral"`` as on
+    every kernel) and ``contraction_margin`` its margin, 1 minus the bound,
+    always positive. ``route`` names the solver (``"cg"`` or
+    ``"project"``) and ``iterations`` counts its steps.
     """
 
     strategies: np.ndarray
@@ -55,6 +58,27 @@ class GraphonEquilibrium:
     interior: bool
     iterations: int
     residual: float
+    certificate: str
+    contraction_margin: float
+    route: str
+
+
+def _recorder(aggregate, th1, th2, strategy_set: StrategySet,
+              certificate: str, margin: float):
+    """The one builder of an :class:`Equilibrium`: returns
+    ``record(s, iterations, route)``, which reads z = aggregate(s), the
+    residual |s - clamp(theta1 + theta2 * z)| and the interior flag."""
+    lo, hi = strategy_set.lower, strategy_set.upper
+
+    def record(s, iterations: int, route: str) -> Equilibrium:
+        z = aggregate(s)
+        return Equilibrium(
+            strategies=s, aggregates=z, interior=strategy_set.is_interior(s),
+            iterations=iterations, residual=float(np.max(np.abs(
+                s - np.clip(th1 + th2 * z, lo, hi)))),
+            certificate=certificate, contraction_margin=margin, route=route)
+
+    return record
 
 
 def _project(response, size: int, lo: float, hi: float, tol: float,
@@ -76,54 +100,69 @@ def _project(response, size: int, lo: float, hi: float, tol: float,
     )
 
 
-def _resolvent(a: np.ndarray, maps, eta, order: int):
-    """The one interior solve behind every closed form.
+def _identities(solve, apply, b1, d1, d2, eta, order: int, to_cells=list):
+    """The resolvent identities, written once for every basis.
 
-    ``a`` is an operator matrix (a kernel's on its natural partition, or
-    P / N on a network) and ``maps`` = (b1, D1, b2, D2) the game's affine
-    maps read at its cells. With V = I - diag(theta2) A the equilibrium is
-    s = V^{-1} theta1 and z = A s. Returns (s, z) for ``order`` 0, adds the
-    gradient (n_cells, n_params) for order 1 and the hessian (n_params,
-    n_params, n_cells) for order 2:
+    With V = I - diag(theta2) A, ``solve`` applies V^{-1} and ``apply``
+    applies A, each to a vector or to every column of a matrix, in one
+    basis that also holds theta1 = b1 + D1 eta and D1. D2 multiplies cell
+    by cell; it may be its one row where every cell has the same. The
+    equilibrium is s = V^{-1} theta1 and z = A s. Returns (s, z) for
+    ``order`` 0, adds the gradient (n_cells, n_params) for order 1 and the
+    hessian (n_params, n_params, n_cells) for order 2:
 
         V ds/deta_i = D1_i + D2_i * z,
         V d2s/deta_i deta_j = D2_i * (A ds/deta_j) + D2_j * (A ds/deta_i),
 
-    each order one multi-right-hand-side solve. Hessian pairs are solved
-    once for i <= j and mirrored, so it is exactly symmetric.
+    each order one multi-right-hand-side solve. ``to_cells`` maps the list
+    of results to the cells. Hessian pairs are solved once for i <= j and
+    mirrored, so it is exactly symmetric.
+    """
+    s = solve(b1 + d1 @ eta)
+    z = apply(s)
+    out = [s, z]
+    if order >= 1:
+        out.append(solve(d1 + d2 * z[:, None]))
+    if order == 2:
+        ag = apply(out[2])
+        i, j = np.triu_indices(eta.size)
+        out.append(solve(d2[:, i] * ag[:, j] + d2[:, j] * ag[:, i]))
+    out = to_cells(out)
+    if order == 2:
+        pairs = out.pop()
+        hess = np.empty((eta.size, eta.size, pairs.shape[0]))
+        hess[i, j] = hess[j, i] = pairs.T
+        out.append(hess)
+    return tuple(out)
+
+
+def _resolvent(a: np.ndarray, maps, eta, order: int):
+    """:func:`_identities` by LU on an operator matrix ``a`` (a kernel's on
+    its natural partition, or P / N on a network), with ``maps`` =
+    (b1, D1, b2, D2) the game's affine maps read at its cells. Each
+    ``np.linalg.solve`` factors V afresh, so an order-k call factors it
+    k + 1 times.
     """
     eta = np.asarray(eta, dtype=float)
     b1, d1, b2, d2 = maps
     v = np.eye(a.shape[0]) - (b2 + d2 @ eta)[:, None] * a
-    s = np.linalg.solve(v, b1 + d1 @ eta)
-    z = a @ s
-    if order == 0:
-        return s, z
-    grad = np.linalg.solve(v, d1 + d2 * z[:, None])
-    if order == 1:
-        return s, z, grad
-    ag = a @ grad
-    i, j = np.triu_indices(eta.size)
-    pairs = np.linalg.solve(v, d2[:, i] * ag[:, j] + d2[:, j] * ag[:, i])
-    hess = np.empty((eta.size, eta.size, a.shape[0]))
-    hess[i, j] = hess[j, i] = pairs.T
-    return s, z, grad, hess
+    return _identities(lambda x: np.linalg.solve(v, x), lambda x: a @ x,
+                       b1, d1, d2, eta, order)
 
 
 def _kernel_resolvent(g: Graphon, spec: LQAffine):
     """The interior solve on ``g``'s natural partition for one game, built
-    once: returns ``solve(eta, order)`` with :func:`_resolvent`'s outputs.
+    once: returns ``solve(eta, order)`` with :func:`_identities`' outputs.
     Each call raises :class:`NotAContraction` where the contraction margin
     at eta is not positive (:func:`require_contraction`).
 
     When theta2 is the same on every cell for every eta (b2 constant, each
     column of D2 constant), V = I - t A is diagonal in the kernel's cached
     eigenbasis (:meth:`Graphon.eigen`, A = R^-1 Q diag(lam) Q^T R with
-    R = diag(sqrt(w))): with y = Q^T R theta1 / (1 - t lam), s = R^-1 Q y
-    and z = R^-1 Q (lam y). Both resolvent identities become diagonal
-    scalings of right-hand sides projected once, and every order is one
-    product with Q. Any other game takes :func:`_resolvent`, one LU
-    factorization per call.
+    R = diag(sqrt(w))). On the coordinates Q^T R x, V^{-1} scales by
+    1 / (1 - t lam) and A by lam; b1 and D1 are projected once, and one
+    product with R^-1 Q maps every order back to the cells. Any other game
+    takes :func:`_resolvent` on the operator matrix.
     """
     maps = spec.affine_maps(g)
     b1, d1, b2, d2 = maps
@@ -140,36 +179,26 @@ def _kernel_resolvent(g: Graphon, spec: LQAffine):
     evals, q = g.eigen()
     root_w = np.sqrt(g.pi)
     proj = q.T @ (root_w[:, None] * np.column_stack([b1, d1]))
-    c = d2[0]
+    p = d1.shape[1]
+
+    def to_cells(coords):
+        out = (q @ np.column_stack(coords)) / root_w[:, None]
+        cells = [out[:, 0], out[:, 1], out[:, 2:2 + p], out[:, 2 + p:]]
+        return cells[:len(coords)]
 
     def solve(eta, order: int):
         eta = check(eta)
-        p = eta.size
-        u = 1.0 / (1.0 - (b2[0] + c @ eta) * evals)
-        y = u * (proj[:, 0] + proj[:, 1:] @ eta)
-        cols = [y[:, None], (evals * y)[:, None]]
-        if order >= 1:
-            cols.append(u[:, None] * (proj[:, 1:] + np.outer(evals * y, c)))
-        if order == 2:
-            lg = evals[:, None] * cols[2]
-            i, j = np.triu_indices(p)
-            cols.append(u[:, None] * (c[i] * lg[:, j] + c[j] * lg[:, i]))
-        out = (q @ np.hstack(cols)) / root_w[:, None]
-        result = [out[:, 0], out[:, 1]]
-        if order >= 1:
-            result.append(out[:, 2:2 + p])
-        if order == 2:
-            hess = np.empty((p, p, out.shape[0]))
-            hess[i, j] = hess[j, i] = out[:, 2 + p:].T
-            result.append(hess)
-        return tuple(result)
+        u = 1.0 / (1.0 - (b2[0] + d2[0] @ eta) * evals)
+        return _identities(lambda x: (u * x.T).T, lambda x: (evals * x.T).T,
+                           proj[:, 0], proj[:, 1:], d2[:1], eta, order,
+                           to_cells)
 
     return solve
 
 
 def solve_fixed_point(g: Graphon, spec: LQAffine, eta,
                       tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER) -> GraphonEquilibrium:
+                      max_iter: int = DEFAULT_MAX_ITER) -> Equilibrium:
     """Projected best-response fixed point of a linear-quadratic game.
 
     Iterates s <- clamp(theta1 + theta2 * (W s)) from the zero profile until
@@ -177,21 +206,17 @@ def solve_fixed_point(g: Graphon, spec: LQAffine, eta,
     of :meth:`LQAffine.cell_thetas` (``eta`` must lie in the box). Requires
     a positive contraction margin at ``eta``; under that margin the map is
     a contraction and the unique equilibrium is reached from any start.
+    The record's certificate is ``"spectral"``, with that margin, and its
+    route ``"project"``.
     """
     th1, th2 = spec.cell_thetas(g, eta)
-    require_contraction(spec, g, eta)
-    lo, hi = spec.strategy_set.lower, spec.strategy_set.upper
+    margin = require_contraction(spec, g, eta)
+    bounds = spec.strategy_set
     a = g.operator_matrix()
+    record = _recorder(lambda x: a @ x, th1, th2, bounds, "spectral", margin)
     s, iterations = _project(lambda s: th1 + th2 * (a @ s), a.shape[0],
-                             lo, hi, tol, max_iter)
-    z = a @ s
-    return GraphonEquilibrium(
-        strategies=s,
-        aggregates=z,
-        interior=spec.strategy_set.is_interior(s),
-        iterations=iterations,
-        residual=float(np.max(np.abs(np.clip(th1 + th2 * z, lo, hi) - s))),
-    )
+                             bounds.lower, bounds.upper, tol, max_iter)
+    return record(s, iterations, "project")
 
 
 # Array-level closed forms on the natural partition, each one solve of a

@@ -211,12 +211,13 @@ def contraction_margin(spec: LQAffine, g: Graphon, eta=None) -> float:
     return 1.0 - g.lambda_max() * float(np.max(theta2))
 
 
-def require_contraction(spec: LQAffine, g: Graphon, eta=None) -> None:
-    """Raise :class:`NotAContraction` unless :func:`contraction_margin` at
-    ``eta`` (over the box when ``eta`` is None) is positive."""
+def require_contraction(spec: LQAffine, g: Graphon, eta=None) -> float:
+    """:func:`contraction_margin` at ``eta`` (over the box when ``eta`` is
+    None); raises :class:`NotAContraction` unless it is positive."""
     margin = contraction_margin(spec, g, eta)
     if not margin > 0.0:
         where = ("over the parameter box" if eta is None
                  else f"at eta={np.asarray(eta).tolist()}")
         raise NotAContraction(
             f"contraction margin {margin} is not positive {where}")
+    return margin

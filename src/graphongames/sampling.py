@@ -72,7 +72,8 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 
-from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL, _project
+from .equilibrium import (DEFAULT_MAX_ITER, DEFAULT_TOL, Equilibrium,
+                          _project, _recorder)
 from .errors import NoConvergence, NotAContraction
 from .functionspace import PiecewiseConstantFn, interpolate_equilibrium
 from .game import LQAffine
@@ -114,27 +115,6 @@ class SampledNetwork:
         """The symmetric hollow 0-1 adjacency U + U^T, as a new CSR matrix
         on each call."""
         return self.upper + self.upper.T
-
-
-@dataclass
-class NetworkEquilibrium:
-    """Equilibrium of a finite network game.
-
-    ``certificate`` names the contraction check that admitted the network
-    (``"row_sum"`` or ``"spectral"``) and ``contraction_margin`` is the
-    margin it found, 1 minus the bound, always positive. ``route`` names
-    the solver that produced the strategies (``"cg"`` or ``"project"``),
-    and ``iterations`` counts its steps.
-    """
-
-    strategies: np.ndarray
-    aggregates: np.ndarray
-    interior: bool
-    iterations: int
-    residual: float
-    certificate: str
-    contraction_margin: float
-    route: str
 
 
 def sample_network(g: Graphon, n: int, seed: int) -> SampledNetwork:
@@ -295,7 +275,7 @@ def _contraction_certificate(net: SampledNetwork, th2) -> tuple[str, float]:
 def solve_network_game(net: SampledNetwork, spec: LQAffine, eta,
                        tol: float = DEFAULT_TOL,
                        max_iter: int = DEFAULT_MAX_ITER,
-                       pi=None) -> NetworkEquilibrium:
+                       pi=None) -> Equilibrium:
     """Equilibrium of the finite game on a sampled network: the graphon game
     on its empirical kernel P / N, to sup-norm error ``tol``.
 
@@ -338,33 +318,23 @@ def solve_network_game(net: SampledNetwork, spec: LQAffine, eta,
     n = net.n_agents
     certificate, margin = _contraction_certificate(net, th2)
     u, ut = net.upper, net.upper.T
-    lo, hi = spec.strategy_set.lower, spec.strategy_set.upper
 
     def aggregate(x):
         return (u @ x + ut @ x) / n
 
-    def equilibrium(s, iterations: int, route: str) -> NetworkEquilibrium:
-        z = aggregate(s)
-        return NetworkEquilibrium(
-            strategies=s,
-            aggregates=z,
-            interior=spec.strategy_set.is_interior(s),
-            iterations=iterations,
-            residual=float(np.max(np.abs(s - np.clip(th1 + th2 * z, lo, hi)))),
-            certificate=certificate,
-            contraction_margin=margin,
-            route=route,
-        )
-
+    record = _recorder(aggregate, th1, th2, spec.strategy_set, certificate,
+                       margin)
     if certificate == "row_sum" and np.all(th2 > 0.0):
         found = _interior_cg(aggregate, th1, th2, tol * margin, max_iter)
         if found is not None:
-            eq = equilibrium(*found, "cg")
+            eq = record(*found, "cg")
             if eq.interior and eq.residual <= tol * margin:
                 return eq
+    # th2 * (P s) / N, not th2 * aggregate(s): the two round differently
     s, iterations = _project(lambda s: th1 + th2 * (u @ s + ut @ s) / n, n,
-                             lo, hi, tol, max_iter)
-    return equilibrium(s, iterations, "project")
+                             spec.strategy_set.lower, spec.strategy_set.upper,
+                             tol, max_iter)
+    return record(s, iterations, "project")
 
 
 def _interior_cg(aggregate, th1, th2, stop: float, max_iter: int):
@@ -400,7 +370,7 @@ def _interior_cg(aggregate, th1, th2, stop: float, max_iter: int):
     return s, steps
 
 
-def observe(net: SampledNetwork, eq: NetworkEquilibrium) -> PiecewiseConstantFn:
+def observe(net: SampledNetwork, eq: Equilibrium) -> PiecewiseConstantFn:
     """The observation a planner works with: the equilibrium vector embedded
     as a step function on the regular grid, agents in label-sorted order."""
     return interpolate_equilibrium(eq.strategies)

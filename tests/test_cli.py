@@ -361,6 +361,21 @@ class TestSampleAndExperiment:
         assert capsys.readouterr().err.startswith("error: ")
         assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
 
+    @pytest.mark.parametrize("out", ["missing/res.csv", "."],
+                             ids=["missing-directory", "a-directory"])
+    def test_bad_results_path_exits_1_before_any_run(
+            self, tmp_path, capsys, monkeypatch, out):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("graphongames.cli.run_experiment", no_run)
+        path = write_config(tmp_path)
+        out = str(tmp_path / out)
+        assert main(["experiment", "--config", path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and out in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
     def test_experiment_seed_override_changes_output(self, tmp_path):
         path = write_config(tmp_path, {"output": str(tmp_path / "a.csv")})
         main(["experiment", "--config", path])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from graphongames import (
     ConstantGraphon,
+    Equilibrium,
     Graphon,
     GridGraphon,
     LQHomogeneous,
@@ -15,13 +16,16 @@ from graphongames import (
     ParameterBox,
     ParameterOutOfBox,
     StrategySet,
+    contraction_margin,
     fd_check,
     hessian,
     interpolate_equilibrium,
     model_equilibrium_fn,
     objective,
     objective_gradient,
+    sample_network,
     solve_fixed_point,
+    solve_network_game,
 )
 from graphongames.equilibrium import (
     _kernel_resolvent,
@@ -54,6 +58,50 @@ def fd_gradient(g, spec, eta, h=1e-6):
         sm, _ = solve_values(g, spec, eta - e)
         cols.append((sp - sm) / (2 * h))
     return np.column_stack(cols)
+
+
+def complex_step_derivatives(g, spec, eta, h=1e-30, delta=1e-5):
+    """ds/deta by complex steps on this test's own dense solve of
+    (I - diag(b2 + D2 eta) A) s = b1 + D1 eta, and d2s/deta2, shaped
+    (n_params, n_params, n_cells), by five-point central differences of
+    that gradient: an oracle that does not use the resolvent identities.
+    (Three points leave a truncation error up to 3e-9 of the Hessian on
+    random block games at 0.75 of the contraction bound; five leave 8e-11.)
+    """
+    a = g.operator_matrix()
+    b1, d1, b2, d2 = spec.affine_maps(g)
+
+    def grad(x):
+        cols = []
+        for step in 1j * h * np.eye(x.size):
+            z = x + step
+            v = np.eye(a.shape[0]) - (b2 + d2 @ z)[:, None] * a
+            cols.append(np.linalg.solve(v, b1 + d1 @ z).imag / h)
+        return np.column_stack(cols)
+
+    hess = np.array([(8.0 * (grad(eta + d) - grad(eta - d))
+                      - grad(eta + 2 * d) + grad(eta - 2 * d)) / (12 * delta)
+                     for d in np.eye(eta.size) * delta])
+    return grad(eta), hess.transpose(0, 2, 1)
+
+
+def assert_complex_step(g, spec, eta):
+    """Gradient to 1e-12 and Hessian to 1e-9 of the larger of 1 and the
+    oracle's largest entry."""
+    _, _, grad, hess = second_derivative_values(g, spec, eta)
+    for got, ref, tol in zip((grad, hess),
+                             complex_step_derivatives(g, spec, eta),
+                             (1e-12, 1e-9)):
+        assert np.abs(got - ref).max() <= tol * max(1.0, np.abs(ref).max())
+
+
+class TestComplexStepOracle:
+    def test_grid_kernel_homogeneous_eigenbasis_route(self):
+        assert_complex_step(smooth_grid_kernel(), wide_homogeneous(),
+                            np.array([1.0, 0.9]))
+
+    def test_sbm4_community_lu_route(self, sbm4, sbm4_game):
+        assert_complex_step(sbm4, sbm4_game, ETA4)
 
 
 class TestHomogeneousClosedForm:
@@ -138,6 +186,17 @@ class TestFixedPoint:
         eq = solve_fixed_point(sbm4, sbm4_game, ETA4)
         recomputed = sbm4.operator_matrix() @ eq.strategies
         assert np.abs(eq.aggregates - recomputed).max() <= 1e-12
+
+    def test_record_is_the_spectral_projected_route(self, sbm4, sbm4_game):
+        # one record for both games: a kernel's is the projected route,
+        # certified by the spectral margin at eta
+        eq = solve_fixed_point(sbm4, sbm4_game, ETA4)
+        assert isinstance(eq, Equilibrium)
+        assert eq.certificate == "spectral"
+        assert eq.contraction_margin == contraction_margin(sbm4_game, sbm4, ETA4)
+        assert eq.route == "project"
+        net = sample_network(sbm4, 120, seed=13)
+        assert isinstance(solve_network_game(net, sbm4_game, ETA4), Equilibrium)
 
     def test_not_a_contraction(self):
         spec = wide_homogeneous()
@@ -325,8 +384,9 @@ class TestSecondDerivatives:
 
 class TestResolventCoreProperties:
     """fd_check at both orders, an exactly symmetric Hessian, agreement
-    with the best-response fixed point, and agreement of the kernel solver
-    with the LU core on the operator matrix at every order, for both games
+    with the complex-step oracle and with the best-response fixed point,
+    and agreement of the kernel solver with the LU core on the operator
+    matrix at every order, for both games
     on random block kernels and on a smooth 100-cell grid kernel. The
     homogeneous game takes the eigenbasis route, the community game with
     more than one community the LU route."""
@@ -342,6 +402,7 @@ class TestResolventCoreProperties:
             lu = _resolvent(g.operator_matrix(), spec.affine_maps(g), eta, order)
             for got, ref in zip(solve(eta, order), lu, strict=True):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert_complex_step(g, spec, eta)
         iterated = solve_fixed_point(g, spec, eta, tol=1e-12).strategies
         assert np.max(np.abs(iterated - s)) <= 1e-10
 
