@@ -5,7 +5,6 @@ from .errors import (
     ConfigError,
     DegenerateAggregate,
     EmptyGroup,
-    EmptyVector,
     GraphonGameError,
     MalformedPartition,
     NoConvergence,

@@ -73,6 +73,16 @@ def _load_valid_config(args):
     return config
 
 
+def _emit(args, lines) -> None:
+    """A command's output lines: written to ``--out`` when given,
+    printed otherwise."""
+    text = "\n".join(lines) + "\n"
+    if args.out:
+        write_text(args.out, text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_validate(args) -> int:
     config = _load_config(args)
     problems = config.validate()
@@ -116,11 +126,7 @@ def cmd_solve(args) -> int:
                 fn.breakpoints[:-1], fn.breakpoints[1:], fn.values
             )
         ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, lines)
     return 0
 
 
@@ -150,11 +156,13 @@ def cmd_estimate(args) -> int:
         )
         obs = observe(net, neq)
     result = estimate(obs, config.graphon, config.game, config.optimizer)
-    print("eta_hat = " + ",".join(_cell(v) for v in result.eta_hat))
-    print(f"objective = {_cell(result.objective)}")
-    print(f"gradient_norm = {_cell(result.gradient_norm)}")
-    print(f"hessian_min_eig = {_cell(result.hessian_min_eig)}")
-    print(f"converged = {_cell(result.converged)}")
+    _emit(args, [
+        "eta_hat = " + ",".join(_cell(v) for v in result.eta_hat),
+        f"objective = {_cell(result.objective)}",
+        f"gradient_norm = {_cell(result.gradient_norm)}",
+        f"hessian_min_eig = {_cell(result.hessian_min_eig)}",
+        f"converged = {_cell(result.converged)}",
+    ])
     return 0
 
 
@@ -190,13 +198,14 @@ def cmd_diagnose(args) -> int:
     closed_form = (homogeneous_identifiability if config.game.d1.any()
                    else sbm_identifiability_constant)
     report = closed_form(config.graphon, config.game, eta)
-    print(f"identifiable = {_cell(report.identifiable)}")
+    lines = [f"identifiable = {_cell(report.identifiable)}"]
     if report.constant is not None:
-        print(f"constant = {_cell(report.constant)}")
+        lines.append(f"constant = {_cell(report.constant)}")
     if report.gamma is not None:
-        print(f"gamma = {_cell(report.gamma)}")
-    for key in sorted(report.detail):
-        print(f"{key} = {_cell(report.detail[key])}")
+        lines.append(f"gamma = {_cell(report.gamma)}")
+    lines += [f"{key} = {_cell(report.detail[key])}"
+              for key in sorted(report.detail)]
+    _emit(args, lines)
     return 0
 
 

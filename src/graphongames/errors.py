@@ -6,11 +6,8 @@ class GraphonGameError(Exception):
 
 
 class MalformedPartition(GraphonGameError):
-    """Breakpoints are not a strictly increasing partition of [0, 1]."""
-
-
-class EmptyVector(GraphonGameError):
-    """An equilibrium vector with no entries was supplied."""
+    """A step function's breakpoints are not a strictly increasing partition
+    of [0, 1], or its values are not one finite number per interval."""
 
 
 class OutOfDomain(GraphonGameError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyVector, MalformedPartition, OutOfDomain
+from .errors import MalformedPartition, OutOfDomain
 
 # Absolute tolerance for coalescing near-duplicate breakpoints when merging
 # partitions; guards against floating-point duplication when, for example,
@@ -47,7 +47,9 @@ class PiecewiseConstantFn:
             )
         if not np.all(np.diff(bp) > 0.0):
             raise MalformedPartition("breakpoints must be strictly increasing")
-        if vals.ndim != 1 or vals.size != bp.size - 1:
+        if vals.ndim != 1:
+            raise MalformedPartition("values must be one-dimensional")
+        if vals.size != bp.size - 1:
             raise MalformedPartition(
                 f"expected {bp.size - 1} values, got {vals.size}"
             )
@@ -55,10 +57,6 @@ class PiecewiseConstantFn:
             raise MalformedPartition("values must be finite")
         self.breakpoints = bp
         self.values = vals
-
-    @classmethod
-    def constant(cls, value: float) -> "PiecewiseConstantFn":
-        return cls(np.array([0.0, 1.0]), np.array([float(value)]))
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
@@ -83,10 +81,9 @@ class PiecewiseConstantFn:
 
 def interpolate_equilibrium(s) -> PiecewiseConstantFn:
     """Embed a length-N strategy vector as a step function on the regular
-    grid {i/N}, assigning each entry equal weight 1/N."""
+    grid {i/N}, assigning each entry equal weight 1/N. An empty or
+    multi-dimensional vector raises MalformedPartition."""
     vals = np.asarray(s, dtype=float)
-    if vals.ndim != 1 or vals.size == 0:
-        raise EmptyVector("need at least one strategy entry")
     return PiecewiseConstantFn(np.linspace(0.0, 1.0, vals.size + 1), vals)
 
 

@@ -45,9 +45,6 @@ class StrategySet:
     def width(self) -> float:
         return self.upper - self.lower
 
-    def clamp(self, s):
-        return np.clip(s, self.lower, self.upper)
-
     def is_interior(self, values) -> bool:
         """True iff every value keeps a distance > INTERIOR_REL_TOL * width
         from both bounds."""

@@ -63,17 +63,6 @@ class Graphon:
         idx = np.searchsorted(self.bounds, xs, side="right") - 1
         return np.clip(idx, 0, self.pi.size - 1)
 
-    def __call__(self, x, y):
-        """Kernel value W(x, y)."""
-        val = self.q[self.cell_index(x), self.cell_index(y)]
-        return float(val) if np.ndim(val) == 0 else val
-
-    def pairwise(self, xs, ys) -> np.ndarray:
-        """Matrix of kernel values W(xs_i, ys_j)."""
-        i = np.atleast_1d(self.cell_index(xs))
-        j = np.atleast_1d(self.cell_index(ys))
-        return self.q[i[:, None], j[None, :]]
-
     def eigen(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues in ascending order, orthonormal eigenvectors as
         columns) of the symmetrized cell matrix sqrt(w_i) K_ij sqrt(w_j),
@@ -109,10 +98,3 @@ class GridGraphon(Graphon):
     def from_csv(cls, path) -> "GridGraphon":
         """Load an M x M comma-separated matrix of kernel values."""
         return cls(np.loadtxt(path, delimiter=",", ndmin=2))
-
-    @classmethod
-    def from_kernel(cls, graphon: Graphon, m: int = 1000) -> "GridGraphon":
-        """Rasterize another kernel onto the M-cell grid by sampling at cell
-        centers. Exact when the grid refines the source kernel's partition."""
-        centers = (np.arange(m) + 0.5) / m
-        return cls(graphon.pairwise(centers, centers))

@@ -262,6 +262,9 @@ class TestMalformedInput:
             (["experiment"], None, {"graphon": NAN_PI}),
             (["validate"], None, {"graphon": NAN_Q}),
             (["experiment"], None, {"graphon": NAN_Q}),
+            (["experiment"], None, {"n_list": [0]}),
+            (["experiment"], None, {"runs_per_n": -1}),
+            (["validate"], None, "- 1\n- 2\n"),
         ],
         ids=[
             "eta-not-a-number",
@@ -285,11 +288,21 @@ class TestMalformedInput:
             "experiment-nan-community-weights",
             "validate-nan-kernel-value",
             "experiment-nan-kernel-value",
+            "experiment-zero-network-size",
+            "experiment-negative-runs",
+            "validate-config-not-a-mapping",
         ],
     )
     def test_exits_1_without_traceback(self, tmp_path, capsys, command,
                                        observation, overrides):
-        config = SHIPPED if overrides is None else write_config(tmp_path, overrides)
+        if overrides is None:
+            config = SHIPPED
+        elif isinstance(overrides, str):  # the whole file
+            config = str(tmp_path / "config.yaml")
+            with open(config, "w") as fh:
+                fh.write(overrides)
+        else:
+            config = write_config(tmp_path, overrides)
         argv = command + ["--config", config, "--out", str(tmp_path / "out")]
         if observation is not None:
             path = tmp_path / "obs.txt"
@@ -382,6 +395,20 @@ class TestSampleAndExperiment:
         main(["experiment", "--config", path, "--seed", "99",
               "--out", str(tmp_path / "b.csv")])
         assert (tmp_path / "a.csv").read_text() != (tmp_path / "b.csv").read_text()
+
+
+class TestOut:
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["estimate", "--n", "60"], ["diagnose"]])
+    def test_out_holds_the_lines_and_stdout_is_empty(self, tmp_path, capsys,
+                                                     command):
+        path = write_config(tmp_path)
+        assert main(command + ["--config", path]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        assert main(command + ["--config", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed and printed.count("\n") >= 4
 
 
 class TestDiagnose:

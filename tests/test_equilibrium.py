@@ -7,7 +7,6 @@ from graphongames import (
     ConstantGraphon,
     Equilibrium,
     Graphon,
-    GridGraphon,
     LQHomogeneous,
     LQSBM,
     NoConvergence,
@@ -34,8 +33,8 @@ from graphongames.equilibrium import (
     second_derivative_values,
     solve_values,
 )
-from conftest import (ETA4, PI2, Q2, random_block_kernel, smooth_grid_kernel,
-                      wide_homogeneous)
+from conftest import (ETA4, PI2, Q2, random_block_kernel, rasterize,
+                      smooth_grid_kernel, wide_homogeneous)
 
 # Frozen from the hand 2x2 solve: (I - M) s = 1 with M = [[0.2, 0.05],
 # [0.05, 0.1]] gives s = (0.95, 0.85) / 0.7175.
@@ -206,6 +205,9 @@ class TestFixedPoint:
     def test_eta_outside_box_rejected(self, sbm4, sbm4_game):
         with pytest.raises(ParameterOutOfBox):
             solve_fixed_point(sbm4, sbm4_game, [2.0, 0.6, 1.0, 0.8])
+        # the game's cell_thetas refuses a parameter of the wrong length
+        with pytest.raises(ParameterOutOfBox, match="length 4"):
+            solve_fixed_point(sbm4, sbm4_game, ETA4[:3])
 
     def test_no_convergence_on_impossible_tolerance(self, sbm4, sbm4_game):
         with pytest.raises(NoConvergence):
@@ -291,7 +293,7 @@ class TestGradients:
             assert np.abs(fd[:, i] - analytic[:, i]).max() / scale <= 1e-5
 
     def test_grid_graphon_gradient(self):
-        g = GridGraphon.from_kernel(Graphon(Q2, PI2), 10)
+        g = rasterize(Graphon(Q2, PI2), 10)
         spec = wide_homogeneous()
         eta = np.array([1.1, 0.8])
         _, _, analytic = gradient_values(g, spec, eta)

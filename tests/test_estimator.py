@@ -9,6 +9,7 @@ from scipy.optimize import least_squares
 from graphongames import (
     ConstantGraphon,
     ExperimentConfig,
+    Graphon,
     GridGraphon,
     LQHomogeneous,
     LQSBM,
@@ -26,10 +27,13 @@ from graphongames import (
     model_equilibrium_fn,
     objective,
     objective_gradient,
+    observe,
     run_experiment,
+    sample_network,
+    solve_network_game,
 )
 from graphongames.equilibrium import gradient_values
-from graphongames.estimator import EstimateOptions
+from graphongames.estimator import EstimateOptions, _statistic
 from conftest import (ETA4, PI4, Q2, Q4, random_block_kernel, shifted,
                       smooth_grid_kernel)
 
@@ -94,7 +98,7 @@ class TestObjectiveGradient:
             strategy_set=StrategySet(0.0, 1.5),
             xi=ParameterBox(np.array([0.0, 0.0]), np.array([3.0, 1.5])),
         )
-        obs = PiecewiseConstantFn.constant(1.0)
+        obs = PiecewiseConstantFn([0, 1], [1.0])
         with pytest.raises(NotInterior):
             objective_gradient(obs, g, spec, [1.0, 1.0])
 
@@ -212,7 +216,7 @@ class TestEstimate:
             strategy_set=StrategySet(0.0, 10.0),
             xi=ParameterBox(np.array([0.1, 0.0]), np.array([2.0, 2.0])),
         )
-        obs = PiecewiseConstantFn.constant(1.0)
+        obs = PiecewiseConstantFn([0, 1], [1.0])
         with pytest.raises(NotAContraction):
             estimate(obs, g, spec)
 
@@ -294,6 +298,19 @@ class TestEstimate:
         result = estimate(obs, sbm4, sbm4_game, opts)
         assert not result.converged
         assert result.gradient_norm > opts.gtol
+
+    def test_bound_at_the_estimate_is_not_certified(self, sbm4, sbm4_game):
+        # the [0, 10] game's equilibrium at ETA4 reads 1.232, 1.049, 1.082
+        # and 1.203, so on [0, 1.1] the resolvent at the estimate leaves
+        # the strategy set
+        tight = LQSBM(theta1=1.0, strategy_set=StrategySet(0.0, 1.1),
+                      xi=sbm4_game.xi)
+        obs = model_equilibrium_fn(sbm4, sbm4_game, ETA4)
+        result = estimate(obs, sbm4, tight)
+        assert np.abs(result.eta_hat - ETA4).max() <= 1e-14
+        assert np.isnan(result.hessian_min_eig)
+        assert not result.converged
+        assert result.iterations_total == 1
 
     def test_gradient_smoothness_bounded_quotients(self, sbm4, sbm4_game):
         rng = np.random.default_rng(41)
@@ -488,6 +505,21 @@ class TestMomentStart:
                 compared += 1
                 assert np.abs(result.eta_hat - oracle).max() <= 1e-7
         assert compared >= 10
+
+
+@pytest.mark.parametrize("n", [100, 400, 1601])
+def test_statistic_on_the_realized_kernel_sums_each_cells_agents(
+        sbm4, sbm4_game, n):
+    # the step graphon at the realized masses, Graphon(q, counts / N), has
+    # the agents' blocks on the grid {i/N} as its cells: a cut rule is a
+    # kernel, read by the one statistic
+    net = sample_network(sbm4, n, seed=n)
+    neq = solve_network_game(net, sbm4_game, ETA4)
+    counts = np.bincount(sbm4.cell_index(net.labels), minlength=4)
+    root_w, target, _ = _statistic(observe(net, neq), Graphon(Q4, counts / n))
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    sums = np.add.reduceat(neq.strategies, starts) / n
+    assert np.all(np.abs(root_w * target - sums) <= 1e-14 * np.abs(sums))
 
 
 def test_forty_communities_validate_and_estimate_in_under_a_second():

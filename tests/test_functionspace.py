@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import graphongames
 from graphongames import (
-    EmptyVector,
     MalformedPartition,
     OutOfDomain,
     PiecewiseConstantFn,
@@ -70,6 +69,9 @@ class TestMakePiecewise:
     def test_non_monotone_rejected(self):
         with pytest.raises(MalformedPartition):
             PiecewiseConstantFn([0, 1, 0.5], [1.0, 0.0])
+        # endpoints in place, so the order check itself refuses it
+        with pytest.raises(MalformedPartition, match="strictly increasing"):
+            PiecewiseConstantFn([0, 0.5, 0.5, 1], [1.0, 0.0, 2.0])
 
     def test_endpoint_mismatch_rejected(self):
         with pytest.raises(MalformedPartition):
@@ -80,13 +82,18 @@ class TestMakePiecewise:
     def test_length_mismatch_rejected(self):
         with pytest.raises(MalformedPartition):
             PiecewiseConstantFn([0, 0.5, 1], [1.0])
+        # six values for six intervals, but not as a vector
+        with pytest.raises(MalformedPartition, match="one-dimensional"):
+            PiecewiseConstantFn(np.linspace(0, 1, 7), np.ones((2, 3)))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(MalformedPartition):
             PiecewiseConstantFn([0, 1], [np.inf])
+        with pytest.raises(MalformedPartition, match="breakpoints"):
+            PiecewiseConstantFn([0, np.nan, 1], [1.0, 0.0])
 
     def test_out_of_domain_evaluation(self):
-        f = PiecewiseConstantFn.constant(1.0)
+        f = PiecewiseConstantFn([0, 1], [1.0])
         with pytest.raises(OutOfDomain):
             f(-0.1)
         with pytest.raises(OutOfDomain):
@@ -109,7 +116,7 @@ class TestInterpolate:
             assert np.all(f(xs) == 4.2)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyVector):
+        with pytest.raises(MalformedPartition):
             interpolate_equilibrium([])
 
 
@@ -120,7 +127,7 @@ class TestL2Distance:
 
     def test_unit_step_half_interval(self):
         f = PiecewiseConstantFn([0, 0.5, 1], [1.0, 0.0])
-        g = PiecewiseConstantFn.constant(0.0)
+        g = PiecewiseConstantFn([0, 1], [0.0])
         assert l2_distance(f, g) == pytest.approx(np.sqrt(0.5), abs=1e-15)
 
     def test_interleaved_vs_riemann_oracle(self):
@@ -219,6 +226,6 @@ class TestMergingAndHelpers:
 
     def test_integral_and_norm(self):
         f = PiecewiseConstantFn([0, 0.5, 1], [1.0, 3.0])
-        zero = PiecewiseConstantFn.constant(0.0)
+        zero = PiecewiseConstantFn([0, 1], [0.0])
         assert cell_integrals(f, np.array([0.0, 1.0])) == pytest.approx([2.0], abs=1e-15)
         assert l2_distance(f, zero) == pytest.approx(np.sqrt(5.0), abs=1e-15)

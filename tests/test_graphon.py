@@ -11,7 +11,7 @@ from graphongames import (
     estimate,
     model_equilibrium_fn,
 )
-from conftest import ETA4, PI4, Q2, PI2, Q4, smooth_grid_kernel
+from conftest import ETA4, PI4, Q2, PI2, Q4, rasterize, smooth_grid_kernel
 
 
 def random_sbm(rng, k=None):
@@ -23,33 +23,41 @@ def random_sbm(rng, k=None):
 
 
 class TestEval:
+    """A kernel value is read through the cell lookup, W(x, y) =
+    q[cell_index(x), cell_index(y)], which the sampler and the finite game
+    use."""
+
     def test_constant(self):
         g = ConstantGraphon(0.3)
-        for x, y in [(0.0, 0.0), (0.2, 0.9), (1.0, 1.0)]:
-            assert g(x, y) == 0.3
+        assert np.array_equal(g.cell_index([0.0, 0.2, 0.9, 1.0]), [0, 0, 0, 0])
 
     def test_benchmark_cross_community_zero(self, sbm4):
         # x = 0.1 is in the first community, y = 0.9 in the fourth
-        assert sbm4(0.1, 0.9) == 0.0
-        assert sbm4(0.1, 0.1) == 0.9
-        assert sbm4(0.3, 0.3) == 0.2
+        c = sbm4.cell_index([0.1, 0.3, 0.9])
+        assert np.array_equal(c, [0, 1, 3])
+        assert sbm4.q[c[0], c[2]] == 0.0
+        assert sbm4.q[c[0], c[0]] == 0.9
+        assert sbm4.q[c[1], c[1]] == 0.2
 
     def test_symmetry_random_pairs(self, sbm4):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            x, y = rng.random(2)
-            assert sbm4(x, y) == sbm4(y, x)
+        c = sbm4.cell_index(np.random.default_rng(5).random(50))
+        values = sbm4.q[np.ix_(c, c)]
+        assert np.array_equal(values, values.T)
 
     def test_boundary_belongs_to_last_interval(self, sbm4):
-        assert sbm4(1.0, 1.0) == Q4[3, 3]
+        assert sbm4.cell_index(1.0) == 3
+        assert sbm4.q[sbm4.cell_index(1.0), sbm4.cell_index(1.0)] == Q4[3, 3]
+        # every other cell holds its left bound and not its right one
+        inner = sbm4.bounds[1:-1]
+        assert np.array_equal(sbm4.cell_index(inner), [1, 2, 3])
+        assert np.array_equal(sbm4.cell_index(np.nextafter(inner, 0.0)),
+                              [0, 1, 2])
+        assert sbm4.cell_index(0.0) == 0
 
     def test_out_of_domain(self, sbm4):
-        with pytest.raises(OutOfDomain):
-            sbm4(-0.01, 0.5)
-        with pytest.raises(OutOfDomain):
-            sbm4(0.5, 1.01)
-        with pytest.raises(OutOfDomain):
-            sbm4(np.nan, 0.1)
+        for x in (-0.01, 1.01, np.nan, [0.5, np.nan]):
+            with pytest.raises(OutOfDomain):
+                sbm4.cell_index(x)
 
 
 def cell_averages(g, f):
@@ -123,7 +131,7 @@ class TestLambdaMax:
 
     def test_grid_matches_sbm_at_refining_resolutions(self, sbm4, sbm2):
         for g, res in [(sbm4, 8), (sbm4, 40), (sbm2, 6), (sbm2, 30)]:
-            grid = GridGraphon.from_kernel(g, res)
+            grid = rasterize(g, res)
             assert grid.lambda_max() == pytest.approx(g.lambda_max(), abs=1e-9)
 
     def test_one_eigensolve_per_instance(self, monkeypatch, homogeneous_game):
@@ -165,7 +173,7 @@ class TestSupDegree:
         rng = np.random.default_rng(13)
         graphons = [sbm4, sbm2, ConstantGraphon(0.3)]
         graphons += [random_sbm(rng) for _ in range(10)]
-        graphons += [GridGraphon.from_kernel(random_sbm(rng), 16) for _ in range(3)]
+        graphons += [rasterize(random_sbm(rng), 16) for _ in range(3)]
         for g in graphons:
             assert max_row_sum(g) >= g.lambda_max() - 1e-12
 
@@ -223,7 +231,7 @@ class TestGridIO:
         assert g.pi.size == 2
 
     def test_rasterization_values(self, sbm2):
-        grid = GridGraphon.from_kernel(sbm2, 4)
+        grid = rasterize(sbm2, 4)
         assert grid.q[0, 0] == Q2[0, 0]
         assert grid.q[0, 3] == Q2[0, 1]
         assert grid.q[3, 3] == Q2[1, 1]

@@ -47,7 +47,8 @@ def triu_sampler(g, n, seed):
     N(N-1)/2 uniforms at once, scattered in row-major upper-triangle order."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     labels = np.sort(rng.random(n))
-    probs = g.pairwise(labels, labels)
+    c = g.cell_index(labels)
+    probs = g.q[np.ix_(c, c)]
     iu, ju = np.triu_indices(n, k=1)
     edges = (rng.random(iu.size) < probs[iu, ju]).astype(np.int8)
     adjacency = np.zeros((n, n), dtype=np.int8)
@@ -533,6 +534,16 @@ class TestSolverRoute:
             _, iterations = projected_iterate(net, sbm4_game, ETA4, 1e-10)
             assert eq.route == "cg" and 2 * eq.iterations <= iterations
 
+    def test_cg_out_of_steps_hands_over_to_the_projected_loop(
+            self, sbm4, sbm4_game):
+        # CG takes 6 steps here; with a cap of 5 it hands over, and the
+        # projected loop hits the same cap
+        net = sample_network(sbm4, 400, seed=3)
+        with pytest.raises(NoConvergence):
+            solve_network_game(net, sbm4_game, ETA4, max_iter=5)
+        eq = solve_network_game(net, sbm4_game, ETA4, max_iter=6)
+        assert eq.route == "cg" and eq.iterations == 6
+
     def assert_projected(self, net, spec, eta):
         eq = solve_network_game(net, spec, eta)
         s, iterations = projected_iterate(net, spec, eta, 1e-10)
@@ -630,7 +641,7 @@ class TestObserve:
         net = sample_network(sbm4, 64, seed=8)
         eq = solve_network_game(net, sbm4_game, ETA4)
         obs = observe(net, eq)
-        assert l2_distance(obs, PiecewiseConstantFn.constant(0.0)) == pytest.approx(
+        assert l2_distance(obs, PiecewiseConstantFn([0, 1], [0.0])) == pytest.approx(
             np.linalg.norm(eq.strategies) / np.sqrt(64), rel=1e-12
         )
 
