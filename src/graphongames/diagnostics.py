@@ -135,12 +135,14 @@ def empirical_identifiability_test(g: Graphon, spec: LQAffine, eta_bar,
         raise ValueError("the stability constant must be positive")
     eta_bar = np.asarray(eta_bar, dtype=float)
     solve = _kernel_resolvent(g, spec)
+    # the solver's coordinates are L2-orthonormal: the L2 distance of two
+    # equilibria is the Euclidean distance of their coordinates
     s_bar, _ = solve(eta_bar, 0)
     rng = np.random.default_rng(seed)
     violations = 0
     for eta in spec.xi.sample(rng, samples):
         s, _ = solve(eta, 0)
-        dist = float(np.sqrt(np.dot(g.pi, (s - s_bar) ** 2)))
+        dist = float(np.linalg.norm(s - s_bar))
         if float(np.linalg.norm(eta - eta_bar)) > constant * dist:
             violations += 1
     return violations
@@ -155,14 +157,14 @@ def fd_check(g: Graphon, spec: LQAffine, eta, order: int = 1) -> float:
     absolutely. Refuses at non-interior equilibria.
     """
     eta = np.asarray(eta, dtype=float)
-    solve = _kernel_resolvent(g, spec)
-    s0, _, grad, hess = solve(eta, 2)
+    solver = _kernel_resolvent(g, spec)
+    s0, _, grad, hess = solver.cells(solver(eta, 2))
     if not spec.strategy_set.is_interior(s0):
         raise NotInterior("equilibrium touches a strategy bound")
     n = eta.size
 
     def solve_at(e):
-        return solve(e, 0)[0]
+        return solver.cells(solver(e, 0))[0]
 
     worst = 0.0
     if order == 1:

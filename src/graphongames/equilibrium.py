@@ -13,19 +13,23 @@ kernel, so both games share one engine and return one record,
   valid where no strategy bound binds, and its derivatives in eta by the
   resolvent identities, one multi-right-hand-side solve per order, exact
   at machine precision. They are written once on two operations, "apply
-  V^{-1}" and "apply A": ``_resolvent`` passes an LU solve and a product
-  with an operator matrix (a kernel's, or P / N on a network), a kernel's
-  cached eigenbasis two diagonal scalings.
+  V^{-1}" and "apply A": a kernel's solver passes an LU solve and a
+  product with its symmetrized cell matrix, or its cached eigenbasis's two
+  diagonal scalings.
 
 Every closed form on a kernel goes through one solver built once per
 (kernel, game), ``_kernel_resolvent``, which checks the spectral condition
 at every eta and takes the eigenbasis where theta2 is the same on every
-cell.
+cell. It answers in its own L2-orthonormal coordinates, where the
+estimator's objective and its derivatives are plain dot products; cell
+values are formed only where a caller asks for them
+(``_KernelResolvent.cells``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -100,7 +104,7 @@ def _project(response, size: int, lo: float, hi: float, tol: float,
     )
 
 
-def _identities(solve, apply, b1, d1, d2, eta, order: int, to_cells=list):
+def _identities(solve, apply, b1, d1, d2, eta, order: int, pairs):
     """The resolvent identities, written once for every basis.
 
     With V = I - diag(theta2) A, ``solve`` applies V^{-1} and ``apply``
@@ -114,86 +118,120 @@ def _identities(solve, apply, b1, d1, d2, eta, order: int, to_cells=list):
         V ds/deta_i = D1_i + D2_i * z,
         V d2s/deta_i deta_j = D2_i * (A ds/deta_j) + D2_j * (A ds/deta_i),
 
-    each order one multi-right-hand-side solve. ``to_cells`` maps the list
-    of results to the cells. Hessian pairs are solved once for i <= j and
+    each order one multi-right-hand-side solve. Hessian pairs are solved
+    once for the i <= j index ``pairs`` (``np.triu_indices(n_params)``) and
     mirrored, so it is exactly symmetric.
     """
     s = solve(b1 + d1 @ eta)
     z = apply(s)
-    out = [s, z]
-    if order >= 1:
-        out.append(solve(d1 + d2 * z[:, None]))
-    if order == 2:
-        ag = apply(out[2])
-        i, j = np.triu_indices(eta.size)
-        out.append(solve(d2[:, i] * ag[:, j] + d2[:, j] * ag[:, i]))
-    out = to_cells(out)
-    if order == 2:
-        pairs = out.pop()
-        hess = np.empty((eta.size, eta.size, pairs.shape[0]))
-        hess[i, j] = hess[j, i] = pairs.T
-        out.append(hess)
-    return tuple(out)
+    if order == 0:
+        return s, z
+    grad = solve(d1 + d2 * z[:, None])
+    if order == 1:
+        return s, z, grad
+    ag = apply(grad)
+    i, j = pairs
+    upper = solve(d2[:, i] * ag[:, j] + d2[:, j] * ag[:, i])
+    return s, z, grad, _mirror(upper, pairs, eta.size)
 
 
-def _resolvent(a: np.ndarray, maps, eta, order: int):
-    """:func:`_identities` by LU on an operator matrix ``a`` (a kernel's on
-    its natural partition, or P / N on a network), with ``maps`` =
-    (b1, D1, b2, D2) the game's affine maps read at its cells. Each
-    ``np.linalg.solve`` factors V afresh, so an order-k call factors it
-    k + 1 times.
+def _mirror(upper, pairs, size: int) -> np.ndarray:
+    """The (size, size, n) array, exactly symmetric in its first two axes,
+    whose (i, j) and (j, i) entries are column k of ``upper`` for the k-th
+    pair (i, j) of ``pairs``."""
+    i, j = pairs
+    out = np.empty((size, size, upper.shape[0]))
+    out[i, j] = out[j, i] = upper.T
+    return out
+
+
+@dataclass(frozen=True)
+class _KernelResolvent:
+    """The interior solve on a kernel's cells for one game, built once by
+    :func:`_kernel_resolvent`. ``solver(eta, order)`` gives
+    :func:`_identities`' outputs in the solver's own L2-orthonormal
+    coordinates: a cell vector x has coordinates basis^T (root_w * x),
+    root_w = sqrt(w), with ``basis`` orthogonal. There the w-weighted inner
+    products of the cells are plain dot products. :meth:`cells` maps
+    outputs back to the cells.
+
+    ``maps`` are (b1, D1, b2, D2) and ``apply`` is the operator A, in those
+    coordinates; ``inverse(theta2)`` gives "apply V^{-1}". Each call
+    raises :class:`NotAContraction` where the contraction margin at eta is
+    not positive (:func:`require_contraction`).
     """
-    eta = np.asarray(eta, dtype=float)
-    b1, d1, b2, d2 = maps
-    v = np.eye(a.shape[0]) - (b2 + d2 @ eta)[:, None] * a
-    return _identities(lambda x: np.linalg.solve(v, x), lambda x: a @ x,
-                       b1, d1, d2, eta, order)
+
+    g: Graphon
+    spec: LQAffine
+    basis: np.ndarray
+    root_w: np.ndarray
+    maps: tuple
+    apply: Callable
+    inverse: Callable
+    pairs: tuple
+
+    def __call__(self, eta, order: int):
+        eta = np.asarray(eta, dtype=float)
+        require_contraction(self.spec, self.g, eta)
+        b1, d1, b2, d2 = self.maps
+        return _identities(self.inverse(b2 + d2 @ eta), self.apply, b1, d1,
+                           d2, eta, order, self.pairs)
+
+    def cells(self, solved) -> tuple:
+        """The leading outputs ``solved`` of a call, (s, z[, gradient[,
+        hessian]]), on the cells: one product with the basis, divided by
+        root_w. The hessian's i <= j pairs are mapped and mirrored."""
+        p = self.maps[1].shape[1]
+        flat = [*solved[:3], *(h[self.pairs].T for h in solved[3:])]
+        out = self.basis @ np.column_stack(flat) / self.root_w[:, None]
+        cells = [out[:, 0], out[:, 1], out[:, 2:2 + p]][:len(solved)]
+        if len(solved) == 4:
+            cells.append(_mirror(out[:, 2 + p:], self.pairs, p))
+        return tuple(cells)
 
 
-def _kernel_resolvent(g: Graphon, spec: LQAffine):
+def _kernel_resolvent(g: Graphon, spec: LQAffine) -> _KernelResolvent:
     """The interior solve on ``g``'s natural partition for one game, built
-    once: returns ``solve(eta, order)`` with :func:`_identities`' outputs.
-    Each call raises :class:`NotAContraction` where the contraction margin
-    at eta is not positive (:func:`require_contraction`).
+    once.
 
     When theta2 is the same on every cell for every eta (b2 constant, each
     column of D2 constant), V = I - t A is diagonal in the kernel's cached
     eigenbasis (:meth:`Graphon.eigen`, A = R^-1 Q diag(lam) Q^T R with
-    R = diag(sqrt(w))). On the coordinates Q^T R x, V^{-1} scales by
-    1 / (1 - t lam) and A by lam; b1 and D1 are projected once, and one
-    product with R^-1 Q maps every order back to the cells. Any other game
-    takes :func:`_resolvent` on the operator matrix.
+    R = diag(sqrt(w))). The coordinates are Q^T R x: V^{-1} scales by
+    1 / (1 - t lam) and A by lam, and b1 and D1 are projected once. Any
+    other game is solved by LU on the coordinates R x, where A is the
+    symmetric R q R; each ``np.linalg.solve`` factors V afresh, so an
+    order-k call factors it k + 1 times.
     """
-    maps = spec.affine_maps(g)
-    b1, d1, b2, d2 = maps
-
-    def check(eta):
-        eta = np.asarray(eta, dtype=float)
-        require_contraction(spec, g, eta)
-        return eta
-
-    if not ((d2 == d2[0]).all() and (b2 == b2[0]).all()):
-        a = g.operator_matrix()
-        return lambda eta, order: _resolvent(a, maps, check(eta), order)
-
-    evals, q = g.eigen()
+    b1, d1, b2, d2 = spec.affine_maps(g)
     root_w = np.sqrt(g.pi)
-    proj = q.T @ (root_w[:, None] * np.column_stack([b1, d1]))
-    p = d1.shape[1]
+    if (spec.d2 == spec.d2[0]).all() and (spec.b2 == spec.b2[0]).all():
+        evals, basis = g.eigen()
+        proj = basis.T @ (root_w[:, None] * np.column_stack([b1, d1]))
+        maps = proj[:, 0], proj[:, 1:], b2[:1], d2[:1]
 
-    def to_cells(coords):
-        out = (q @ np.column_stack(coords)) / root_w[:, None]
-        cells = [out[:, 0], out[:, 1], out[:, 2:2 + p], out[:, 2 + p:]]
-        return cells[:len(coords)]
+        def apply(x):
+            return (evals * x.T).T
 
-    def solve(eta, order: int):
-        eta = check(eta)
-        u = 1.0 / (1.0 - (b2[0] + d2[0] @ eta) * evals)
-        return _identities(lambda x: (u * x.T).T, lambda x: (evals * x.T).T,
-                           proj[:, 0], proj[:, 1:], d2[:1], eta, order,
-                           to_cells)
+        def inverse(theta2):
+            u = 1.0 / (1.0 - theta2 * evals)
+            return lambda x: (u * x.T).T
+    else:
+        basis = np.eye(root_w.size)
+        a = g.q * np.outer(root_w, root_w)
+        maps = root_w * b1, root_w[:, None] * d1, b2, d2
 
-    return solve
+        def apply(x):
+            return a @ x
+
+        def inverse(theta2):
+            v = np.eye(root_w.size) - theta2[:, None] * a
+            return lambda x: np.linalg.solve(v, x)
+
+    # np.triu_indices(p), whose own overhead is about that of a solve
+    k = np.arange(d1.shape[1])
+    return _KernelResolvent(g, spec, basis, root_w, maps, apply, inverse,
+                            np.nonzero(k[:, None] <= k))
 
 
 def solve_fixed_point(g: Graphon, spec: LQAffine, eta,
@@ -220,24 +258,28 @@ def solve_fixed_point(g: Graphon, spec: LQAffine, eta,
 
 
 # Array-level closed forms on the natural partition, each one solve of a
-# _kernel_resolvent built for the call. They solve the unconstrained
-# (interior) system without box or interiority checks. The estimator and
-# the finite-difference checks build the solver once and call it directly.
+# _kernel_resolvent built for the call, mapped to the cells. They solve the
+# unconstrained (interior) system without box or interiority checks. The
+# estimator and the finite-difference checks build the solver once and call
+# it directly.
 
 def solve_values(g: Graphon, spec: LQAffine, eta):
     """(strategy values, aggregate values) of the interior equilibrium on
     the kernel's natural partition."""
-    return _kernel_resolvent(g, spec)(eta, 0)
+    solver = _kernel_resolvent(g, spec)
+    return solver.cells(solver(eta, 0))
 
 
 def gradient_values(g: Graphon, spec: LQAffine, eta):
     """(strategy, aggregate, gradient) arrays; gradient has one column per
     parameter coordinate."""
-    return _kernel_resolvent(g, spec)(eta, 1)
+    solver = _kernel_resolvent(g, spec)
+    return solver.cells(solver(eta, 1))
 
 
 def second_derivative_values(g: Graphon, spec: LQAffine, eta):
     """(strategy, aggregate, gradient, hessian) arrays; hessian has shape
     (n_params, n_params, n_cells) and is exactly symmetric in its first two
     axes."""
-    return _kernel_resolvent(g, spec)(eta, 2)
+    solver = _kernel_resolvent(g, spec)
+    return solver.cells(solver(eta, 2))

@@ -5,17 +5,18 @@ of admissible parameters, where s_eta is the model equilibrium at eta.
 
 The model is constant on the kernel's cells (weights w), so the observation
 enters J only through its cell integrals a and c = int obs^2 - sum a_i^2/w_i:
-J = ||r||^2 + c with r = sqrt(w) s_eta - a/sqrt(w). One private core reads
-that statistic and the resolvent arrays s, G = ds/deta and d2s/deta2, and
-gives J, its gradient 2 (sqrt(w) G)^T r and its Hessian, a Gauss-Newton
-term 2 (sqrt(w) G)^T (sqrt(w) G) plus the curvature term
-2 sum_k sqrt(w_k) r_k d2s_k. ``objective``, ``objective_gradient`` and
-``hessian`` are thin wrappers over it.
+J = ||r||^2 + c with r = sqrt(w) s_eta - a/sqrt(w). Any orthonormal basis
+keeps ||r||, so J is formed in the coordinates the kernel's solver works in
+(``equilibrium._kernel_resolvent``): the statistic is projected there once
+per estimate, and s, G = ds/deta and d2s/deta2 never leave them. One
+private core gives J, its gradient 2 G^T r and its Hessian, a Gauss-Newton
+term 2 G^T G plus the curvature term 2 sum_k r_k d2s_k. ``objective``,
+``objective_gradient`` and ``hessian`` are thin wrappers over it.
 
 The estimate is a projected Newton iteration on the box (Bertsekas 1982,
 SIAM J. Control Optim.) with J's exact Hessian. It starts at the moment
 estimate: at the observed cell means m = a/w, with z = A m for the
-kernel's operator matrix A, the equilibrium condition m = theta1(eta) +
+kernel's operator A, the equilibrium condition m = theta1(eta) +
 theta2(eta) z is affine in eta, and its least-squares solution weighted by
 w, clipped into the box, is the reduced-form moment estimator of
 linear-in-means peer effects (Bramoulle, Djebbari & Fortin 2009, J.
@@ -46,7 +47,7 @@ from .errors import NotInterior
 from .functionspace import PiecewiseConstantFn, cell_integrals
 from .game import LQAffine, require_contraction
 from .graphon import Graphon
-from .equilibrium import _kernel_resolvent, solve_values
+from .equilibrium import _KernelResolvent, _kernel_resolvent, solve_values
 
 # the sufficient-decrease fraction of the Armijo backtracking rule, and the
 # relative change of J within which the rule reads J's change off its
@@ -91,38 +92,38 @@ def model_equilibrium_fn(g: Graphon, spec: LQAffine, eta) -> PiecewiseConstantFn
 
 
 def _statistic(observed: PiecewiseConstantFn,
-               g: Graphon) -> tuple[np.ndarray, np.ndarray, float]:
-    """The observation's sufficient statistic on ``g``'s cells:
-    (root_w, target, offset) with root_w = sqrt(w), target = a / sqrt(w) and
-    offset = c, so that J(eta) = ||root_w * s_eta - target||^2 + offset."""
-    root_w = np.sqrt(g.pi)
-    target = cell_integrals(observed, g.bounds) / root_w
+               solver: _KernelResolvent) -> tuple[np.ndarray, float]:
+    """The observation's sufficient statistic on the solver's cells, in its
+    coordinates: (target, offset) with target the coordinates of the cell
+    means a / w and offset = c, so that J(eta) = ||s_eta - target||^2 +
+    offset with s_eta in the same coordinates."""
+    target = cell_integrals(observed, solver.g.bounds) / solver.root_w
     v = observed.values
     # a pairwise sum, not a BLAS dot, so J does not depend on the BLAS
     # thread count
     offset = float((np.diff(observed.breakpoints) * v * v).sum()
                    - target @ target)
-    return root_w, target, offset
+    return solver.basis.T @ target, offset
 
 
 def _j(stat, solved) -> list:
-    """[J] from one solve's outputs ``solved`` = (s, z, *derivs) of
-    ``_kernel_resolvent(g, spec)``, plus grad J when they hold G = ds/deta
-    and the Hessian H when they also hold d2s/deta2.
+    """[J] from one solve's outputs ``solved`` = (s, z, *derivs) of a
+    :func:`_kernel_resolvent`, in its coordinates, plus grad J when they
+    hold G = ds/deta and the Hessian H when they also hold d2s/deta2.
 
-    With r = root_w * s - target: J = ||r||^2 + offset (clamped at 0
-    against rounding), grad J = 2 (root_w G)^T r and H = 2 (root_w G)^T
-    (root_w G) + 2 sum_k root_w_k r_k d2s_k. H is exactly symmetric.
+    With r = s - target: J = ||r||^2 + offset (clamped at 0 against
+    rounding), grad J = 2 G^T r and H = 2 G^T G + 2 sum_k r_k d2s_k. H is
+    exactly symmetric.
     """
-    root_w, target, offset = stat
+    target, offset = stat
     s, _, *derivs = solved
-    r = root_w * s - target
+    r = s - target
     out = [max(float(r @ r) + offset, 0.0)]
     if derivs:
-        jac = root_w[:, None] * derivs[0]
+        jac = derivs[0]
         out.append(2.0 * (jac.T @ r))
     if len(derivs) == 2:
-        half = jac.T @ jac + derivs[1] @ (root_w * r)
+        half = jac.T @ jac + derivs[1] @ r
         out.append(half + half.T)
     return out
 
@@ -131,13 +132,15 @@ def _interior_j(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
                 eta, order: int) -> list:
     """:func:`_j` at eta from one solve of ``order``. The derivatives raise
     :class:`NotInterior` where the equilibrium touches a strategy bound."""
-    solved = _kernel_resolvent(g, spec)(eta, order)
-    if order and not spec.strategy_set.is_interior(solved[0]):
+    solver = _kernel_resolvent(g, spec)
+    solved = solver(eta, order)
+    if order and not spec.strategy_set.is_interior(
+            solver.cells(solved[:2])[0]):
         raise NotInterior(
             "equilibrium touches a strategy bound; derivative formulas "
             "are not valid there"
         )
-    return _j(_statistic(observed, g), solved)
+    return _j(_statistic(observed, solver), solved)
 
 
 def objective(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
@@ -166,20 +169,21 @@ def hessian(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
 
 def _newton_step(h, grad_j, jac, free) -> np.ndarray:
     """The projected Newton direction at a point where J has gradient
-    ``grad_j``, Hessian ``h`` and residual Jacobian ``jac`` = root_w G:
+    ``grad_j``, Hessian ``h`` and residual Jacobian ``jac`` = G:
     -H_FF^-1 grad_F on the ``free`` coordinates and 0 on the others. Where
     H_FF is not positive definite, the Gauss-Newton matrix 2 jac_F^T jac_F
     replaces it, solved by least squares: grad_F lies in its range, so even
     a singular one gives a descent direction."""
-    step = np.zeros_like(grad_j)
-    h_ff = h[np.ix_(free, free)]
+    if not free.all():
+        step = np.zeros_like(grad_j)
+        step[free] = _newton_step(h[np.ix_(free, free)], grad_j[free],
+                                  jac[:, free], free[free])
+        return step
     try:
-        np.linalg.cholesky(h_ff)
-        step[free] = np.linalg.solve(h_ff, -grad_j[free])
+        np.linalg.cholesky(h)
+        return np.linalg.solve(h, -grad_j)
     except np.linalg.LinAlgError:
-        gn = 2.0 * (jac[:, free].T @ jac[:, free])
-        step[free] = np.linalg.lstsq(gn, -grad_j[free], rcond=None)[0]
-    return step
+        return np.linalg.lstsq(2.0 * (jac.T @ jac), -grad_j, rcond=None)[0]
 
 
 def _decreases(j, grad_j, terms, move, predicted: float) -> bool:
@@ -228,19 +232,27 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
     ``hessian_min_eig`` is the smallest eigenvalue of the full Hessian, NaN
     where the equilibrium at the estimate touches a strategy bound.
     """
-    opts = options if options is not None else EstimateOptions()
     require_contraction(spec, g)
-    lo, hi = spec.xi.lower, spec.xi.upper
-    stat = _statistic(observed, g)
-    root_w, target, _ = stat
-    solve = _kernel_resolvent(g, spec)
+    solver = _kernel_resolvent(g, spec)
+    return _estimate(_statistic(observed, solver), solver,
+                     options if options is not None else EstimateOptions())
 
-    # the moment start: min ||root_w * ((D1 + z D2) eta - (m - b1 - b2 z))||
-    m = target / root_w
-    z = g.operator_matrix() @ m
-    b1, d1, b2, d2 = spec.affine_maps(g)
-    start = np.linalg.lstsq(root_w[:, None] * (d1 + z[:, None] * d2),
-                            root_w * (m - b1 - b2 * z), rcond=None)[0]
+
+def _estimate(stat, solver: _KernelResolvent,
+              opts: EstimateOptions) -> EstimationResult:
+    """:func:`estimate` on the observation's statistic ``stat``
+    (:func:`_statistic`) with ``solver`` built for the kernel and game,
+    whose box the caller has checked."""
+    spec = solver.spec
+    lo, hi = spec.xi.lower, spec.xi.upper
+    # the moment start, min ||(D1 + z D2) eta - (m - b1 - b2 z)|| at the
+    # observed cell means m (the target) and z = A m, all in the solver's
+    # coordinates
+    target = stat[0]
+    b1, d1, b2, d2 = solver.maps
+    z = solver.apply(target)
+    start = np.linalg.lstsq(d1 + z[:, None] * d2, target - b1 - b2 * z,
+                            rcond=None)[0]
     # each pass evaluates J, grad J and H at the trial point by one order-2
     # solve. The start is accepted; a later trial is accepted when it
     # gives the Armijo decrease, and otherwise alpha halves along the
@@ -251,7 +263,7 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
     eta = trial = np.clip(start, lo, hi)
     evaluations, alpha = 0, 1.0
     while True:
-        solved_trial = solve(trial, 2)
+        solved_trial = solver(trial, 2)
         evaluations += 1
         terms = _j(stat, solved_trial)
         if evaluations == 1 or _decreases(j, grad_j, terms, trial - eta,
@@ -264,14 +276,14 @@ def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
             # active: at a bound with the gradient pointing out of the box
             free = ~(((eta <= lo) & (grad_j > 0.0))
                      | ((eta >= hi) & (grad_j < 0.0)))
-            step = _newton_step(h, grad_j, root_w[:, None] * solved[2], free)
+            step = _newton_step(h, grad_j, solved[2], free)
             slope, alpha = float(grad_j @ step), 1.0
         else:
             alpha *= 0.5
         trial = np.clip(eta + alpha * step, lo, hi)
         if evaluations >= opts.max_iter or np.array_equal(trial, eta):
             break
-    if spec.strategy_set.is_interior(solved[0]):
+    if spec.strategy_set.is_interior(solver.cells(solved[:2])[0]):
         min_eig, certified = _certify(h, grad_j, eta, lo, hi)
     else:
         min_eig, certified = float("nan"), False

@@ -38,8 +38,8 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, EmptyGroup, GraphonGameError
-from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL, solve_values
-from .estimator import EstimateOptions, _j, _statistic, estimate
+from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL, _kernel_resolvent
+from .estimator import EstimateOptions, _estimate, _j, _statistic
 from .game import (
     LQAffine,
     LQHomogeneous,
@@ -212,8 +212,10 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
     g = config.graphon
     game = config.game
     eta_true = np.asarray(config.eta_true, dtype=float)
-    # the model equilibrium at eta_true on the kernel's cells
-    solved_true = solve_values(g, game, eta_true)
+    # one solver for every run (validate has checked the box's margin), and
+    # the model equilibrium at eta_true in its coordinates
+    solver = _kernel_resolvent(g, game)
+    solved_true = solver(eta_true, 0)
     nan = float("nan")
     records: list[RunRecord] = []
     for n in sorted(int(v) for v in config.n_list):
@@ -241,11 +243,12 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
                            contraction_margin=neq.contraction_margin)
                 obs = observe(net, neq)
                 with _timed(rec, "estimate_s"):
-                    result = estimate(obs, g, game, config.optimizer)
+                    stat = _statistic(obs, solver)
+                    result = _estimate(stat, solver, config.optimizer)
                 # ||obs - s_true||_L2 is the square root of J at eta_true
                 rec.update(eta_hat=result.eta_hat, objective=result.objective,
                            l2_obs_vs_graphon=math.sqrt(
-                               _j(_statistic(obs, g), solved_true)[0]),
+                               _j(stat, solved_true)[0]),
                            hessian_min_eig=result.hessian_min_eig,
                            converged=result.converged,
                            evaluations=result.iterations_total)

@@ -253,14 +253,16 @@ def network_spectral_radius(net: SampledNetwork) -> float:
     return float(lam[0]) / n
 
 
-def _contraction_certificate(net: SampledNetwork, th2) -> tuple[str, float]:
+def _contraction_certificate(net: SampledNetwork, upper_t,
+                             th2) -> tuple[str, float]:
     """The cheapest check that admits the best-response map as a
-    contraction, and its margin. Raises NotAContraction when none does."""
-    n, upper = net.n_agents, net.upper
+    contraction, and its margin, with ``upper_t`` the transpose of
+    ``net.upper``. Raises NotAContraction when none does."""
+    n = net.n_agents
     # P 1, exact: row i of U counts i's edges to later agents, read off the
     # CSR structure; column i its edges to earlier ones, one sparse product
     # (np.bincount of the columns would copy them to int64, 8 bytes an edge)
-    degrees = np.diff(upper.indptr) + upper.T @ np.ones(n)
+    degrees = np.diff(net.upper.indptr) + upper_t @ np.ones(n)
     margin = 1.0 - float(np.max(np.abs(th2) * degrees)) / n
     if margin > 0.0:
         return "row_sum", margin
@@ -316,8 +318,8 @@ def solve_network_game(net: SampledNetwork, spec: LQAffine, eta,
     cells = net.graphon.cell_index(net.labels)
     th1, th2 = th1[cells], th2[cells]
     n = net.n_agents
-    certificate, margin = _contraction_certificate(net, th2)
     u, ut = net.upper, net.upper.T
+    certificate, margin = _contraction_certificate(net, ut, th2)
 
     def aggregate(x):
         return (u @ x + ut @ x) / n

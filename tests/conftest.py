@@ -14,6 +14,7 @@ from graphongames import (
     PiecewiseConstantFn,
     StrategySet,
 )
+from graphongames.equilibrium import _identities
 
 # Four-community benchmark: strong diagonal blocks, weak nearest-neighbour
 # coupling, equal community weights.
@@ -39,6 +40,18 @@ def smooth_grid_kernel(m=100):
     c = (np.arange(m) + 0.5) / m
     return GridGraphon(0.8 * np.exp(-3.0 * np.abs(c[:, None] - c[None, :]))
                        * (0.4 + 0.6 * np.sqrt(np.outer(c, c))))
+
+
+def lu_resolvent(a, maps, eta, order):
+    """The resolvent identities by LU on the cells of an operator matrix
+    ``a`` (a kernel's, or P / N on a network), with ``maps`` = (b1, D1, b2,
+    D2) the game's affine maps read at those cells: the dense reference for
+    the kernel solver and for the finite game."""
+    eta = np.asarray(eta, dtype=float)
+    b1, d1, b2, d2 = maps
+    v = np.eye(a.shape[0]) - (b2 + d2 @ eta)[:, None] * a
+    return _identities(lambda x: np.linalg.solve(v, x), lambda x: a @ x,
+                       b1, d1, d2, eta, order, np.triu_indices(eta.size))
 
 
 def rasterize(g, m):

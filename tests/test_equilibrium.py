@@ -28,13 +28,12 @@ from graphongames import (
 )
 from graphongames.equilibrium import (
     _kernel_resolvent,
-    _resolvent,
     gradient_values,
     second_derivative_values,
     solve_values,
 )
-from conftest import (ETA4, PI2, Q2, random_block_kernel, rasterize,
-                      smooth_grid_kernel, wide_homogeneous)
+from conftest import (ETA4, PI2, Q2, lu_resolvent, random_block_kernel,
+                      rasterize, smooth_grid_kernel, wide_homogeneous)
 
 # Frozen from the hand 2x2 solve: (I - M) s = 1 with M = [[0.2, 0.05],
 # [0.05, 0.1]] gives s = (0.95, 0.85) / 0.7175.
@@ -399,10 +398,12 @@ class TestResolventCoreProperties:
         assert fd_check(g, spec, eta, order=2) <= 1e-4
         s, _, _, hess = second_derivative_values(g, spec, eta)
         assert np.array_equal(hess, hess.transpose(1, 0, 2))
-        solve = _kernel_resolvent(g, spec)
+        solver = _kernel_resolvent(g, spec)
         for order in range(3):
-            lu = _resolvent(g.operator_matrix(), spec.affine_maps(g), eta, order)
-            for got, ref in zip(solve(eta, order), lu, strict=True):
+            lu = lu_resolvent(g.operator_matrix(), spec.affine_maps(g), eta,
+                              order)
+            for got, ref in zip(solver.cells(solver(eta, order)), lu,
+                                strict=True):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert_complex_step(g, spec, eta)
         iterated = solve_fixed_point(g, spec, eta, tol=1e-12).strategies

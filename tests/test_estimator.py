@@ -11,6 +11,7 @@ from graphongames import (
     ExperimentConfig,
     Graphon,
     GridGraphon,
+    LQAffine,
     LQHomogeneous,
     LQSBM,
     NotAContraction,
@@ -32,8 +33,9 @@ from graphongames import (
     sample_network,
     solve_network_game,
 )
-from graphongames.equilibrium import gradient_values
-from graphongames.estimator import EstimateOptions, _statistic
+from graphongames.equilibrium import (_kernel_resolvent, gradient_values,
+                                      second_derivative_values)
+from graphongames.estimator import EstimateOptions, _j, _statistic
 from conftest import (ETA4, PI4, Q2, Q4, random_block_kernel, shifted,
                       smooth_grid_kernel)
 
@@ -507,6 +509,90 @@ class TestMomentStart:
         assert compared >= 10
 
 
+def cell_space_j(observed, g, solved) -> list:
+    """[J, grad J, H] from the cell values ``solved`` = (s, z, G, d2s) of
+    the model equilibrium, by the estimator's formulas on the cells: with
+    r = sqrt(w) s - a / sqrt(w), J = ||r||^2 + c, grad J = 2 (sqrt(w) G)^T r
+    and H = 2 (sqrt(w) G)^T (sqrt(w) G) + 2 sum_k sqrt(w_k) r_k d2s_k."""
+    root_w = np.sqrt(g.pi)
+    target = cell_integrals(observed, g.bounds) / root_w
+    v = observed.values
+    offset = float((np.diff(observed.breakpoints) * v * v).sum()
+                   - target @ target)
+    s, _, grad, hess = solved
+    r = root_w * s - target
+    jac = root_w[:, None] * grad
+    half = jac.T @ jac + hess @ (root_w * r)
+    return [max(float(r @ r) + offset, 0.0), 2.0 * (jac.T @ r), half + half.T]
+
+
+class TestCoordinateObjective:
+    """J, its gradient and its Hessian, formed in the kernel solver's own
+    coordinates, equal the formulas on the cells within 1e-12 relative, on
+    random affine games whose theta2 is shared by every cell (the
+    eigenbasis route) or set per cell (the LU route)."""
+
+    @staticmethod
+    def random_game(g, rng, p, shared):
+        rows = 1 if shared else g.pi.size
+        lam = g.lambda_max()
+        return LQAffine(
+            StrategySet(0.0, 1e3), ParameterBox(np.zeros(p),
+                                                np.full(p, 0.7 / lam / p)),
+            rng.uniform(0.5, 1.5, rows), rng.uniform(0.0, 1.0, (rows, p)),
+            rng.uniform(0.0, 0.2 / lam, rows),
+            rng.uniform(0.0, 1.0, (rows, p)))
+
+    @staticmethod
+    def check(g, spec, rng):
+        eta = rng.uniform(spec.xi.lower, spec.xi.upper)
+        obs = interpolate_equilibrium(
+            rng.uniform(0.0, 3.0, int(rng.integers(20, 400))))
+        solver = _kernel_resolvent(g, spec)
+        got = _j(_statistic(obs, solver), solver(eta, 2))
+        want = cell_space_j(obs, g, second_derivative_values(g, spec, eta))
+        for a, b in zip(got, want, strict=True):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 6), p=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), shared=st.booleans())
+    def test_random_block_kernels(self, k, p, seed, shared):
+        g, rng = random_block_kernel(k, seed)
+        self.check(g, self.random_game(g, rng, p, shared), rng)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_grid_kernel(self, shared):
+        g, rng = smooth_grid_kernel(), np.random.default_rng(31)
+        for _ in range(5):
+            self.check(g, self.random_game(g, rng, 2, shared), rng)
+
+
+@pytest.mark.parametrize("shipped", ["sbm4", "grid"])
+def test_sweep_estimates_are_the_public_estimates(shipped, sbm4, sbm4_game):
+    # run_experiment builds one solver per sweep and forms each run's
+    # statistic once; the public estimate, which builds its own, gives the
+    # same estimate bit for bit on the same observation
+    if shipped == "sbm4":
+        g, game, eta = sbm4, sbm4_game, ETA4
+    else:
+        g, eta = smooth_grid_kernel(), np.array([1.0, 0.9])
+        game = LQHomogeneous(
+            strategy_set=StrategySet(0.0, 50.0),
+            xi=ParameterBox(np.array([0.1, 0.0]), np.array([2.0, 1.5])),
+        )
+    config = ExperimentConfig(graphon=g, game=game, eta_true=eta,
+                              n_list=[100, 400], runs_per_n=3, master_seed=5)
+    for r in run_experiment(config):
+        net = sample_network(g, r.n, r.seed)
+        neq = solve_network_game(net, game, eta, tol=config.solver.tol,
+                                 max_iter=config.solver.max_iter)
+        result = estimate(observe(net, neq), g, game, config.optimizer)
+        assert np.array_equal(r.eta_hat, result.eta_hat)
+        assert r.objective == result.objective
+        assert r.evaluations == result.iterations_total
+
+
 @pytest.mark.parametrize("n", [100, 400, 1601])
 def test_statistic_on_the_realized_kernel_sums_each_cells_agents(
         sbm4, sbm4_game, n):
@@ -516,10 +602,13 @@ def test_statistic_on_the_realized_kernel_sums_each_cells_agents(
     net = sample_network(sbm4, n, seed=n)
     neq = solve_network_game(net, sbm4_game, ETA4)
     counts = np.bincount(sbm4.cell_index(net.labels), minlength=4)
-    root_w, target, _ = _statistic(observe(net, neq), Graphon(Q4, counts / n))
+    kernel = Graphon(Q4, counts / n)
+    solver = _kernel_resolvent(kernel, sbm4_game)
+    target, _ = _statistic(observe(net, neq), solver)
+    means = solver.basis @ target / solver.root_w
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     sums = np.add.reduceat(neq.strategies, starts) / n
-    assert np.all(np.abs(root_w * target - sums) <= 1e-14 * np.abs(sums))
+    assert np.all(np.abs(kernel.pi * means - sums) <= 1e-14 * np.abs(sums))
 
 
 def test_forty_communities_validate_and_estimate_in_under_a_second():

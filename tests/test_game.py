@@ -52,6 +52,14 @@ class TestParameterBox:
         with pytest.raises(ValueError, match="inf"):
             ParameterBox(np.array([0.0]), np.array([np.inf]))
 
+    @pytest.mark.parametrize("lower, upper", [
+        ([[0.0, 0.0]], [[1.0, 1.0]]),  # 2-d
+        ([0.0, 0.0], [1.0]),  # unequal lengths
+    ])
+    def test_bounds_are_vectors_of_one_length(self, lower, upper):
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            ParameterBox(np.array(lower), np.array(upper))
+
 
 def best_response(t1, t2, z):
     """One step of the projected loop on the strategy set [0, 10], from

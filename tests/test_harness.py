@@ -13,7 +13,6 @@ from graphongames import (
     RunRecord,
     StrategySet,
     derive_run_seed,
-    estimate,
     l2_distance,
     model_equilibrium_fn,
     observe,
@@ -278,7 +277,9 @@ class TestRunExperiment:
         def explode(*args, **kwargs):
             raise NoConvergence("synthetic failure")
 
-        monkeypatch.setattr(harness, stage, explode)
+        # the sweep runs estimate's core on the solver it builds once
+        monkeypatch.setattr(harness, {"estimate": "_estimate"}.get(stage, stage),
+                            explode)
         records = run_experiment(small_config())
         assert len(records) == 4  # never dropped
         # the sidecar cells each stage fills, at their values for a stage
@@ -332,9 +333,10 @@ class TestRunExperiment:
             calls.append(1)
             if len(calls) == 2:
                 raise np.linalg.LinAlgError("Singular matrix")
-            return estimate(*args, **kwargs)
+            return estimate_core(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "estimate", singular_once)
+        estimate_core = harness._estimate
+        monkeypatch.setattr(harness, "_estimate", singular_once)
         records = run_experiment(small_config())
         assert len(records) == 4 and len(calls) == 4
         failed = records[1]

@@ -36,10 +36,10 @@ from graphongames import (
     write_network,
 )
 from graphongames import sampling
-from graphongames.equilibrium import DEFAULT_MAX_ITER, _project, _resolvent
+from graphongames.equilibrium import DEFAULT_MAX_ITER, _project
 from graphongames.sampling import EDGE_BLOCK_PAIRS, network_spectral_radius
-from conftest import (ETA4, PI4, Q4, random_block_kernel, smooth_grid_kernel,
-                      wide_homogeneous)
+from conftest import (ETA4, PI4, Q4, lu_resolvent, random_block_kernel,
+                      smooth_grid_kernel, wide_homogeneous)
 
 
 def triu_sampler(g, n, seed):
@@ -76,7 +76,8 @@ def empirical_resolvent(net, spec, eta, order):
     read at the cells holding the agents' labels."""
     cells = net.graphon.cell_index(net.labels)
     maps = tuple(m[cells] for m in spec.affine_maps(net.graphon))
-    return _resolvent(net.adjacency.toarray() / net.n_agents, maps, eta, order)
+    return lu_resolvent(net.adjacency.toarray() / net.n_agents, maps, eta,
+                        order)
 
 
 def projected_iterate(net, spec, eta, tol):
@@ -232,6 +233,15 @@ print(network_sha256(sample_network(g, 1600, 20240405)))
                              capture_output=True, text=True).stdout
         assert out.strip() == network_sha256(sample_network(sbm4, 1600,
                                                             20240405))
+
+    def test_workers_without_affinity_read_the_cpu_count(self, monkeypatch):
+        # a platform without sched_getaffinity: the CPU count, or one
+        # thread where even that is unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert sampling._workers() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sampling._workers() == 1
 
     def test_blocks_in_flight_share_the_pair_budget(self, monkeypatch, sbm4):
         # Per pair in flight a block holds its threshold and its raw word
