@@ -64,7 +64,6 @@ from .diagnostics import (
 from .harness import (
     ExperimentConfig,
     RunRecord,
-    SolverOptions,
     derive_run_seed,
     load_config,
     run_experiment,

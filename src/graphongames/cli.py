@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -150,12 +150,9 @@ def cmd_estimate(args) -> int:
     else:
         n = _network_size(args, config)
         net = sample_network(config.graphon, n, config.master_seed)
-        neq = solve_network_game(
-            net, config.game, config.eta_true,
-            tol=config.solver.tol, max_iter=config.solver.max_iter,
-        )
+        neq = solve_network_game(net, config.game, config.eta_true)
         obs = observe(net, neq)
-    result = estimate(obs, config.graphon, config.game, config.optimizer)
+    result = estimate(obs, config.graphon, config.game)
     _emit(args, [
         "eta_hat = " + ",".join(_cell(v) for v in result.eta_hat),
         f"objective = {_cell(result.objective)}",
@@ -241,11 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=cmd_sample)
 
     p_est = sub.add_parser("estimate", parents=[common])
-    p_est.add_argument(
+    source = p_est.add_mutually_exclusive_group()
+    source.add_argument(
         "--observation", default=None,
         help="file with one observed strategy per line; omit to sample fresh",
     )
-    p_est.add_argument("--n", type=int, default=None, help="network size")
+    source.add_argument("--n", type=int, default=None, help="network size")
     p_est.set_defaults(func=cmd_estimate)
 
     p_exp = sub.add_parser("experiment", parents=[common])
@@ -259,7 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which here
+        # is the code of a numerical failure
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ConfigError, OSError) as exc:

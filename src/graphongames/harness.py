@@ -31,8 +31,9 @@ import os
 import resource
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
-from numbers import Integral, Real
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
+from typing import ClassVar
 
 import numpy as np
 import yaml
@@ -55,12 +56,6 @@ DEFAULT_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
 @dataclass
-class SolverOptions:
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-
-
-@dataclass
 class ExperimentConfig:
     graphon: Graphon
     game: LQAffine
@@ -69,8 +64,11 @@ class ExperimentConfig:
     runs_per_n: int
     master_seed: int
     output: str = "results.csv"
-    solver: SolverOptions = field(default_factory=SolverOptions)
-    optimizer: EstimateOptions = field(default_factory=EstimateOptions)
+    # not settable: the library's finite-game solver and optimizer defaults,
+    # kept because perfbench/bench.py reads them (ROADMAP item 1)
+    solver: ClassVar[SimpleNamespace] = SimpleNamespace(
+        tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
+    optimizer: ClassVar[EstimateOptions] = EstimateOptions()
 
     def validate(self) -> list[str]:
         """Structural checks; returns the list of problems (empty = valid)."""
@@ -103,30 +101,7 @@ class ExperimentConfig:
             problems.append("runs_per_n must be nonnegative")
         if self.master_seed < 0:
             problems.append("master_seed must be nonnegative")
-        opt, sol = self.optimizer, self.solver
-        for name, value, ok, rule in (
-            ("optimizer.gtol", opt.gtol, _positive_finite,
-             "positive and finite"),
-            ("optimizer.max_iter", opt.max_iter, _count, "an integer >= 1"),
-            ("solver.tol", sol.tol, _positive_finite, "positive and finite"),
-            ("solver.max_iter", sol.max_iter, _count, "an integer >= 1"),
-        ):
-            if not ok(value):
-                problems.append(f"{name} must be {rule}, got {value!r}")
         return problems
-
-
-def _real(v) -> bool:
-    # YAML's true and false are Python bools, which numbers.Real admits
-    return isinstance(v, Real) and not isinstance(v, bool)
-
-
-def _positive_finite(v) -> bool:
-    return _real(v) and 0.0 < v < math.inf
-
-
-def _count(v) -> bool:
-    return _real(v) and isinstance(v, Integral) and v >= 1
 
 
 @dataclass(slots=True)
@@ -233,10 +208,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
                     net = sample_network(g, n, seed)
                 rec["sample_minflt"] = _minor_faults() - faults
                 with _timed(rec, "solve_s"):
-                    neq = solve_network_game(
-                        net, game, eta_true,
-                        tol=config.solver.tol, max_iter=config.solver.max_iter,
-                    )
+                    neq = solve_network_game(net, game, eta_true)
                 rec.update(br_iterations=neq.iterations, route=neq.route,
                            residual=neq.residual, interior=neq.interior,
                            certificate=neq.certificate,
@@ -244,7 +216,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
                 obs = observe(net, neq)
                 with _timed(rec, "estimate_s"):
                     stat = _statistic(obs, solver)
-                    result = _estimate(stat, solver, config.optimizer)
+                    result = _estimate(stat, solver, EstimateOptions())
                 # ||obs - s_true||_L2 is the square root of J at eta_true
                 rec.update(eta_hat=result.eta_hat, objective=result.objective,
                            l2_obs_vs_graphon=math.sqrt(
@@ -297,9 +269,8 @@ def timings_to_csv(records: list[RunRecord]) -> str:
                  for r in records))
 
 
-def summarize_quantiles(records: list[RunRecord],
-                        quantiles=DEFAULT_QUANTILES) -> list[tuple]:
-    """Per network size, the requested quantiles of each estimated
+def summarize_quantiles(records: list[RunRecord]) -> list[tuple]:
+    """Per network size, the ``DEFAULT_QUANTILES`` of each estimated
     coordinate and of the sup-norm error, as (N, metric, quantile, value)
     rows. Quantiles use the inclusive linear-interpolation definition
     (numpy's default "linear" method)."""
@@ -310,10 +281,10 @@ def summarize_quantiles(records: list[RunRecord],
     rows: list[tuple] = []
     for n in sorted({r.n for r in records}):
         table = np.array([[*r.eta_hat, r.err_inf] for r in records if r.n == n])
-        values = np.quantile(table, quantiles, axis=0, method="linear")
+        values = np.quantile(table, DEFAULT_QUANTILES, axis=0, method="linear")
         rows += [(n, name, float(q), float(values[k, j]))
                  for j, name in enumerate(names)
-                 for k, q in enumerate(quantiles)]
+                 for k, q in enumerate(DEFAULT_QUANTILES)]
     return rows
 
 
@@ -431,8 +402,6 @@ def config_from_dict(d: dict, base_dir=None) -> ExperimentConfig:
         runs_per_n=read("runs_per_n", _whole),
         master_seed=read("master_seed", _whole),
         output=str(d.get("output", ExperimentConfig.output)),
-        solver=_options(SolverOptions, d, "solver"),
-        optimizer=_options(EstimateOptions, d, "optimizer"),
     )
 
 
@@ -442,26 +411,6 @@ def _whole(v) -> int:
     if isinstance(v, bool) or not float(v).is_integer():
         raise ValueError(f"{v!r} is not a whole number")
     return int(v)
-
-
-def _options(cls, d: dict, key: str):
-    """``cls`` built from the mapping ``d[key]``. A string that spells a
-    number is read as one: PyYAML reads ``1e-9``, which has no dot, as a
-    string. Any other value is passed on for ``validate`` to judge."""
-    with _naming("config", key):
-        spec = _mapping(d.get(key) or {})
-    _known(spec, [f.name for f in fields(cls)], key)
-    return cls(**{k: _number(v) for k, v in spec.items()})
-
-
-def _number(v):
-    if isinstance(v, str):
-        for kind in (int, float):
-            try:
-                return kind(v)
-            except ValueError:
-                pass
-    return v
 
 
 def load_config(path) -> ExperimentConfig:

@@ -84,13 +84,14 @@ class TestValidate:
          "theta1"),
         ({"game": {**GAME, "xi": {"lower": [0.01] * 4, "upper": [1.2] * 4,
                                   "uper": [1.0] * 4}}}, "xi", "uper"),
-        ({"solver": {"tolerance": 1e-12}}, "solver", "tolerance"),
-        ({"optimizer": {"gtol": 1e-9, "max_iters": 10}}, "optimizer",
-         "max_iters"),
+        # the solver and optimizer settings are constants, not config keys
+        ({"solver": {"tol": 1e-12}}, "config", "solver"),
+        ({"optimizer": {"gtol": 1e-9, "max_iter": 10}}, "config",
+         "optimizer"),
     ])
     def test_unknown_key_exits_1(self, tmp_path, capsys, overrides, section,
                                  key):
-        # a misspelt key would otherwise be ignored
+        # a misspelt or retired key would otherwise be ignored
         path = write_config(tmp_path, overrides)
         assert main(["validate", "--config", path]) == 1
         assert capsys.readouterr().err == (
@@ -102,7 +103,6 @@ class TestValidate:
         ({"eta_true": "x"}, "eta_true"),
         ({"game": {**GAME, "xi": [0.1, 0.2]}}, "xi"),
         ({"graphon": 5}, "graphon"),
-        ({"solver": [1]}, "solver"),
     ])
     def test_value_of_the_wrong_type_exits_1(self, tmp_path, capsys,
                                              overrides, key):
@@ -118,15 +118,6 @@ class TestValidate:
     def test_negative_seed_override_exits_1(self, capsys):
         assert main(["validate", "--config", SHIPPED, "--seed", "-1"]) == 1
         assert "master_seed" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("gtol, code", [("1e-9", 0), ("fast", 1)])
-    def test_option_read_as_a_number(self, tmp_path, capsys, gtol, code):
-        # PyYAML reads 1e-9, which has no dot, as a string
-        path = write_config(tmp_path)
-        with open(path, "a") as fh:
-            fh.write(f"optimizer: {{gtol: {gtol}}}\n")
-        assert main(["validate", "--config", path]) == code
-        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_file_exits_1(self):
         assert main(["validate", "--config", "no/such/file.yaml"]) == 1
@@ -312,6 +303,27 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--config", SHIPPED, "--n", "abc"],
+        ["solve", "--config", SHIPPED, "--samples", "2.5"],
+        ["validate"],
+        ["estimate", "--config", SHIPPED, "--observation", "obs.txt",
+         "--n", "400"],
+    ], ids=["n-not-an-integer", "samples-not-an-integer", "no-config",
+            "observation-and-n"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        # argparse's own code for a usage error, 2, is the code of a
+        # numerical failure
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: graphon-games" in capsys.readouterr().out
 
 
 class TestSampleAndExperiment:

@@ -73,54 +73,13 @@ class TestConfig:
             config_from_dict(broken)
 
     def test_bad_optimizer_key(self):
+        # the optimizer's settings are constants; an old config that sets
+        # them is refused, not silently read
         broken = dict(SMALL_CONFIG)
-        broken["optimizer"] = {"no_such_option": 1}
-        with pytest.raises(ConfigError):
+        broken["optimizer"] = {"gtol": 1e-9}
+        with pytest.raises(ConfigError, match="unknown key 'optimizer' in "
+                                              "config"):
             config_from_dict(broken)
-
-    @pytest.mark.parametrize(
-        "section, key, value",
-        [
-            ("optimizer", "gtol", -1.0),
-            ("optimizer", "gtol", float("inf")),
-            ("optimizer", "max_iter", 0),
-            ("solver", "tol", 0.0),
-            ("solver", "tol", float("nan")),
-            ("solver", "max_iter", 0),
-            ("optimizer", "gtol", True),
-            ("optimizer", "max_iter", True),
-        ],
-    )
-    def test_out_of_range_numbers_flagged(self, section, key, value):
-        # each of these makes every run fail or none converge
-        bad = dict(SMALL_CONFIG)
-        bad[section] = {key: value}
-        problems = config_from_dict(bad).validate()
-        assert len(problems) == 1 and problems[0].startswith(f"{section}.{key} ")
-
-    def test_exponent_without_dot_read_as_a_number(self, tmp_path):
-        # PyYAML reads 1e-9 (no dot) as a string
-        import yaml
-
-        path = tmp_path / "config.yaml"
-        path.write_text(yaml.safe_dump(SMALL_CONFIG) + (
-            "optimizer: {gtol: 1e-9, max_iter: 300}\n"
-            "solver: {tol: 1e-12}\n"))
-        config = load_config(path)
-        assert config.optimizer.gtol == 1e-9
-        assert config.optimizer.max_iter == 300
-        assert config.solver.tol == 1e-12
-        assert config.validate() == []
-
-    def test_non_number_option_flagged(self, tmp_path):
-        import yaml
-
-        path = tmp_path / "config.yaml"
-        path.write_text(yaml.safe_dump(SMALL_CONFIG)
-                        + "optimizer: {gtol: fast}\n")
-        problems = load_config(path).validate()
-        assert problems == ["optimizer.gtol must be positive and finite, "
-                            "got 'fast'"]
 
     def test_eta_true_outside_box_flagged(self):
         bad = dict(SMALL_CONFIG)
@@ -417,8 +376,8 @@ class TestQuantiles:
 
     def test_linear_interpolation_definition(self):
         records = [_record(10, i, float(i + 1), 0.0) for i in range(4)]
-        rows = summarize_quantiles(records, quantiles=(0.5,))
-        median = [v for (_, m, q, v) in rows if m == "err_inf"][0]
+        rows = summarize_quantiles(records)
+        median = [v for (_, m, q, v) in rows if m == "err_inf" and q == 0.5][0]
         assert median == 2.5
 
     def test_empty_rejected(self):
