@@ -36,7 +36,6 @@ from types import SimpleNamespace
 from typing import ClassVar
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError, EmptyGroup, GraphonGameError
 from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL, _kernel_resolvent
@@ -414,6 +413,8 @@ def _whole(v) -> int:
 
 
 def load_config(path) -> ExperimentConfig:
+    import yaml  # loaded by the first config file, not on import
+
     with open(path, encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)

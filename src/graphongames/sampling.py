@@ -34,9 +34,11 @@ Storage
 -------
 A network is held only as its edges: the strict upper triangle U of the
 adjacency (pairs i < j, each edge once) as a scipy CSR matrix with float64
-ones. Each row block turns its words into edges by runs of columns in one
-kernel cell, where the edge threshold is constant, and keeps only its row
-counts and columns. ``EDGE_BLOCK_PAIRS`` bounds the pairs of all blocks in
+ones. scipy.sparse is imported when the first network is built or read,
+not with this module, so work that builds no network never loads it. Each
+row block turns its words into edges by runs of columns in one kernel
+cell, where the edge threshold is constant, and keeps only its row counts
+and columns. ``EDGE_BLOCK_PAIRS`` bounds the pairs of all blocks in
 flight together (plus one row per block), so the sampler's working memory
 beyond U grows neither with N nor with the thread count.
 
@@ -68,9 +70,9 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .equilibrium import (DEFAULT_MAX_ITER, DEFAULT_TOL, Equilibrium,
                           _project, _recorder)
@@ -78,6 +80,9 @@ from .errors import NoConvergence, NotAContraction
 from .functionspace import PiecewiseConstantFn, interpolate_equilibrium
 from .game import LQAffine
 from .graphon import Graphon
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Pair budget of the edge sampler's row blocks in flight together, plus a
 # row per block, whatever the network size and thread count. It also bounds
@@ -215,13 +220,16 @@ def _kept(name: str, dtype, size: int) -> np.ndarray:
 
 def _index_dtype(n: int):
     """CSR index type for an n-agent network: int32 unless n * n, which
-    bounds its edge count, needs int64."""
-    return sp.get_index_dtype(maxval=n * n)
+    bounds its edge count, needs int64 (scipy's ``get_index_dtype`` rule,
+    decided here so that the drawing threads load no scipy)."""
+    return np.int32 if n * n < 2 ** 31 else np.int64
 
 
 def _upper_csr(row_counts, cols) -> sp.csr_array:
     """The CSR matrix with ones at the given columns, row by row:
     ``row_counts[i]`` entries in row i, taken in order from ``cols``."""
+    import scipy.sparse as sp  # loaded by the first network, not on import
+
     n = row_counts.size
     index = _index_dtype(n)
     indptr = np.zeros(n + 1, dtype=index)

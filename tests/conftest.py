@@ -1,10 +1,17 @@
 """Shared fixtures: the four-community benchmark instance used throughout
-the suite, a couple of small hand-checkable games, and the benchmark's
-100-cell grid kernel."""
+the suite, a couple of small hand-checkable games, the benchmark's
+100-cell grid kernel, and a runner for code that must start in a fresh
+interpreter."""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import graphongames
 from graphongames import (
     Graphon,
     GridGraphon,
@@ -15,6 +22,8 @@ from graphongames import (
     StrategySet,
 )
 from graphongames.equilibrium import _identities
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # Four-community benchmark: strong diagonal blocks, weak nearest-neighbour
 # coupling, equal community weights.
@@ -52,6 +61,20 @@ def lu_resolvent(a, maps, eta, order):
     v = np.eye(a.shape[0]) - (b2 + d2 @ eta)[:, None] * a
     return _identities(lambda x: np.linalg.solve(v, x), lambda x: a @ x,
                        b1, d1, d2, eta, order, np.triu_indices(eta.size))
+
+
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with arguments ``args`` in a fresh interpreter, from
+    the repository root, with this package's source first on its path; its
+    output is captured as text. Start-up and lazy-import checks need an
+    interpreter that no test has loaded modules into."""
+    src = os.path.dirname(os.path.dirname(graphongames.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          cwd=ROOT, capture_output=True, text=True)
 
 
 def rasterize(g, m):

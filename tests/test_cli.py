@@ -245,8 +245,10 @@ class TestMalformedInput:
             (["sample", "--n", "0"], None, None),
             (["estimate", "--n", "0"], None, None),
             (["solve", "--samples", "-3"], None, None),
-            (["experiment"], None, {"optimizer": {"max_iter": 0}}),
-            (["experiment"], None, {"solver": {"max_iter": 0}}),
+            (["experiment"], None,
+             {"game": {**GAME, "strategy_set": [10.0, 0.0]}}),
+            (["experiment"], None,
+             {"game": {**GAME, "strategy_set": [0.0, float("inf")]}}),
             (["sample"], None, {"n_list": []}),
             (["estimate"], None, {"n_list": []}),
             (["validate"], None, {"graphon": NAN_PI}),
@@ -271,8 +273,8 @@ class TestMalformedInput:
             "sample-zero-n",
             "estimate-zero-n",
             "solve-negative-samples",
-            "optimizer-zero-iterations",
-            "solver-zero-iterations",
+            "experiment-inverted-strategy-set",
+            "experiment-infinite-strategy-bound",
             "sample-empty-n-list",
             "estimate-empty-n-list",
             "validate-nan-community-weights",

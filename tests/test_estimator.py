@@ -36,8 +36,8 @@ from graphongames import (
 from graphongames.equilibrium import (_kernel_resolvent, gradient_values,
                                       second_derivative_values)
 from graphongames.estimator import EstimateOptions, _j, _statistic
-from conftest import (ETA4, PI4, Q2, Q4, random_block_kernel, shifted,
-                      smooth_grid_kernel)
+from conftest import (ETA4, PI4, Q2, Q4, random_block_kernel, run_fresh,
+                      shifted, smooth_grid_kernel)
 
 
 def riemann_objective(observed, g, spec, eta, cells=10**6):
@@ -653,17 +653,6 @@ def test_grid_game_needs_at_most_five_evaluations_at_n800():
 def loaded_after_one_estimate(module: str) -> bool:
     """Whether ``module`` is in sys.modules after ``import graphongames``
     and one estimate from a sampled sbm4 network, in a fresh interpreter."""
-    import os
-    import subprocess
-    import sys
-
-    import graphongames
-
-    src = os.path.dirname(os.path.dirname(graphongames.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     code = (
         "import sys, numpy as np, graphongames as gg; "
         f"g = gg.Graphon(np.array({Q4.tolist()}), np.array({PI4.tolist()})); "
@@ -675,7 +664,7 @@ def loaded_after_one_estimate(module: str) -> bool:
         "gg.estimate(obs, g, spec); "
         f"sys.exit(1 if {module!r} in sys.modules else 0)"
     )
-    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+    return run_fresh(code).returncode != 0
 
 
 def test_estimate_leaves_scipy_stats_unloaded():

@@ -30,7 +30,7 @@ from graphongames.harness import (
     timings_to_csv,
     write_text,
 )
-from conftest import ETA4, PI2, PI4, Q2, Q4, smooth_grid_kernel
+from conftest import ETA4, PI2, PI4, Q2, Q4, run_fresh, smooth_grid_kernel
 
 SMALL_CONFIG = {
     "graphon": {"kind": "sbm", "q": Q4.tolist(), "pi": PI4.tolist()},
@@ -402,17 +402,7 @@ def test_sweeps_leave_scipy_linalg_unloaded():
     # every sbm4 and grid network is certified by row sums, so no sweep
     # needs ARPACK, whose import costs about 30 ms and 10 MB at start-up
     import inspect
-    import os
-    import subprocess
-    import sys
 
-    import graphongames
-
-    src = os.path.dirname(os.path.dirname(graphongames.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     code = "import sys\nimport numpy as np\nimport graphongames as gg\n" + (
         "from graphongames import GridGraphon\n"
         + inspect.getsource(smooth_grid_kernel) + """
@@ -432,6 +422,5 @@ loaded = [m for m in ("scipy.sparse.linalg", "scipy.linalg")
           if m in sys.modules]
 sys.exit(f"loaded: {loaded}" if loaded else 0)
 """)
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
+    run = run_fresh(code)
     assert run.returncode == 0, run.stderr

@@ -1,14 +1,18 @@
 """Every module-level import under ``src/graphongames`` is used, and every
 module-level private name is read, so that a deletion leaves no dangling
 import or uncalled helper behind. The package's ``__init__`` is exempt from
-the import check: its imports are the public surface it re-exports."""
+the import check: its imports are the public surface it re-exports. Start-up
+loads neither scipy nor PyYAML: each is imported where it is first used."""
 
 import ast
 import pathlib
 
+import numpy as np
 import pytest
 
 import graphongames
+from graphongames import load_config, model_equilibrium_fn
+from conftest import run_fresh
 
 PACKAGE = pathlib.Path(graphongames.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -93,3 +97,34 @@ def test_the_check_sees_an_unread_private_name():
         "b": "from .a import _helper\nimport a\nx = _helper() * a._SCALE\n",
     }
     assert unread_private_names(sources) == ["a._dead", "a._Unused"]
+
+
+START_UP = """
+import sys
+
+def loaded(*packages):
+    return [m for m in sys.modules if m.split(".")[0] in packages]
+
+import graphongames, graphongames.cli
+assert not loaded("scipy", "yaml"), loaded("scipy", "yaml")
+config = ["--config", "configs/sbm4.yaml"]
+for argv in (["validate"], ["solve"], ["diagnose"],
+             ["estimate", "--observation", sys.argv[1]]):
+    assert graphongames.cli.main(argv + config) == 0, argv
+assert not loaded("scipy"), loaded("scipy")
+g = graphongames.ConstantGraphon(0.5)
+graphongames.sample_network(g, 10, 1)
+assert "scipy.sparse" in sys.modules
+assert "scipy.sparse.linalg" not in sys.modules
+"""
+
+
+def test_start_up_loads_no_scipy_or_yaml(tmp_path):
+    # scipy.sparse and PyYAML at import cost about 0.2 s and 20 MB of every
+    # start-up; commands that build no network need no scipy at all
+    config = load_config("configs/sbm4.yaml")
+    model = model_equilibrium_fn(config.graphon, config.game, config.eta_true)
+    observation = tmp_path / "observation.txt"
+    np.savetxt(observation, model((np.arange(200) + 0.5) / 200), fmt="%.17g")
+    run = run_fresh(START_UP, str(observation))
+    assert run.returncode == 0, run.stderr

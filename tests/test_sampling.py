@@ -164,6 +164,15 @@ class TestSampleNetwork:
         with pytest.raises(ValueError):
             sample_network(ConstantGraphon(0.5), 0, seed=3)
 
+    # 46,340^2 < 2^31 - 1 < 46,341^2: the largest int32 network and the
+    # smallest int64 one
+    @pytest.mark.parametrize("n, index", [(1, np.int32), (46_340, np.int32),
+                                          (46_341, np.int64),
+                                          (100_000, np.int64)])
+    def test_index_dtype_is_scipys_rule(self, n, index):
+        assert sampling._index_dtype(n) == sp.get_index_dtype(maxval=n * n)
+        assert sampling._index_dtype(n) == index
+
 
 # on two CPUs one row block holds the whole network up to this size, two
 # just above it
