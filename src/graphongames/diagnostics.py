@@ -157,8 +157,10 @@ def fd_check(g: Graphon, spec: LQAffine, eta, order: int = 1) -> float:
     absolutely. Refuses at non-interior equilibria.
     """
     eta = np.asarray(eta, dtype=float)
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
     solver = _kernel_resolvent(g, spec)
-    s0, _, grad, hess = solver.cells(solver(eta, 2))
+    s0, *_, deriv = solver.cells(solver(eta, order))
     if not spec.strategy_set.is_interior(s0):
         raise NotInterior("equilibrium touches a strategy bound")
     n = eta.size
@@ -173,16 +175,16 @@ def fd_check(g: Graphon, spec: LQAffine, eta, order: int = 1) -> float:
             ei = np.zeros(n)
             ei[i] = h
             fd = (solve_at(eta + ei) - solve_at(eta - ei)) / (2.0 * h)
-            scale = max(1.0, float(np.max(np.abs(grad[:, i]))))
-            worst = max(worst, float(np.max(np.abs(fd - grad[:, i]))) / scale)
-    elif order == 2:
+            scale = max(1.0, float(np.max(np.abs(deriv[:, i]))))
+            worst = max(worst, float(np.max(np.abs(fd - deriv[:, i]))) / scale)
+    else:
         h = 1e-4
         for i in range(n):
             ei = np.zeros(n)
             ei[i] = h
             fd = (solve_at(eta + ei) - 2.0 * s0 + solve_at(eta - ei)) / (h * h)
-            scale = max(1.0, float(np.max(np.abs(hess[i, i]))))
-            worst = max(worst, float(np.max(np.abs(fd - hess[i, i]))) / scale)
+            scale = max(1.0, float(np.max(np.abs(deriv[i, i]))))
+            worst = max(worst, float(np.max(np.abs(fd - deriv[i, i]))) / scale)
             for j in range(i + 1, n):
                 ej = np.zeros(n)
                 ej[j] = h
@@ -192,10 +194,8 @@ def fd_check(g: Graphon, spec: LQAffine, eta, order: int = 1) -> float:
                     - solve_at(eta - ei + ej)
                     + solve_at(eta - ei - ej)
                 ) / (4.0 * h * h)
-                scale = max(1.0, float(np.max(np.abs(hess[i, j]))))
+                scale = max(1.0, float(np.max(np.abs(deriv[i, j]))))
                 worst = max(
-                    worst, float(np.max(np.abs(fd - hess[i, j]))) / scale
+                    worst, float(np.max(np.abs(fd - deriv[i, j]))) / scale
                 )
-    else:
-        raise ValueError("order must be 1 or 2")
     return worst

@@ -12,9 +12,10 @@ kernel, so both games share one engine and return one record,
 * ``_identities``, the interior solve s = (I - diag(theta2) A)^{-1} theta1,
   valid where no strategy bound binds, and its derivatives in eta by the
   resolvent identities, one multi-right-hand-side solve per order, exact
-  at machine precision. They are written once on two operations, "apply
-  V^{-1}" and "apply A": a kernel's solver passes an LU solve and a
-  product with its symmetrized cell matrix, or its cached eigenbasis's two
+  at machine precision; the second derivative is only contracted, by one
+  adjoint solve. They are written once on "apply V^{-1}", "apply V^{-T}"
+  and "apply A": a kernel's solver passes LU solves with V and V^T and a
+  product with its symmetrized cell matrix, or its cached eigenbasis's
   diagonal scalings.
 
 Every closed form on a kernel goes through one solver built once per
@@ -104,23 +105,24 @@ def _project(response, size: int, lo: float, hi: float, tol: float,
     )
 
 
-def _identities(solve, apply, b1, d1, d2, eta, order: int, pairs):
+def _identities(solve, solve_t, apply, b1, d1, d2, eta, order: int):
     """The resolvent identities, written once for every basis.
 
-    With V = I - diag(theta2) A, ``solve`` applies V^{-1} and ``apply``
-    applies A, each to a vector or to every column of a matrix, in one
-    basis that also holds theta1 = b1 + D1 eta and D1. D2 multiplies cell
-    by cell; it may be its one row where every cell has the same. The
-    equilibrium is s = V^{-1} theta1 and z = A s. Returns (s, z) for
-    ``order`` 0, adds the gradient (n_cells, n_params) for order 1 and the
-    hessian (n_params, n_params, n_cells) for order 2:
+    With V = I - diag(theta2) A, ``solve`` applies V^{-1}, ``solve_t``
+    V^{-T} and ``apply`` A, each to a vector or to every column of a
+    matrix, in one basis that also holds theta1 = b1 + D1 eta and D1. D2
+    multiplies cell by cell; it may be its one row where every cell has
+    the same. The equilibrium is s = V^{-1} theta1 and z = A s. Returns
+    (s, z) for ``order`` 0, adds the gradient G (n_cells, n_params) for
+    order 1 and ``curvature`` for order 2:
 
         V ds/deta_i = D1_i + D2_i * z,
-        V d2s/deta_i deta_j = D2_i * (A ds/deta_j) + D2_j * (A ds/deta_i),
+        V d2s/deta_i deta_j = D2_i * (A ds/deta_j) + D2_j * (A ds/deta_i).
 
-    each order one multi-right-hand-side solve. Hessian pairs are solved
-    once for the i <= j index ``pairs`` (``np.triu_indices(n_params)``) and
-    mirrored, so it is exactly symmetric.
+    The second is only contracted: ``curvature(r)`` is r^T d2s/deta2 =
+    T + T^T, exactly symmetric, with T = (lam * D2)^T A G and lam = V^{-T} r
+    by one solve. A matrix r gives one such matrix per column, stacked
+    first.
     """
     s = solve(b1 + d1 @ eta)
     z = apply(s)
@@ -130,19 +132,12 @@ def _identities(solve, apply, b1, d1, d2, eta, order: int, pairs):
     if order == 1:
         return s, z, grad
     ag = apply(grad)
-    i, j = pairs
-    upper = solve(d2[:, i] * ag[:, j] + d2[:, j] * ag[:, i])
-    return s, z, grad, _mirror(upper, pairs, eta.size)
 
+    def curvature(r):
+        t = (d2.T * solve_t(r).T[..., None, :]) @ ag
+        return t + t.swapaxes(-1, -2)
 
-def _mirror(upper, pairs, size: int) -> np.ndarray:
-    """The (size, size, n) array, exactly symmetric in its first two axes,
-    whose (i, j) and (j, i) entries are column k of ``upper`` for the k-th
-    pair (i, j) of ``pairs``."""
-    i, j = pairs
-    out = np.empty((size, size, upper.shape[0]))
-    out[i, j] = out[j, i] = upper.T
-    return out
+    return s, z, grad, curvature
 
 
 @dataclass(frozen=True)
@@ -156,9 +151,9 @@ class _KernelResolvent:
     outputs back to the cells.
 
     ``maps`` are (b1, D1, b2, D2) and ``apply`` is the operator A, in those
-    coordinates; ``inverse(theta2)`` gives "apply V^{-1}". Each call
-    raises :class:`NotAContraction` where the contraction margin at eta is
-    not positive (:func:`require_contraction`).
+    coordinates; ``inverse(theta2)`` gives ("apply V^{-1}", "apply
+    V^{-T}"). Each call raises :class:`NotAContraction` where the
+    contraction margin at eta is not positive (:func:`require_contraction`).
     """
 
     g: Graphon
@@ -168,25 +163,24 @@ class _KernelResolvent:
     maps: tuple
     apply: Callable
     inverse: Callable
-    pairs: tuple
 
     def __call__(self, eta, order: int):
         eta = np.asarray(eta, dtype=float)
         require_contraction(self.spec, self.g, eta)
         b1, d1, b2, d2 = self.maps
-        return _identities(self.inverse(b2 + d2 @ eta), self.apply, b1, d1,
-                           d2, eta, order, self.pairs)
+        return _identities(*self.inverse(b2 + d2 @ eta), self.apply, b1, d1,
+                           d2, eta, order)
 
     def cells(self, solved) -> tuple:
         """The leading outputs ``solved`` of a call, (s, z[, gradient[,
-        hessian]]), on the cells: one product with the basis, divided by
-        root_w. The hessian's i <= j pairs are mapped and mirrored."""
-        p = self.maps[1].shape[1]
-        flat = [*solved[:3], *(h[self.pairs].T for h in solved[3:])]
-        out = self.basis @ np.column_stack(flat) / self.root_w[:, None]
-        cells = [out[:, 0], out[:, 1], out[:, 2:2 + p]][:len(solved)]
+        curvature]]), on the cells: one product with the basis, divided by
+        root_w; the hessian (n_params, n_params, n_cells) is the curvature
+        at each cell's row of basis / root_w."""
+        out = self.basis @ np.column_stack(solved[:3]) / self.root_w[:, None]
+        cells = [out[:, 0], out[:, 1], out[:, 2:]][:len(solved)]
         if len(solved) == 4:
-            cells.append(_mirror(out[:, 2 + p:], self.pairs, p))
+            at_cells = (self.basis / self.root_w[:, None]).T
+            cells.append(np.moveaxis(solved[3](at_cells), 0, -1))
         return tuple(cells)
 
 
@@ -200,8 +194,8 @@ def _kernel_resolvent(g: Graphon, spec: LQAffine) -> _KernelResolvent:
     R = diag(sqrt(w))). The coordinates are Q^T R x: V^{-1} scales by
     1 / (1 - t lam) and A by lam, and b1 and D1 are projected once. Any
     other game is solved by LU on the coordinates R x, where A is the
-    symmetric R q R; each ``np.linalg.solve`` factors V afresh, so an
-    order-k call factors it k + 1 times.
+    symmetric R q R; each ``np.linalg.solve`` factors V or V^T afresh, so
+    an order-k call factors k + 1 times.
     """
     b1, d1, b2, d2 = spec.affine_maps(g)
     root_w = np.sqrt(g.pi)
@@ -215,7 +209,7 @@ def _kernel_resolvent(g: Graphon, spec: LQAffine) -> _KernelResolvent:
 
         def inverse(theta2):
             u = 1.0 / (1.0 - theta2 * evals)
-            return lambda x: (u * x.T).T
+            return (lambda x: (u * x.T).T,) * 2  # V is diagonal here
     else:
         basis = np.eye(root_w.size)
         a = g.q * np.outer(root_w, root_w)
@@ -226,12 +220,10 @@ def _kernel_resolvent(g: Graphon, spec: LQAffine) -> _KernelResolvent:
 
         def inverse(theta2):
             v = np.eye(root_w.size) - theta2[:, None] * a
-            return lambda x: np.linalg.solve(v, x)
+            return (lambda x: np.linalg.solve(v, x),
+                    lambda x: np.linalg.solve(v.T, x))
 
-    # np.triu_indices(p), whose own overhead is about that of a solve
-    k = np.arange(d1.shape[1])
-    return _KernelResolvent(g, spec, basis, root_w, maps, apply, inverse,
-                            np.nonzero(k[:, None] <= k))
+    return _KernelResolvent(g, spec, basis, root_w, maps, apply, inverse)
 
 
 def solve_fixed_point(g: Graphon, spec: LQAffine, eta,

@@ -8,9 +8,10 @@ enters J only through its cell integrals a and c = int obs^2 - sum a_i^2/w_i:
 J = ||r||^2 + c with r = sqrt(w) s_eta - a/sqrt(w). Any orthonormal basis
 keeps ||r||, so J is formed in the coordinates the kernel's solver works in
 (``equilibrium._kernel_resolvent``): the statistic is projected there once
-per estimate, and s, G = ds/deta and d2s/deta2 never leave them. One
-private core gives J, its gradient 2 G^T r and its Hessian, a Gauss-Newton
-term 2 G^T G plus the curvature term 2 sum_k r_k d2s_k. ``objective``,
+per estimate, and s and G = ds/deta never leave them. One private core
+gives J, its gradient 2 G^T r and its Hessian, a Gauss-Newton term
+2 G^T G plus the curvature term 2 r^T d2s/deta2, which the solver gives
+by one adjoint solve without forming d2s/deta2. ``objective``,
 ``objective_gradient`` and ``hessian`` are thin wrappers over it.
 
 The estimate is a projected Newton iteration on the box (Bertsekas 1982,
@@ -24,8 +25,8 @@ Econometrics). With one unknown per cell, as in the community game, the
 system is square and its solution makes s_eta equal m up to rounding, so
 it is J's minimizer whenever it lies in the box; the iteration then stops
 at its first evaluation, or after one Newton step where rounding leaves
-the projected gradient above gtol. Each evaluation is one order-2
-resolvent solve, giving J, its gradient and its Hessian. A coordinate at a
+the projected gradient above gtol. Each evaluation is one order-2 call
+of the resolvent, giving J, its gradient and its Hessian. A coordinate at a
 bound with the gradient pointing out of the box is active and stays; the
 free ones step by -H_FF^-1 grad_F, or by the Gauss-Newton step where H_FF
 is not positive definite, halved along the projection arc until J
@@ -60,7 +61,7 @@ APPROX_J = 1e-6
 class EstimateOptions:
     """Optimizer knobs. ``gtol`` bounds the projected-gradient norm of a
     converged estimate; ``max_iter`` caps the resolvent evaluations of the
-    projected Newton iteration, each one order-2 solve, backtracking
+    projected Newton iteration, each one order-2 evaluation, backtracking
     trials included."""
 
     gtol: float = 1e-9
@@ -109,10 +110,11 @@ def _statistic(observed: PiecewiseConstantFn,
 def _j(stat, solved) -> list:
     """[J] from one solve's outputs ``solved`` = (s, z, *derivs) of a
     :func:`_kernel_resolvent`, in its coordinates, plus grad J when they
-    hold G = ds/deta and the Hessian H when they also hold d2s/deta2.
+    hold G = ds/deta and the Hessian H when they also hold the curvature
+    function r -> r^T d2s/deta2.
 
     With r = s - target: J = ||r||^2 + offset (clamped at 0 against
-    rounding), grad J = 2 G^T r and H = 2 G^T G + 2 sum_k r_k d2s_k. H is
+    rounding), grad J = 2 G^T r and H = 2 G^T G + 2 r^T d2s/deta2. H is
     exactly symmetric.
     """
     target, offset = stat
@@ -123,7 +125,7 @@ def _j(stat, solved) -> list:
         jac = derivs[0]
         out.append(2.0 * (jac.T @ r))
     if len(derivs) == 2:
-        half = jac.T @ jac + derivs[1] @ r
+        half = jac.T @ jac + derivs[1](r)
         out.append(half + half.T)
     return out
 
@@ -254,7 +256,7 @@ def _estimate(stat, solver: _KernelResolvent,
     start = np.linalg.lstsq(d1 + z[:, None] * d2, target - b1 - b2 * z,
                             rcond=None)[0]
     # each pass evaluates J, grad J and H at the trial point by one order-2
-    # solve. The start is accepted; a later trial is accepted when it
+    # evaluation. The start is accepted; a later trial is accepted when it
     # gives the Armijo decrease, and otherwise alpha halves along the
     # projection arc clip(eta + alpha * step). The pass that accepts a
     # point with projected gradient at most gtol, that spends the

@@ -21,7 +21,6 @@ from graphongames import (
     PiecewiseConstantFn,
     StrategySet,
 )
-from graphongames.equilibrium import _identities
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -55,12 +54,24 @@ def lu_resolvent(a, maps, eta, order):
     """The resolvent identities by LU on the cells of an operator matrix
     ``a`` (a kernel's, or P / N on a network), with ``maps`` = (b1, D1, b2,
     D2) the game's affine maps read at those cells: the dense reference for
-    the kernel solver and for the finite game."""
+    the kernel solver and for the finite game. Returns (s, z[, gradient[,
+    hessian]]); the hessian (n_params, n_params, n_cells) solves
+    V d2s_ij = D2_i (A ds_j) + D2_j (A ds_i) for each pair i <= j, all in
+    one solve, and mirrors it, so it is exactly symmetric."""
     eta = np.asarray(eta, dtype=float)
     b1, d1, b2, d2 = maps
     v = np.eye(a.shape[0]) - (b2 + d2 @ eta)[:, None] * a
-    return _identities(lambda x: np.linalg.solve(v, x), lambda x: a @ x,
-                       b1, d1, d2, eta, order, np.triu_indices(eta.size))
+    s = np.linalg.solve(v, b1 + d1 @ eta)
+    z = a @ s
+    grad = np.linalg.solve(v, d1 + d2 * z[:, None])
+    if order < 2:
+        return (s, z, grad)[:2 + order]
+    ag = a @ grad
+    i, j = np.triu_indices(eta.size)
+    hess = np.empty((eta.size, eta.size, s.size))
+    hess[i, j] = hess[j, i] = np.linalg.solve(
+        v, d2[:, i] * ag[:, j] + d2[:, j] * ag[:, i]).T
+    return s, z, grad, hess
 
 
 def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:

@@ -204,3 +204,8 @@ class TestFDCheck:
     def test_invalid_order(self, sbm4):
         with pytest.raises(ValueError):
             fd_check(sbm4, wide_homogeneous(), [0.8, 0.5], order=3)
+        # refused before any solve: solved, this equilibrium would raise
+        # NotInterior (test_not_interior_refused)
+        with pytest.raises(ValueError, match="order must be 1 or 2"):
+            fd_check(ConstantGraphon(0.5), wide_homogeneous(1.5, 1.5),
+                     [1.0, 1.0], order=0)

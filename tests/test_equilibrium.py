@@ -386,8 +386,8 @@ class TestSecondDerivatives:
 class TestResolventCoreProperties:
     """fd_check at both orders, an exactly symmetric Hessian, agreement
     with the complex-step oracle and with the best-response fixed point,
-    and agreement of the kernel solver with the LU core on the operator
-    matrix at every order, for both games
+    and agreement of the kernel solver with the dense per-pair reference
+    on the operator matrix at every order, for both games
     on random block kernels and on a smooth 100-cell grid kernel. The
     homogeneous game takes the eigenbasis route, the community game with
     more than one community the LU route."""

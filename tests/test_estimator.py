@@ -33,11 +33,10 @@ from graphongames import (
     sample_network,
     solve_network_game,
 )
-from graphongames.equilibrium import (_kernel_resolvent, gradient_values,
-                                      second_derivative_values)
+from graphongames.equilibrium import _kernel_resolvent, gradient_values
 from graphongames.estimator import EstimateOptions, _j, _statistic
-from conftest import (ETA4, PI4, Q2, Q4, random_block_kernel, run_fresh,
-                      shifted, smooth_grid_kernel)
+from conftest import (ETA4, PI4, Q2, Q4, lu_resolvent, random_block_kernel,
+                      run_fresh, shifted, smooth_grid_kernel)
 
 
 def riemann_objective(observed, g, spec, eta, cells=10**6):
@@ -528,9 +527,12 @@ def cell_space_j(observed, g, solved) -> list:
 
 class TestCoordinateObjective:
     """J, its gradient and its Hessian, formed in the kernel solver's own
-    coordinates, equal the formulas on the cells within 1e-12 relative, on
-    random affine games whose theta2 is shared by every cell (the
-    eigenbasis route) or set per cell (the LU route)."""
+    coordinates with the curvature by one adjoint solve, equal the
+    formulas on the cells from the dense per-pair reference
+    (``conftest.lu_resolvent``) within 1e-12 relative, on random affine
+    games whose theta2 is shared by every cell (the eigenbasis route) or
+    set per cell (the LU route), and at one parameter per cell of the
+    100-cell grid kernel."""
 
     @staticmethod
     def random_game(g, rng, p, shared):
@@ -550,7 +552,8 @@ class TestCoordinateObjective:
             rng.uniform(0.0, 3.0, int(rng.integers(20, 400))))
         solver = _kernel_resolvent(g, spec)
         got = _j(_statistic(obs, solver), solver(eta, 2))
-        want = cell_space_j(obs, g, second_derivative_values(g, spec, eta))
+        want = cell_space_j(obs, g, lu_resolvent(
+            g.operator_matrix(), spec.affine_maps(g), eta, 2))
         for a, b in zip(got, want, strict=True):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -566,6 +569,21 @@ class TestCoordinateObjective:
         g, rng = smooth_grid_kernel(), np.random.default_rng(31)
         for _ in range(5):
             self.check(g, self.random_game(g, rng, 2, shared), rng)
+
+    def test_one_parameter_per_cell(self):
+        # p = 100, where the per-pair tensor takes 5,050 right-hand sides:
+        # the Hessian at a random eta in the box, and the noise-free
+        # estimate, which recovers eta
+        g, rng = smooth_grid_kernel(), np.random.default_rng(100)
+        lam = g.lambda_max()
+        spec = LQSBM(theta1=1.0, strategy_set=StrategySet(0.0, 50.0),
+                     xi=ParameterBox(np.full(100, 0.05 / lam),
+                                     np.full(100, 0.9 / lam)))
+        self.check(g, spec, rng)
+        eta = rng.uniform(spec.xi.lower, spec.xi.upper)
+        result = estimate(model_equilibrium_fn(g, spec, eta), g, spec)
+        assert result.converged
+        assert np.abs(result.eta_hat - eta).max() <= 1e-10
 
 
 @pytest.mark.parametrize("shipped", ["sbm4", "grid"])

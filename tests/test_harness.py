@@ -60,6 +60,17 @@ class TestConfig:
         assert config.n_list == [100, 400, 1600]
         assert config.runs_per_n == 20
 
+    def test_shipped_fine_grid_config(self):
+        # one eta per cell of the 50-cell grid kernel, whose CSV holds 17
+        # significant digits: it reads back bit for bit, and a short sweep
+        # converges on every run
+        config = load_config("configs/grid50_cells.yaml")
+        assert config.validate() == []
+        assert np.array_equal(config.graphon.q, smooth_grid_kernel(50).q)
+        config.n_list, config.runs_per_n = [400], 2
+        records = run_experiment(config)
+        assert len(records) == 2 and all(r.converged for r in records)
+
     def test_missing_key(self):
         broken = dict(SMALL_CONFIG)
         del broken["eta_true"]
