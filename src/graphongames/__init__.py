@@ -45,7 +45,6 @@ from .sampling import (
     write_network,
 )
 from .estimator import (
-    EstimateOptions,
     EstimationResult,
     HessianInfo,
     estimate,

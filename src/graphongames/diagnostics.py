@@ -91,12 +91,14 @@ def homogeneous_identifiability(g: Graphon, spec: LQAffine,
 
 def sbm_identifiability_constant(g: Graphon, spec: LQAffine,
                                  eta_bar) -> IdentifiabilityReport:
-    """Stability constant for the community game ``spec`` on the block
-    kernel ``g``: L = 2 / (min_i aggregate_i * sqrt(min_k pi_k)), with the
-    aggregates taken at the true parameter. Positive aggregates are
-    guaranteed when every community has at least one positive interaction
-    intensity. Raises ValueError unless ``spec`` is the community game:
-    a known theta1 (D1 = 0) and theta2 = eta (b2 = 0, D2 = I)."""
+    """Stability constant for the community game ``spec`` with k rows on the
+    kernel ``g`` with K cells: L = 2 / (min_i aggregate_i * sqrt(min_i pi_i
+    * K / k)), with the aggregates taken at the true parameter. One row
+    shared by every cell (k = 1) moves the K cells' parameters together, by
+    sqrt(K) |eta - eta_bar|. Positive aggregates are guaranteed when every
+    community has at least one positive interaction intensity. Raises
+    ValueError unless ``spec`` is the community game: a known theta1
+    (D1 = 0) and theta2 = eta (b2 = 0, D2 = I)."""
     k = spec.b1.size
     _require_maps(spec, (spec.b1, np.zeros((k, k)), np.zeros(k), np.eye(k)),
                   "a known theta1 and theta2 = eta")
@@ -108,7 +110,7 @@ def sbm_identifiability_constant(g: Graphon, spec: LQAffine,
             "constant is undefined (an isolated community?)"
         )
     min_weight = float(g.pi.min())
-    constant = 2.0 / (min_aggregate * np.sqrt(min_weight))
+    constant = 2.0 / (min_aggregate * np.sqrt(min_weight * (g.pi.size / k)))
     return IdentifiabilityReport(
         identifiable=True,
         constant=float(constant),

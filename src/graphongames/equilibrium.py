@@ -4,19 +4,20 @@ A finite network game is the graphon game on its network's empirical step
 kernel, so both games share one engine and return one record,
 :class:`Equilibrium`, built by ``_recorder``. The engine has two cores:
 
-* ``_project``, the projected best-response loop, valid whenever the
-  best-response map is a contraction. :func:`solve_fixed_point` and
-  ``sampling.solve_network_game`` differ only in the operator they apply.
-  On a network it is the route where a strategy bound binds or conjugate
-  gradients (``sampling._interior_cg``) is not certified or not accepted.
-* ``_identities``, the interior solve s = (I - diag(theta2) A)^{-1} theta1,
-  valid where no strategy bound binds, and its derivatives in eta by the
-  resolvent identities, one multi-right-hand-side solve per order, exact
-  at machine precision; the second derivative is only contracted, by one
-  adjoint solve. They are written once on "apply V^{-1}", "apply V^{-T}"
-  and "apply A": a kernel's solver passes LU solves with V and V^T and a
-  product with its symmetrized cell matrix, or its cached eigenbasis's
-  diagonal scalings.
+* ``_project``, the projected best-response loop s <- clip(theta1 +
+  theta2 * A s), valid whenever the best-response map is a contraction.
+  :func:`solve_fixed_point` and ``sampling.solve_network_game`` differ
+  only in the operator A they pass, the kernel's or P / N. On a network
+  it is the route where a strategy bound binds or conjugate gradients
+  (``sampling._interior_cg``) is not certified or not accepted.
+* ``_KernelResolvent``, the interior solve s = (I - diag(theta2) A)^{-1}
+  theta1, valid where no strategy bound binds, and its derivatives in eta
+  by the resolvent identities, one multi-right-hand-side solve per order,
+  exact at machine precision; the second derivative is only contracted,
+  by one adjoint solve. They are written once on "apply V^{-1}", "apply
+  V^{-T}" and "apply A": a kernel's solver passes LU solves with V and V^T
+  and a product with its symmetrized cell matrix, or its cached
+  eigenbasis's diagonal scalings.
 
 Every closed form on a kernel goes through one solver built once per
 (kernel, game), ``_kernel_resolvent``, which checks the spectral condition
@@ -86,15 +87,17 @@ def _recorder(aggregate, th1, th2, strategy_set: StrategySet,
     return record
 
 
-def _project(response, size: int, lo: float, hi: float, tol: float,
+def _project(aggregate, th1, th2, strategy_set: StrategySet, tol: float,
              max_iter: int) -> tuple[np.ndarray, int]:
     """The one projected best-response loop, behind both games: iterates
-    s <- clip(response(s), lo, hi) from the zero profile until the sup-norm
-    change is at most ``tol``. Returns (s, iterations); raises
+    s <- clip(th1 + th2 * aggregate(s)) onto ``strategy_set`` from the zero
+    profile until the sup-norm change is at most ``tol``, the best response
+    that :func:`_recorder`'s residual reads. Returns (s, iterations); raises
     :class:`NoConvergence` after ``max_iter`` iterations."""
-    s = np.zeros(size)
+    lo, hi = strategy_set.lower, strategy_set.upper
+    s = np.zeros(np.shape(th1))
     for it in range(1, max_iter + 1):
-        s_new = np.clip(response(s), lo, hi)
+        s_new = np.clip(th1 + th2 * aggregate(s), lo, hi)
         delta = float(np.max(np.abs(s_new - s)))
         s = s_new
         if delta <= tol:
@@ -105,46 +108,10 @@ def _project(response, size: int, lo: float, hi: float, tol: float,
     )
 
 
-def _identities(solve, solve_t, apply, b1, d1, d2, eta, order: int):
-    """The resolvent identities, written once for every basis.
-
-    With V = I - diag(theta2) A, ``solve`` applies V^{-1}, ``solve_t``
-    V^{-T} and ``apply`` A, each to a vector or to every column of a
-    matrix, in one basis that also holds theta1 = b1 + D1 eta and D1. D2
-    multiplies cell by cell; it may be its one row where every cell has
-    the same. The equilibrium is s = V^{-1} theta1 and z = A s. Returns
-    (s, z) for ``order`` 0, adds the gradient G (n_cells, n_params) for
-    order 1 and ``curvature`` for order 2:
-
-        V ds/deta_i = D1_i + D2_i * z,
-        V d2s/deta_i deta_j = D2_i * (A ds/deta_j) + D2_j * (A ds/deta_i).
-
-    The second is only contracted: ``curvature(r)`` is r^T d2s/deta2 =
-    T + T^T, exactly symmetric, with T = (lam * D2)^T A G and lam = V^{-T} r
-    by one solve. A matrix r gives one such matrix per column, stacked
-    first.
-    """
-    s = solve(b1 + d1 @ eta)
-    z = apply(s)
-    if order == 0:
-        return s, z
-    grad = solve(d1 + d2 * z[:, None])
-    if order == 1:
-        return s, z, grad
-    ag = apply(grad)
-
-    def curvature(r):
-        t = (d2.T * solve_t(r).T[..., None, :]) @ ag
-        return t + t.swapaxes(-1, -2)
-
-    return s, z, grad, curvature
-
-
 @dataclass(frozen=True)
 class _KernelResolvent:
     """The interior solve on a kernel's cells for one game, built once by
-    :func:`_kernel_resolvent`. ``solver(eta, order)`` gives
-    :func:`_identities`' outputs in the solver's own L2-orthonormal
+    :func:`_kernel_resolvent`, in the solver's own L2-orthonormal
     coordinates: a cell vector x has coordinates basis^T (root_w * x),
     root_w = sqrt(w), with ``basis`` orthogonal. There the w-weighted inner
     products of the cells are plain dot products. :meth:`cells` maps
@@ -165,11 +132,40 @@ class _KernelResolvent:
     inverse: Callable
 
     def __call__(self, eta, order: int):
+        """The resolvent identities at eta, on the solver's route.
+
+        With V = I - diag(theta2) A, the equilibrium is s = V^{-1} theta1,
+        theta1 = b1 + D1 eta, and z = A s; D2 multiplies cell by cell and
+        may be its one row where every cell has the same. Returns (s, z)
+        for ``order`` 0, adds the gradient G (n_cells, n_params) for order
+        1 and ``curvature`` for order 2:
+
+            V ds/deta_i = D1_i + D2_i * z,
+            V d2s/deta_i deta_j = D2_i * (A ds/deta_j) + D2_j * (A ds/deta_i).
+
+        The second is only contracted: ``curvature(r)`` is r^T d2s/deta2 =
+        T + T^T, exactly symmetric, with T = (lam * D2)^T A G and
+        lam = V^{-T} r by one solve. A matrix r gives one such matrix per
+        column, stacked first.
+        """
         eta = np.asarray(eta, dtype=float)
         require_contraction(self.spec, self.g, eta)
         b1, d1, b2, d2 = self.maps
-        return _identities(*self.inverse(b2 + d2 @ eta), self.apply, b1, d1,
-                           d2, eta, order)
+        solve, solve_t = self.inverse(b2 + d2 @ eta)
+        s = solve(b1 + d1 @ eta)
+        z = self.apply(s)
+        if order == 0:
+            return s, z
+        grad = solve(d1 + d2 * z[:, None])
+        if order == 1:
+            return s, z, grad
+        ag = self.apply(grad)
+
+        def curvature(r):
+            t = (d2.T * solve_t(r).T[..., None, :]) @ ag
+            return t + t.swapaxes(-1, -2)
+
+        return s, z, grad, curvature
 
     def cells(self, solved) -> tuple:
         """The leading outputs ``solved`` of a call, (s, z[, gradient[,
@@ -243,10 +239,13 @@ def solve_fixed_point(g: Graphon, spec: LQAffine, eta,
     margin = require_contraction(spec, g, eta)
     bounds = spec.strategy_set
     a = g.operator_matrix()
-    record = _recorder(lambda x: a @ x, th1, th2, bounds, "spectral", margin)
-    s, iterations = _project(lambda s: th1 + th2 * (a @ s), a.shape[0],
-                             bounds.lower, bounds.upper, tol, max_iter)
-    return record(s, iterations, "project")
+
+    def aggregate(x):
+        return a @ x
+
+    record = _recorder(aggregate, th1, th2, bounds, "spectral", margin)
+    return record(*_project(aggregate, th1, th2, bounds, tol, max_iter),
+                  "project")
 
 
 # Array-level closed forms on the natural partition, each one solve of a

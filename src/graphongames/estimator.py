@@ -25,8 +25,9 @@ Econometrics). With one unknown per cell, as in the community game, the
 system is square and its solution makes s_eta equal m up to rounding, so
 it is J's minimizer whenever it lies in the box; the iteration then stops
 at its first evaluation, or after one Newton step where rounding leaves
-the projected gradient above gtol. Each evaluation is one order-2 call
-of the resolvent, giving J, its gradient and its Hessian. A coordinate at a
+the projected gradient above GTOL. Each evaluation is one order-2 call
+of the resolvent, giving J, its gradient and its Hessian; GTOL and
+MAX_EVALUATIONS are constants, not settings. A coordinate at a
 bound with the gradient pointing out of the box is active and stays; the
 free ones step by -H_FF^-1 grad_F, or by the Gauss-Newton step where H_FF
 is not positive definite, halved along the projection arc until J
@@ -55,17 +56,11 @@ from .equilibrium import _KernelResolvent, _kernel_resolvent, solve_values
 # gradients (Hager & Zhang 2005, SIAM J. Optim., approximate Wolfe)
 ARMIJO = 1e-4
 APPROX_J = 1e-6
-
-
-@dataclass
-class EstimateOptions:
-    """Optimizer knobs. ``gtol`` bounds the projected-gradient norm of a
-    converged estimate; ``max_iter`` caps the resolvent evaluations of the
-    projected Newton iteration, each one order-2 evaluation, backtracking
-    trials included."""
-
-    gtol: float = 1e-9
-    max_iter: int = 5000
+# the projected-gradient norm of a converged estimate is at most GTOL; the
+# projected Newton iteration spends at most MAX_EVALUATIONS resolvent
+# evaluations, each one of order 2, backtracking trials included
+GTOL = 1e-9
+MAX_EVALUATIONS = 5000
 
 
 @dataclass
@@ -219,29 +214,28 @@ def _certify(h, grad_j, eta, lo, hi) -> tuple[float, bool]:
 
 
 def estimate(observed: PiecewiseConstantFn, g: Graphon, spec: LQAffine,
-             options: EstimateOptions | None = None) -> EstimationResult:
+             options=None) -> EstimationResult:
     """Minimize J over the parameter box by projected Newton.
 
     The contraction margin over the box must be positive
     (:class:`NotAContraction` otherwise); it bounds the margin at every
     candidate, so no solve leaves the resolvent's domain. The iteration
     runs from the moment estimate (module docstring) with at most
-    ``max_iter`` resolvent evaluations. ``converged`` is true when its
-    projected-gradient norm is at most ``gtol`` and the certificate
-    (module docstring) holds; a non-identifiable game, whose Hessian is
-    singular, an equilibrium that touches a strategy bound, or an
-    iteration that stops above ``gtol`` reports false.
-    ``hessian_min_eig`` is the smallest eigenvalue of the full Hessian, NaN
-    where the equilibrium at the estimate touches a strategy bound.
+    MAX_EVALUATIONS resolvent evaluations. ``converged`` is true when its
+    projected-gradient norm is at most GTOL and the certificate (module
+    docstring) holds; a non-identifiable game, whose Hessian is singular,
+    an equilibrium that touches a strategy bound, or an iteration that
+    stops above GTOL reports false. ``hessian_min_eig`` is the smallest
+    eigenvalue of the full Hessian, NaN where the equilibrium at the
+    estimate touches a strategy bound. ``options`` is ignored.
     """
+    # ignored but kept: perfbench/bench.py still passes it (ROADMAP item 1)
     require_contraction(spec, g)
     solver = _kernel_resolvent(g, spec)
-    return _estimate(_statistic(observed, solver), solver,
-                     options if options is not None else EstimateOptions())
+    return _estimate(_statistic(observed, solver), solver)
 
 
-def _estimate(stat, solver: _KernelResolvent,
-              opts: EstimateOptions) -> EstimationResult:
+def _estimate(stat, solver: _KernelResolvent) -> EstimationResult:
     """:func:`estimate` on the observation's statistic ``stat``
     (:func:`_statistic`) with ``solver`` built for the kernel and game,
     whose box the caller has checked."""
@@ -259,9 +253,9 @@ def _estimate(stat, solver: _KernelResolvent,
     # evaluation. The start is accepted; a later trial is accepted when it
     # gives the Armijo decrease, and otherwise alpha halves along the
     # projection arc clip(eta + alpha * step). The pass that accepts a
-    # point with projected gradient at most gtol, that spends the
-    # max_iter-th evaluation, or whose next trial rounds to the iterate is
-    # the last.
+    # point with projected gradient at most GTOL, that spends the
+    # MAX_EVALUATIONS-th evaluation, or whose next trial rounds to the
+    # iterate is the last.
     eta = trial = np.clip(start, lo, hi)
     evaluations, alpha = 0, 1.0
     while True:
@@ -273,7 +267,7 @@ def _estimate(stat, solver: _KernelResolvent,
             eta, solved, (j, grad_j, h) = trial, solved_trial, terms
             pgnorm = float(np.linalg.norm(eta - np.clip(eta - grad_j, lo,
                                                         hi)))
-            if pgnorm <= opts.gtol:
+            if pgnorm <= GTOL:
                 break
             # active: at a bound with the gradient pointing out of the box
             free = ~(((eta <= lo) & (grad_j > 0.0))
@@ -283,7 +277,7 @@ def _estimate(stat, solver: _KernelResolvent,
         else:
             alpha *= 0.5
         trial = np.clip(eta + alpha * step, lo, hi)
-        if evaluations >= opts.max_iter or np.array_equal(trial, eta):
+        if evaluations >= MAX_EVALUATIONS or np.array_equal(trial, eta):
             break
     if spec.strategy_set.is_interior(solver.cells(solved[:2])[0]):
         min_eig, certified = _certify(h, grad_j, eta, lo, hi)
@@ -296,5 +290,5 @@ def _estimate(stat, solver: _KernelResolvent,
         hessian_min_eig=min_eig,
         starts=1,
         iterations_total=evaluations,
-        converged=pgnorm <= opts.gtol and certified,
+        converged=pgnorm <= GTOL and certified,
     )

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyGroup, GraphonGameError
 from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL, _kernel_resolvent
-from .estimator import EstimateOptions, _estimate, _j, _statistic
+from .estimator import _estimate, _j, _statistic
 from .game import (
     LQAffine,
     LQHomogeneous,
@@ -63,11 +63,11 @@ class ExperimentConfig:
     runs_per_n: int
     master_seed: int
     output: str = "results.csv"
-    # not settable: the library's finite-game solver and optimizer defaults,
-    # kept because perfbench/bench.py reads them (ROADMAP item 1)
+    # not settable: the finite-game solver defaults and estimate's ignored
+    # argument, kept because perfbench/bench.py reads them (ROADMAP item 1)
     solver: ClassVar[SimpleNamespace] = SimpleNamespace(
         tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
-    optimizer: ClassVar[EstimateOptions] = EstimateOptions()
+    optimizer: ClassVar[None] = None
 
     def validate(self) -> list[str]:
         """Structural checks; returns the list of problems (empty = valid)."""
@@ -215,7 +215,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[RunRecord]:
                 obs = observe(net, neq)
                 with _timed(rec, "estimate_s"):
                     stat = _statistic(obs, solver)
-                    result = _estimate(stat, solver, EstimateOptions())
+                    result = _estimate(stat, solver)
                 # ||obs - s_true||_L2 is the square root of J at eta_true
                 rec.update(eta_hat=result.eta_hat, objective=result.objective,
                            l2_obs_vs_graphon=math.sqrt(

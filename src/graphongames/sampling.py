@@ -340,11 +340,8 @@ def solve_network_game(net: SampledNetwork, spec: LQAffine, eta,
             eq = record(*found, "cg")
             if eq.interior and eq.residual <= tol * margin:
                 return eq
-    # th2 * (P s) / N, not th2 * aggregate(s): the two round differently
-    s, iterations = _project(lambda s: th1 + th2 * (u @ s + ut @ s) / n, n,
-                             spec.strategy_set.lower, spec.strategy_set.upper,
-                             tol, max_iter)
-    return record(s, iterations, "project")
+    return record(*_project(aggregate, th1, th2, spec.strategy_set, tol,
+                            max_iter), "project")
 
 
 def _interior_cg(aggregate, th1, th2, stop: float, max_iter: int):

@@ -2,8 +2,9 @@
 
 perfbench/bench.py builds ``RunRecord`` by keyword, reads
 ``config.solver.tol`` and ``result.starts``, and calls
-``solve_network_game(pi=...)`` and ``l2_distance(obs, ...)``. A change to
-any of these would otherwise show only when the benchmark itself runs.
+``solve_network_game(pi=...)``, ``estimate(..., config.optimizer)`` and
+``l2_distance(obs, ...)``. A change to any of these would otherwise show
+only when the benchmark itself runs.
 """
 
 import math

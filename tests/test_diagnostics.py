@@ -19,7 +19,7 @@ from graphongames import (
     solve_network_game,
 )
 from graphongames.equilibrium import solve_values
-from conftest import ETA4, PI2, wide_homogeneous
+from conftest import ETA4, PI2, smooth_grid_kernel, wide_homogeneous
 
 
 def sbm_game(k):
@@ -113,6 +113,21 @@ class TestSBMIdentifiability:
         _, z = solve_values(sbm4, sbm4_game, ETA4)
         expected = 2.0 / (z.min() * 0.5)
         assert report.constant == pytest.approx(expected, rel=1e-12)
+
+    def test_one_row_game_on_a_grid_kernel(self):
+        # one row shared by the 100 cells: every cell's parameter is eta,
+        # at distance sqrt(100) |eta - eta_bar|, so the per-cell constant
+        # is ten times too loose; the largest ratio over the box is ~3.04
+        g = smooth_grid_kernel()
+        game = LQSBM(theta1=1.0, strategy_set=StrategySet(0.0, 50.0),
+                     xi=ParameterBox(np.array([0.05]),
+                                     np.array([0.9 / g.lambda_max()])))
+        report = sbm_identifiability_constant(g, game, [0.8])
+        _, z = solve_values(g, game, [0.8])
+        per_cell = 2.0 / (z.min() * np.sqrt(g.pi.min()))
+        assert report.constant == pytest.approx(per_cell / 10.0, rel=1e-12)
+        assert empirical_identifiability_test(
+            g, game, [0.8], report.constant, samples=2000, seed=0) == 0
 
     def test_zero_row_degenerate(self):
         q = np.array([[0.5, 0.0], [0.0, 0.0]])

@@ -33,8 +33,9 @@ from graphongames import (
     sample_network,
     solve_network_game,
 )
+from graphongames import estimator
 from graphongames.equilibrium import _kernel_resolvent, gradient_values
-from graphongames.estimator import EstimateOptions, _j, _statistic
+from graphongames.estimator import GTOL, _j, _statistic
 from conftest import (ETA4, PI4, Q2, Q4, lu_resolvent, random_block_kernel,
                       run_fresh, shifted, smooth_grid_kernel)
 
@@ -288,17 +289,29 @@ class TestEstimate:
         net = sample_network(g, 60, derive_run_seed(11, 0, 60))
         neq = solve_network_game(net, spec, np.array([1.0, 0.5]))
         result = estimate(observe(net, neq), g, spec)
-        gtol = EstimateOptions().gtol
         assert result.converged
-        assert result.gradient_norm <= gtol
-        assert result.converged == (result.gradient_norm <= gtol)
+        assert result.gradient_norm <= GTOL
+        assert result.converged == (result.gradient_norm <= GTOL)
 
-    def test_no_converged_start_reports_not_converged(self, sbm4, sbm4_game):
+    def test_ignored_options_keep_the_benchmark_call_shape(self, sbm4,
+                                                           sbm4_game):
+        # perfbench/bench.py still passes config.optimizer; delete this test
+        # and the ignored argument at the next benchmark change (ROADMAP
+        # item 1)
         obs = shifted(model_equilibrium_fn(sbm4, sbm4_game, ETA4), 0.05)
-        opts = EstimateOptions(max_iter=1)
-        result = estimate(obs, sbm4, sbm4_game, opts)
+        with_options = vars(estimate(obs, sbm4, sbm4_game, object()))
+        without = vars(estimate(obs, sbm4, sbm4_game))
+        assert np.array_equal(with_options.pop("eta_hat"),
+                              without.pop("eta_hat"))
+        assert with_options == without
+
+    def test_no_converged_start_reports_not_converged(self, sbm4, sbm4_game,
+                                                      monkeypatch):
+        obs = shifted(model_equilibrium_fn(sbm4, sbm4_game, ETA4), 0.05)
+        monkeypatch.setattr(estimator, "MAX_EVALUATIONS", 1)
+        result = estimate(obs, sbm4, sbm4_game)
         assert not result.converged
-        assert result.gradient_norm > opts.gtol
+        assert result.gradient_norm > GTOL
 
     def test_bound_at_the_estimate_is_not_certified(self, sbm4, sbm4_game):
         # the [0, 10] game's equilibrium at ETA4 reads 1.232, 1.049, 1.082
@@ -345,7 +358,7 @@ class TestCertifiedStart:
         result = estimate(obs, sbm4, sbm4_game)
         assert result.starts == 1
         assert result.converged and result.hessian_min_eig > 0.0
-        assert result.gradient_norm <= EstimateOptions().gtol
+        assert result.gradient_norm <= GTOL
 
     def test_singular_hessian_falls_back(self):
         # non-identifiable: J vanishes along a curve, so the Hessian is
@@ -353,7 +366,7 @@ class TestCertifiedStart:
         g, spec, obs = flat_valley()
         result = estimate(obs, g, spec)
         assert result.objective <= 1e-12
-        assert result.gradient_norm <= EstimateOptions().gtol
+        assert result.gradient_norm <= GTOL
         assert not result.hessian_min_eig > 1e-12
         assert not result.converged
         assert result.starts == 1
@@ -365,7 +378,7 @@ class TestCertifiedStart:
         g, spec, obs = flat_valley(0.2, (0.5, 0.2))
         result = estimate(obs, g, spec)
         assert abs(result.hessian_min_eig) <= 1e-15
-        assert result.gradient_norm <= EstimateOptions().gtol
+        assert result.gradient_norm <= GTOL
         assert not result.converged
 
     def test_minimum_on_a_bound_is_reached(self, homogeneous_game):
@@ -381,7 +394,7 @@ class TestCertifiedStart:
         )
         result = estimate(obs, g, homogeneous_game)
         assert result.converged and result.hessian_min_eig > 0.0
-        assert result.gradient_norm <= EstimateOptions().gtol
+        assert result.gradient_norm <= GTOL
         minimum = np.array([np.dot(np.diff(obs.breakpoints), obs.values), 0.0])
         assert objective_gradient(obs, g, homogeneous_game, minimum)[1] > 0.0
         assert np.abs(result.eta_hat - minimum).max() <= 1e-12
@@ -452,7 +465,7 @@ def box_center_oracle(observed, g, spec):
     )
     grad = objective_gradient(observed, g, spec, fit.x)
     pgnorm = np.linalg.norm(fit.x - np.clip(fit.x - grad, lo, hi))
-    certified = (pgnorm <= EstimateOptions().gtol
+    certified = (pgnorm <= GTOL
                  and hessian(observed, g, spec, fit.x).min_eigenvalue > 0.0)
     return fit.x, certified
 

@@ -64,8 +64,8 @@ class TestParameterBox:
 def best_response(t1, t2, z):
     """One step of the projected loop on the strategy set [0, 10], from
     the zero profile, against the aggregate z."""
-    s, _ = _project(lambda s: t1 + t2 * np.full(1, z), 1, 0.0, 10.0,
-                    np.inf, 1)
+    s, _ = _project(lambda s: np.full(1, z), np.full(1, t1), t2,
+                    StrategySet(0.0, 10.0), np.inf, 1)
     return float(s[0])
 
 

@@ -87,9 +87,8 @@ def projected_iterate(net, spec, eta, tol):
     cells = net.graphon.cell_index(net.labels)
     th1, th2, n = th1[cells], th2[cells], net.n_agents
     u, ut = net.upper, net.upper.T
-    return _project(lambda s: th1 + th2 * (u @ s + ut @ s) / n, n,
-                    spec.strategy_set.lower, spec.strategy_set.upper, tol,
-                    DEFAULT_MAX_ITER)
+    return _project(lambda s: (u @ s + ut @ s) / n, th1, th2,
+                    spec.strategy_set, tol, DEFAULT_MAX_ITER)
 
 
 def assert_upper_csr(net):
