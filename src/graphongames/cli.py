@@ -13,7 +13,8 @@ import numpy as np
 
 from .diagnostics import homogeneous_identifiability, sbm_identifiability_constant
 from .errors import ConfigError, GraphonGameError, NotInterior
-from .estimator import estimate, model_equilibrium_fn
+from .equilibrium import solve_values
+from .estimator import estimate
 from .functionspace import interpolate_equilibrium
 from .harness import (
     _cell,
@@ -107,9 +108,10 @@ def cmd_solve(args) -> int:
     config = _load_valid_config(args)
     eta = (_parse_eta(args.eta, config) if args.eta
            else np.asarray(config.eta_true, float))
-    fn = model_equilibrium_fn(config.graphon, config.game, eta)
+    g = config.graphon
+    s, _ = solve_values(g, config.game, eta)
     bounds = config.game.strategy_set
-    if not bounds.is_interior(fn.values):
+    if not bounds.is_interior(s):
         # the resolvent ignores the strategy bounds, so it is the
         # equilibrium only when no bound binds
         raise NotInterior(
@@ -118,14 +120,10 @@ def cmd_solve(args) -> int:
         )
     if args.samples:
         grid = (np.arange(args.samples) + 0.5) / args.samples
-        lines = [_cell(v) for v in fn(grid)]
+        lines = [_cell(v) for v in s[g.cell_index(grid)]]
     else:
-        lines = [
-            f"{_cell(left)} {_cell(right)} {_cell(value)}"
-            for left, right, value in zip(
-                fn.breakpoints[:-1], fn.breakpoints[1:], fn.values
-            )
-        ]
+        lines = [f"{_cell(left)} {_cell(right)} {_cell(value)}"
+                 for left, right, value in zip(g.bounds, g.bounds[1:], s)]
     _emit(args, lines)
     return 0
 

@@ -92,10 +92,11 @@ def homogeneous_identifiability(g: Graphon, spec: LQAffine,
 def sbm_identifiability_constant(g: Graphon, spec: LQAffine,
                                  eta_bar) -> IdentifiabilityReport:
     """Stability constant for the community game ``spec`` with k rows on the
-    kernel ``g`` with K cells: L = 2 / (min_i aggregate_i * sqrt(min_i pi_i
-    * K / k)), with the aggregates taken at the true parameter. One row
-    shared by every cell (k = 1) moves the K cells' parameters together, by
-    sqrt(K) |eta - eta_bar|. Positive aggregates are guaranteed when every
+    kernel ``g`` with K cells: L = 2 / (min_aggregate * sqrt(min_weight)),
+    min_weight = min_i pi_i * K / k, with the aggregates taken at the true
+    parameter; the report's detail carries both factors. One row shared by
+    every cell (k = 1) moves the K cells' parameters together, by sqrt(K)
+    |eta - eta_bar|. Positive aggregates are guaranteed when every
     community has at least one positive interaction intensity. Raises
     ValueError unless ``spec`` is the community game: a known theta1
     (D1 = 0) and theta2 = eta (b2 = 0, D2 = I)."""
@@ -109,8 +110,8 @@ def sbm_identifiability_constant(g: Graphon, spec: LQAffine,
             "a community has non-positive equilibrium aggregate; the "
             "constant is undefined (an isolated community?)"
         )
-    min_weight = float(g.pi.min())
-    constant = 2.0 / (min_aggregate * np.sqrt(min_weight * (g.pi.size / k)))
+    min_weight = float(g.pi.min() * (g.pi.size / k))
+    constant = 2.0 / (min_aggregate * np.sqrt(min_weight))
     return IdentifiabilityReport(
         identifiable=True,
         constant=float(constant),
@@ -151,8 +152,11 @@ def empirical_identifiability_test(g: Graphon, spec: LQAffine, eta_bar,
 
 
 def fd_check(g: Graphon, spec: LQAffine, eta, order: int = 1) -> float:
-    """Worst relative error of the analytic equilibrium derivatives against
-    central finite differences (step 1e-5 for first order, 1e-4 for second).
+    """Worst relative error of the analytic equilibrium derivatives of
+    ``order`` against central differences, step 1e-5, of the analytic
+    derivative one order below: order 1 differences s against each gradient
+    column G[:, j], order 2 G, which order 1 checks, against each Hessian
+    column H[:, j].
 
     The error of each derivative component is normalized by
     max(1, sup |analytic|) so identically-zero components are compared
@@ -162,42 +166,22 @@ def fd_check(g: Graphon, spec: LQAffine, eta, order: int = 1) -> float:
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     solver = _kernel_resolvent(g, spec)
-    s0, *_, deriv = solver.cells(solver(eta, order))
+    s0, _, *derivs = solver.cells(solver(eta, order))
     if not spec.strategy_set.is_interior(s0):
         raise NotInterior("equilibrium touches a strategy bound")
-    n = eta.size
+    # cells first and the differenced coordinate last: G (cells, j), or the
+    # hessian as (cells, i, j)
+    analytic = np.moveaxis(derivs[-1], -1, 0) if order == 2 else derivs[-1]
 
-    def solve_at(e):
-        return solver.cells(solver(e, 0))[0]
+    def below(e):
+        s, _, *lower = solver.cells(solver(e, order - 1))
+        return (s, *lower)[-1]
 
+    h = 1e-5
     worst = 0.0
-    if order == 1:
-        h = 1e-5
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h
-            fd = (solve_at(eta + ei) - solve_at(eta - ei)) / (2.0 * h)
-            scale = max(1.0, float(np.max(np.abs(deriv[:, i]))))
-            worst = max(worst, float(np.max(np.abs(fd - deriv[:, i]))) / scale)
-    else:
-        h = 1e-4
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h
-            fd = (solve_at(eta + ei) - 2.0 * s0 + solve_at(eta - ei)) / (h * h)
-            scale = max(1.0, float(np.max(np.abs(deriv[i, i]))))
-            worst = max(worst, float(np.max(np.abs(fd - deriv[i, i]))) / scale)
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = h
-                fd = (
-                    solve_at(eta + ei + ej)
-                    - solve_at(eta + ei - ej)
-                    - solve_at(eta - ei + ej)
-                    + solve_at(eta - ei - ej)
-                ) / (4.0 * h * h)
-                scale = max(1.0, float(np.max(np.abs(deriv[i, j]))))
-                worst = max(
-                    worst, float(np.max(np.abs(fd - deriv[i, j]))) / scale
-                )
-    return worst
+    for j, ej in enumerate(h * np.eye(eta.size)):
+        fd = (below(eta + ej) - below(eta - ej)) / (2.0 * h)
+        exact = analytic[..., j]
+        scale = np.maximum(1.0, np.abs(exact).max(axis=0))
+        worst = max(worst, (np.abs(fd - exact).max(axis=0) / scale).max())
+    return float(worst)

@@ -33,10 +33,11 @@ free ones step by -H_FF^-1 grad_F, or by the Gauss-Newton step where H_FF
 is not positive definite, halved along the projection arc until J
 decreases enough. The last accepted evaluation is certified by the
 second-order sufficient condition for bound constraints (Nocedal &
-Wright, Numerical Optimization, Thm 12.6): the gradient points strictly
-out of the box at the active coordinates, and the Hessian on the free
-ones is positive definite beyond rounding. That is a strict local
-minimum, under identifiability the unique one, so nothing runs after it.
+Wright, Numerical Optimization, Thm 12.6) on the iteration's own active
+set: the gradient points strictly out of the box at the active
+coordinates by their definition, and the Hessian on the free ones must be
+positive definite beyond rounding. That is a strict local minimum, under
+identifiability the unique one, so nothing runs after it.
 """
 
 from __future__ import annotations
@@ -196,17 +197,16 @@ def _decreases(j, grad_j, terms, move, predicted: float) -> bool:
     return change <= ARMIJO * predicted
 
 
-def _certify(h, grad_j, eta, lo, hi) -> tuple[float, bool]:
-    """(smallest eigenvalue of the Hessian ``h`` of J at eta, whether eta
-    passes the second-order certificate on the box [lo, hi]).
+def _certify(h, free) -> tuple[float, bool]:
+    """(smallest eigenvalue of the Hessian ``h`` of J, whether the point
+    passes the second-order certificate with the Newton loop's ``free``
+    coordinates).
 
-    A coordinate is free unless its projected-gradient step eta - grad_j
-    is clipped. The Hessian on the q free coordinates must have its
-    smallest eigenvalue above q * eps * max |eigenvalue| of that
-    sub-matrix, the rounding level of numpy's matrix_rank; an empty free
-    set certifies."""
-    step = eta - grad_j
-    free = (step >= lo) & (step <= hi)
+    The others are at a bound with the gradient pointing out of the box,
+    the coordinates that Thm 12.6's critical cone fixes. The Hessian on the
+    q free coordinates must have its smallest eigenvalue above q * eps *
+    max |eigenvalue| of that sub-matrix, the rounding level of numpy's
+    matrix_rank; an empty free set certifies."""
     full = np.linalg.eigvalsh(h)
     eig = full if free.all() else np.linalg.eigvalsh(h[np.ix_(free, free)])
     floor = eig.size * np.finfo(float).eps * np.abs(eig).max(initial=0.0)
@@ -267,11 +267,11 @@ def _estimate(stat, solver: _KernelResolvent) -> EstimationResult:
             eta, solved, (j, grad_j, h) = trial, solved_trial, terms
             pgnorm = float(np.linalg.norm(eta - np.clip(eta - grad_j, lo,
                                                         hi)))
-            if pgnorm <= GTOL:
-                break
             # active: at a bound with the gradient pointing out of the box
             free = ~(((eta <= lo) & (grad_j > 0.0))
                      | ((eta >= hi) & (grad_j < 0.0)))
+            if pgnorm <= GTOL:
+                break
             step = _newton_step(h, grad_j, solved[2], free)
             slope, alpha = float(grad_j @ step), 1.0
         else:
@@ -280,7 +280,7 @@ def _estimate(stat, solver: _KernelResolvent) -> EstimationResult:
         if evaluations >= MAX_EVALUATIONS or np.array_equal(trial, eta):
             break
     if spec.strategy_set.is_interior(solver.cells(solved[:2])[0]):
-        min_eig, certified = _certify(h, grad_j, eta, lo, hi)
+        min_eig, certified = _certify(h, free)
     else:
         min_eig, certified = float("nan"), False
     return EstimationResult(

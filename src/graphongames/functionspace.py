@@ -1,9 +1,9 @@
 """Piecewise-constant functions on [0, 1] with exact integration.
 
-A function on [0, 1] is data in two places: an observation, the network
-equilibrium embedded on the grid {i/N}, and the model profile that
-``solve`` prints. Everything else lives on the kernel's cells as plain
-arrays. The observation's cell integrals are exact, and
+A function on [0, 1] is data where an observation enters: the network
+equilibrium embedded on the grid {i/N}. Everything else, the model
+profile that ``solve`` prints included, lives on the kernel's cells as
+plain arrays. The observation's cell integrals are exact, and
 :func:`l2_distance` is the exact reference distance on the merged
 partition of two step functions, with no quadrature.
 """
@@ -59,8 +59,10 @@ class PiecewiseConstantFn:
         self.values = vals
 
     def __call__(self, x):
+        """The value at each point; OutOfDomain on any point not in
+        [0, 1], NaN included."""
         xs = np.asarray(x, dtype=float)
-        if np.any(xs < 0.0) or np.any(xs > 1.0):
+        if not np.all((xs >= 0.0) & (xs <= 1.0)):
             raise OutOfDomain("evaluation point outside [0, 1]")
         idx = np.searchsorted(self.breakpoints, xs, side="right") - 1
         idx = np.clip(idx, 0, self.values.size - 1)
@@ -70,13 +72,11 @@ class PiecewiseConstantFn:
     def resample(self, breakpoints: np.ndarray) -> np.ndarray:
         """Values of this function on the cells of a refining partition.
 
-        Cells are identified by their midpoints, so the result is exact
-        whenever ``breakpoints`` refines this function's partition up to
-        ``MERGE_TOL``.
+        The function is read at the cells' midpoints, so the result is
+        exact whenever ``breakpoints`` refines this function's partition up
+        to ``MERGE_TOL``.
         """
-        mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
-        idx = np.searchsorted(self.breakpoints, mids, side="right") - 1
-        return self.values[np.clip(idx, 0, self.values.size - 1)]
+        return self(0.5 * (breakpoints[:-1] + breakpoints[1:]))
 
 
 def interpolate_equilibrium(s) -> PiecewiseConstantFn:

@@ -3,7 +3,7 @@ import pytest
 import yaml
 
 from graphongames.cli import main
-from conftest import ETA4, PI2, PI4, Q2, Q4
+from conftest import ETA4, PI2, PI4, Q2, Q4, ROOT
 
 SHIPPED = "configs/sbm4.yaml"
 
@@ -497,3 +497,30 @@ class TestDiagnose:
             "min_aggregate = 0.83333333333333337",
             "min_weight = 1",
         ]
+
+    def test_one_row_game_reports_the_weight_its_constant_uses(self, tmp_path,
+                                                               capsys):
+        # one row shared by the 50 grid cells: the constant weighs min pi
+        # by K / k = 50, and the min_weight line must carry that factor
+        path = write_config(
+            tmp_path,
+            {
+                "graphon": {"kind": "grid",
+                            "csv": str(ROOT / "configs" / "grid50.csv")},
+                "game": {
+                    "kind": "lq_sbm",
+                    "theta1": 1.0,
+                    "strategy_set": [0.0, 50.0],
+                    "xi": {"lower": [0.2], "upper": [3.3]},
+                },
+                "eta_true": [1.5],
+            },
+        )
+        assert main(["diagnose", "--config", path]) == 0
+        lines = dict(line.split(" = ")
+                     for line in capsys.readouterr().out.splitlines())
+        min_aggregate, min_weight = (float(lines[key]) for key in
+                                     ("min_aggregate", "min_weight"))
+        assert min_weight == pytest.approx(1.0)
+        assert (2.0 / (min_aggregate * np.sqrt(min_weight))
+                == float(lines["constant"]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphongames import diagnostics
 from graphongames import (
     ConstantGraphon,
     DegenerateAggregate,
@@ -216,6 +217,17 @@ class TestFDCheck:
         with pytest.raises(NotInterior):
             fd_check(g, spec, [1.0, 1.0], order=1)
 
+    def test_a_wrong_derivative_is_caught(self, monkeypatch, sbm4,
+                                          sbm4_game):
+        # the community game takes the LU route, the homogeneous one the
+        # eigenbasis; a derivative off by 0.1% must fail the limits the
+        # tests and the benchmark gate apply
+        for spec, eta in ((sbm4_game, ETA4), (wide_homogeneous(), [0.8, 0.5])):
+            for order, limit in ((1, 1e-5), (2, 1e-4)):
+                with monkeypatch.context() as patch:
+                    _scale_output(patch, order + 1)
+                    assert fd_check(sbm4, spec, eta, order=order) > limit
+
     def test_invalid_order(self, sbm4):
         with pytest.raises(ValueError):
             fd_check(sbm4, wide_homogeneous(), [0.8, 0.5], order=3)
@@ -224,3 +236,24 @@ class TestFDCheck:
         with pytest.raises(ValueError, match="order must be 1 or 2"):
             fd_check(ConstantGraphon(0.5), wide_homogeneous(1.5, 1.5),
                      [1.0, 1.0], order=0)
+
+
+def _scale_output(monkeypatch, position):
+    """Make fd_check's kernel solver scale its output at ``position``, G
+    (2) or the curvature function (3), by 1.001."""
+    real = diagnostics._kernel_resolvent
+
+    class Scaled:
+        def __init__(self, solver):
+            self.solver, self.cells = solver, solver.cells
+
+        def __call__(self, eta, order):
+            out = list(self.solver(eta, order))
+            if len(out) > position:
+                exact = out[position]
+                out[position] = (1.001 * exact if position == 2
+                                 else lambda r: 1.001 * exact(r))
+            return tuple(out)
+
+    monkeypatch.setattr(diagnostics, "_kernel_resolvent",
+                        lambda g, spec: Scaled(real(g, spec)))

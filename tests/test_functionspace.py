@@ -99,6 +99,13 @@ class TestMakePiecewise:
         with pytest.raises(OutOfDomain):
             f(1.1)
 
+    def test_nan_is_out_of_domain(self):
+        f = PiecewiseConstantFn([0, 0.5, 1], [1.0, 2.0])
+        with pytest.raises(OutOfDomain):
+            f(np.nan)
+        with pytest.raises(OutOfDomain):
+            f(np.array([0.25, np.nan, 0.75]))
+
 
 class TestInterpolate:
     def test_single_entry(self):
